@@ -64,6 +64,7 @@ from .linalg import (
     partial_trace,
     projector_onto,
     pure_density,
+    reduced_state,
     tensor_product,
     unitary_exp,
     validate_density_operator,

@@ -10,6 +10,7 @@ decoherence of the chain state.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -33,6 +34,7 @@ from .linalg import (
     as_complex_array,
     partial_trace,
     pure_density,
+    reduced_state,
     tensor_product,
     unitary_exp,
     validate_state_vector,
@@ -134,7 +136,7 @@ class MSState:
         return pure_density(self.vector)
 
     def reduced(self, keep) -> np.ndarray:
-        return partial_trace(self.density(), self.layout, keep)
+        return reduced_state(self.vector, self.layout, keep)
 
 
 @dataclass(frozen=True)
@@ -342,12 +344,10 @@ def statistical_restriction(state, layout: TensorLayout | None = None) -> np.nda
     Accepts an MSState, or a density matrix plus the layout describing it.
     """
     if isinstance(state, MSState):
-        rho, layout = state.density(), state.layout
-    else:
-        if layout is None:
-            raise UsageError("a bare density matrix needs an explicit layout")
-        rho = as_complex_array(state)
-    return partial_trace(rho, layout, ("O",))
+        return state.reduced(("O",))
+    if layout is None:
+        raise UsageError("a bare density matrix needs an explicit layout")
+    return partial_trace(as_complex_array(state), layout, ("O",))
 
 
 def factorize_branch(state: MSState, tol: float = 1e-10) -> dict[str, np.ndarray]:
@@ -415,37 +415,25 @@ def decohere(state: MSState, n_env: int, eps: float,
         raise CapacityError(f"decohered dimension {new_dim} exceeds the maximum {max_dim}")
 
     factor = float(eps) ** n_env if n_env > 0 else 1.0
-    if n_env == 0:
-        return DecoherenceResult(state, factor, state.density())
-
     env_states = (
         np.array([1.0, 0.0], dtype=complex),
         np.array([eps, math.sqrt(max(0.0, 1.0 - eps * eps))], dtype=complex),
     )
-    tags = []
-    for env in env_states:
-        tag = env
-        for _ in range(n_env - 1):
-            tag = np.kron(tag, env)
-        tags.append(tag)
+    # tags[o] is the environment's product state when the observer reads o
+    tags = np.array([functools.reduce(np.kron, (env,) * n_env, np.ones(1, dtype=complex))
+                     for env in env_states])
 
     o_pos = state.layout.position("O")
     dims = state.layout.dims
     stride = int(np.prod(dims[o_pos + 1:], dtype=int))
-    idx = np.arange(state.dim)
-    o_index = (idx // stride) % dims[o_pos]
-
-    new_vec = np.zeros(new_dim, dtype=complex)
-    for o in (0, 1):
-        masked = np.where(o_index == o, state.vector, 0.0)
-        new_vec += np.kron(masked, tags[o])
+    o_index = (np.arange(state.dim) // stride) % dims[o_pos]
+    new_vec = (state.vector[:, None] * tags[o_index]).reshape(-1)
 
     new_layout = state.layout
     for j in range(n_env):
         new_layout = new_layout.extended(f"E{j + 1}", 2)
     enlarged = MSState(new_vec, new_layout)
-    reduced = partial_trace(enlarged.density(), new_layout, state.layout.labels)
-    return DecoherenceResult(enlarged, factor, reduced)
+    return DecoherenceResult(enlarged, factor, enlarged.reduced(state.layout.labels))
 
 
 def _premeasure_generator() -> np.ndarray:

@@ -107,24 +107,53 @@ class Report:
     notes: tuple[str, ...] = ()
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _parse_amplitude(value, name: str) -> complex:
-    if isinstance(value, (int, float)):
+    if _is_number(value):
         return complex(float(value), 0.0)
-    if isinstance(value, (list, tuple)) and len(value) == 2 \
-            and all(isinstance(x, (int, float)) for x in value):
+    if isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_is_number, value)):
         return complex(float(value[0]), float(value[1]))
     raise ConfigError(f"field {name!r} must be a number or a [re, im] pair")
 
 
-def parse_config(text: str, override_command: str | None = None) -> RunConfig:
-    """Validate a JSON config and apply the documented defaults."""
+def _parse_integer(value, name: str) -> int:
+    """A JSON integer; an integral float such as 1e6 counts, a bool does not."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"field {name!r} must be an integer, got {value!r}")
+    return value
+
+
+def _parse_number(value, name: str) -> float:
+    if not _is_number(value):
+        raise ConfigError(f"field {name!r} must be a number, got {value!r}")
+    return float(value)
+
+
+def _parse_tolerance(value, name: str) -> float:
+    tol = _parse_number(value, f"tolerances.{name}")
+    if not 0.0 <= tol < float("inf"):
+        raise ConfigError(f"tolerance {name!r} must be finite and nonnegative, got {tol!r}")
+    return tol
+
+
+def _json_object(text: str) -> dict:
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
-    return config_from_dict(data, override_command)
+    return data
+
+
+def parse_config(text: str, override_command: str | None = None) -> RunConfig:
+    """Validate a JSON config and apply the documented defaults."""
+    return config_from_dict(_json_object(text), override_command)
 
 
 def config_from_dict(data: dict, override_command: str | None = None) -> RunConfig:
@@ -146,6 +175,10 @@ def config_from_dict(data: dict, override_command: str | None = None) -> RunConf
     if command not in COMMANDS:
         raise ConfigError(f"unknown command {command!r}; expected one of {', '.join(COMMANDS)}")
 
+    output_path = data.get("output_path")
+    if output_path is not None and not isinstance(output_path, str):
+        raise ConfigError(f"field 'output_path' must be a string, got {output_path!r}")
+
     output_format = data.get("output_format", "structured-text")
     if output_format not in FORMATS:
         raise ConfigError(f"unknown output_format {output_format!r}")
@@ -162,10 +195,10 @@ def config_from_dict(data: dict, override_command: str | None = None) -> RunConf
             a1=a1,
             a2=a2,
             input_kind=data.get("input_kind", "pure"),
-            n_env=int(data.get("n_env", 0)),
-            env_overlap=float(data.get("env_overlap", 1.0)),
-            seed=int(data.get("seed", 42)),
-            trials=int(data.get("trials", 100_000)),
+            n_env=_parse_integer(data.get("n_env", 0), "n_env"),
+            env_overlap=_parse_number(data.get("env_overlap", 1.0), "env_overlap"),
+            seed=_parse_integer(data.get("seed", 42), "seed"),
+            trials=_parse_integer(data.get("trials", 100_000), "trials"),
         )
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid scenario: {exc}") from exc
@@ -173,9 +206,9 @@ def config_from_dict(data: dict, override_command: str | None = None) -> RunConf
     return RunConfig(
         scenario=scenario,
         command=command,
-        output_path=data.get("output_path"),
+        output_path=output_path,
         output_format=output_format,
-        tolerances=tuple(sorted((k, float(v)) for k, v in tolerances.items())),
+        tolerances=tuple(sorted((k, _parse_tolerance(v, k)) for k, v in tolerances.items())),
     )
 
 
@@ -377,8 +410,8 @@ def _decohere_rows(config: RunConfig) -> tuple[list[ReportRow], list[str]]:
         notes.append("decoherence sweep uses the pure chain state built from the "
                      "configured amplitudes")
     ms = full_chain(Scenario(scenario.a1, scenario.a2, "pure"))
-    rho0 = ms.density()
-    cross = complex(rho0[0, 7])
+    # reference pointer coherence <S1D1O1|rho|S2D2O2> of the undecohered state
+    cross = complex(ms.vector[0] * ms.vector[7].conjugate())
     for n in range(scenario.n_env + 1):
         result = decohere(ms, n, eps)
         law = float(eps) ** n if n > 0 else 1.0
@@ -546,12 +579,7 @@ def main(argv=None) -> int:
                 text = handle.read()
         else:
             text = "{}"
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ConfigError("config must be a JSON object")
+        data = _json_object(text)
         for key, value in (("seed", args.seed), ("trials", args.trials),
                            ("output_path", args.out), ("output_format", args.output_format)):
             if value is not None:

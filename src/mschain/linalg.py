@@ -1,9 +1,13 @@
 """Dense complex linear algebra kernel for small labeled tensor-product spaces.
 
 Everything here works on plain numpy arrays: state vectors are 1-d complex
-arrays with unit norm, operators are square complex matrices. Dimensions stay
-tiny (a few hundred at most), so clarity beats cleverness throughout: dense
-row-major storage, no sparsity, spectral methods everywhere.
+arrays with unit norm, operators are square complex matrices. The chain
+itself has 8 dimensions; with environment elements a state grows up to the
+4096-dimension cap. At that size a dense |psi><psi| takes 256 MiB, so a pure
+state is reduced from its vector (`reduced_state`) and never from its
+density; `partial_trace` is for genuinely mixed densities. Otherwise clarity
+beats cleverness throughout: dense row-major storage, no sparsity, spectral
+methods everywhere.
 """
 
 from __future__ import annotations
@@ -180,16 +184,21 @@ def tensor_many(*ops, max_dim: int = DEFAULT_MAX_DIM) -> np.ndarray:
     return out
 
 
+def _kept_positions(layout: TensorLayout, keep) -> list[int]:
+    keep = tuple(keep) if not isinstance(keep, str) else (keep,)
+    if not keep:
+        raise UsageError("keep set must be nonempty")
+    return sorted({layout.position(lab) for lab in keep})
+
+
 def partial_trace(rho, layout: TensorLayout, keep) -> np.ndarray:
     """Reduced density matrix on the kept factors, in layout order.
 
     `keep` is an iterable of factor labels; the remaining factors are traced
-    out. Works for any density matrix matching the layout's total dimension.
+    out. Works for any density matrix matching the layout's total dimension;
+    a pure state is reduced from its vector by `reduced_state` instead.
     """
-    keep = tuple(keep) if not isinstance(keep, str) else (keep,)
-    if not keep:
-        raise UsageError("keep set must be nonempty")
-    positions = sorted(layout.position(lab) for lab in keep)
+    positions = _kept_positions(layout, keep)
     mat = as_complex_array(rho)
     n = len(layout.factors)
     dims = layout.dims
@@ -207,9 +216,25 @@ def partial_trace(rho, layout: TensorLayout, keep) -> np.ndarray:
     return reduced.reshape(d_keep, d_keep)
 
 
-def reduced_state(vec: np.ndarray, layout: TensorLayout, keep) -> np.ndarray:
-    """Partial trace of |vec><vec| keeping the given factor labels."""
-    return partial_trace(pure_density(vec), layout, keep)
+def reduced_state(vec, layout: TensorLayout, keep) -> np.ndarray:
+    """Reduced density matrix of the pure state `vec` on the kept factors.
+
+    Equals `partial_trace(pure_density(vec), layout, keep)` without forming
+    |vec><vec|: the vector is viewed as a tensor over `layout.dims`, the kept
+    axes move to the front in layout order, and the result is M @ M^dagger
+    with M of shape (d_keep, total / d_keep). Memory stays O(total) rather
+    than O(total**2). Raises UsageError on an empty keep set, an unknown
+    label or a vector whose length does not match the layout.
+    """
+    positions = _kept_positions(layout, keep)
+    v = as_complex_array(vec)
+    total = layout.total_dim
+    if v.shape != (total,):
+        raise UsageError(f"vector shape {v.shape} does not match layout dim {total}")
+    rest = [i for i in range(len(layout.factors)) if i not in positions]
+    d_keep = int(np.prod([layout.dims[i] for i in positions]))
+    m = v.reshape(layout.dims).transpose(positions + rest).reshape(d_keep, -1)
+    return m @ m.conj().T
 
 
 def _group_sorted_desc(values: np.ndarray) -> tuple[tuple[float, tuple[int, ...]], ...]:

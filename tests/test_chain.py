@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -219,6 +221,30 @@ class TestDecohere:
         expected[0, 7] *= 0.0625
         expected[7, 0] *= 0.0625
         assert np.max(np.abs(result.reduced_ms - expected)) < 1e-12
+
+    @pytest.mark.parametrize("n_env", [7, 8, 9])
+    @pytest.mark.parametrize("eps", [0.0, 0.5, 0.9])
+    def test_product_overlap_law_up_to_the_cap(self, n_env, eps):
+        ms = full_chain(Scenario(np.sqrt(0.3), np.sqrt(0.7) * np.exp(2j), "pure"))
+        result = decohere(ms, n_env, eps)
+        assert result.state.dim == 8 * 2**n_env
+        assert result.coherence_factor == pytest.approx(eps**n_env, abs=1e-15)
+        expected = ms.density()
+        expected[0, 7] *= eps**n_env
+        expected[7, 0] *= eps**n_env
+        assert np.max(np.abs(result.reduced_ms - expected)) < 1e-12
+
+    def test_memory_at_the_cap_stays_vector_sized(self):
+        # the dense |psi><psi| at 4096 dims alone would take 256 MiB
+        ms = full_chain(Scenario(SYM, SYM, "pure"))
+        decohere(ms, 9, 0.5)
+        tracemalloc.start()
+        try:
+            decohere(ms, 9, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     def test_pointer_product_states_are_fixed_points(self):
         for a1, a2 in ((1.0, 0.0), (0.0, 1.0)):

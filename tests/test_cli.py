@@ -243,6 +243,59 @@ class TestMain:
         assert out1.read_bytes() == out2.read_bytes()
 
 
+def run_main_with_config(tmp_path, capsys, command, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    code = main([command, "--config", str(cfg)])
+    return code, capsys.readouterr()
+
+
+class TestStrictConfig:
+    @pytest.mark.parametrize("value", ["true", '"x"', "NaN", "Infinity", "-Infinity", "-1"])
+    def test_bad_tolerance_exits_2(self, tmp_path, capsys, value):
+        code, out = run_main_with_config(
+            tmp_path, capsys, "chain", '{"tolerances": {"match": %s}}' % value)
+        assert code == 2
+        assert out.err.startswith("config error:") and "match" in out.err
+        assert out.out == ""
+
+    @pytest.mark.parametrize("field", ["seed", "n_env", "trials"])
+    @pytest.mark.parametrize("value", ["true", '"3"', "2.7"])
+    def test_non_integer_field_exits_2(self, tmp_path, capsys, field, value):
+        code, out = run_main_with_config(
+            tmp_path, capsys, "chain", '{"%s": %s}' % (field, value))
+        assert code == 2
+        assert out.err.startswith("config error:") and field in out.err
+        assert out.out == ""
+
+    def test_non_number_env_overlap(self):
+        for value in (True, "0.5", None):
+            with pytest.raises(ConfigError, match="env_overlap"):
+                config_from_dict({"env_overlap": value}, override_command="decohere")
+
+    def test_bool_amplitudes_rejected(self):
+        for fields in ({"a1": True, "a2": False}, {"a1": [True, 0], "a2": 0}):
+            with pytest.raises(ConfigError, match="a1"):
+                config_from_dict(fields, override_command="chain")
+
+    def test_non_string_output_path(self, tmp_path, capsys):
+        # open() would take an integer as a file descriptor
+        code, out = run_main_with_config(tmp_path, capsys, "chain", '{"output_path": 1}')
+        assert code == 2
+        assert "output_path" in out.err and out.out == ""
+
+    def test_valid_numbers_still_parse(self):
+        config = config_from_dict(
+            {"seed": 2**64 - 1, "trials": 1e3, "n_env": 2.0, "env_overlap": 0,
+             "tolerances": {"match": 0, "born_sigma": 3, "oracle_feasible": 1e-3}},
+            override_command="born")
+        assert config.scenario.seed == 2**64 - 1
+        assert config.scenario.trials == 1000 and isinstance(config.scenario.trials, int)
+        assert config.scenario.n_env == 2 and isinstance(config.scenario.n_env, int)
+        assert config.tolerance("match") == 0.0
+        assert config.tolerance("born_sigma") == 3.0
+
+
 class TestTolerances:
     def test_override_respected(self):
         config = config_from_dict(

@@ -16,6 +16,7 @@ from mschain.linalg import (
     partial_trace,
     projector_onto,
     pure_density,
+    reduced_state,
     tensor_product,
     unitary_exp,
     validate_density_operator,
@@ -143,6 +144,47 @@ class TestPartialTrace:
     def test_empty_keep(self):
         with pytest.raises(UsageError):
             partial_trace(np.eye(4) / 4, self.layout_ab, ())
+
+
+class TestReducedState:
+    layout = TensorLayout((("A", 2), ("B", 3), ("C", 2), ("D", 2)))
+
+    def test_matches_dense_partial_trace_for_every_keep_set(self):
+        rng = np.random.default_rng(17)
+        v = rng.normal(size=24) + 1j * rng.normal(size=24)
+        v /= np.linalg.norm(v)
+        rho = pure_density(v)
+        labels = self.layout.labels
+        subsets = [tuple(lab for k, lab in enumerate(labels) if mask >> k & 1)
+                   for mask in range(1, 2 ** len(labels))]
+        assert ("B", "D") in subsets and ("C",) in subsets  # non-leading, non-contiguous
+        for keep in subsets:
+            shuffled = tuple(rng.permutation(keep))
+            expected = partial_trace(rho, self.layout, shuffled)
+            reduced = reduced_state(v, self.layout, shuffled)
+            assert reduced.shape == expected.shape
+            assert np.max(np.abs(reduced - expected)) < 1e-12
+
+    def test_single_label_string(self):
+        rng = np.random.default_rng(19)
+        v = rng.normal(size=24) + 1j * rng.normal(size=24)
+        v /= np.linalg.norm(v)
+        assert_allclose(reduced_state(v, self.layout, "B"),
+                        partial_trace(pure_density(v), self.layout, ("B",)), atol=1e-12)
+
+    def test_empty_keep(self):
+        with pytest.raises(UsageError):
+            reduced_state(np.ones(24) / np.sqrt(24), self.layout, ())
+
+    def test_unknown_label(self):
+        with pytest.raises(UsageError):
+            reduced_state(np.ones(24) / np.sqrt(24), self.layout, ("A", "X"))
+
+    def test_length_mismatch(self):
+        with pytest.raises(UsageError):
+            reduced_state(np.ones(12) / np.sqrt(12), self.layout, ("A",))
+        with pytest.raises(UsageError):
+            reduced_state(np.ones((24, 1)) / np.sqrt(24), self.layout, ("A",))
 
 
 class TestEigHermitian:
