@@ -14,7 +14,6 @@ from .chain import (
     Gemenge,
     HamiltonianSpec,
     MSState,
-    PointerBasis,
     Scenario,
     attach_factor,
     decohere,
@@ -89,6 +88,7 @@ from .sampling import (
     InformationPattern,
     OutcomeStream,
     StreamComparison,
+    born_report,
     compare_streams,
     ip_distance,
     run_trials,

@@ -206,23 +206,6 @@ def make_gemenge(branches, notes=()) -> Gemenge:
 
 
 @dataclass(frozen=True)
-class PointerBasis:
-    """The preferred basis of one chain factor, with pointer eigenvalues."""
-
-    subsystem: str
-    basis_states: tuple[np.ndarray, np.ndarray] = (BASIS_1, BASIS_2)
-    eigenvalues: tuple[float, float] = POINTER_EIGENVALUES
-
-    def __post_init__(self):
-        b1 = as_complex_array(self.basis_states[0])
-        b2 = as_complex_array(self.basis_states[1])
-        object.__setattr__(self, "basis_states", (b1, b2))
-        gram = np.array([[np.vdot(b1, b1), np.vdot(b1, b2)], [np.vdot(b2, b1), np.vdot(b2, b2)]])
-        if np.max(np.abs(gram - np.eye(2))) > 1e-12:
-            raise ValidationError("pointer basis states are not orthonormal within 1e-12")
-
-
-@dataclass(frozen=True)
 class HamiltonianSpec:
     """Coupling strength and interaction duration for the Hamiltonian path."""
 
@@ -468,32 +451,18 @@ def hamiltonian_premeasure_crosscheck(spec: HamiltonianSpec, state: MSState,
     )
 
 
-def pointer_branch_amplitudes(state: MSState, basis: PointerBasis | None = None,
-                              tol: float = 1e-10) -> tuple[complex, complex]:
+def pointer_branch_amplitudes(state: MSState, tol: float = 1e-10) -> tuple[complex, complex]:
     """Coefficients of the state in the diagonal pointer product basis.
 
     The state must be (within `tol`) a combination of the two branch products
-    |b_1 b_1 ... b_1> and |b_2 b_2 ... b_2>; anything else raises
-    DecompositionError. One factor's basis may be overridden via `basis`.
+    |b_1 b_1 ... b_1> and |b_2 b_2 ... b_2>, the first and last basis vectors
+    of the layout; anything else raises DecompositionError.
     """
-    layout = state.layout
-    branch_vectors = []
-    for i in (0, 1):
-        parts = []
-        for label, dim in layout.factors:
-            if dim != 2:
-                raise UsageError("pointer decomposition needs two-dimensional factors")
-            if basis is not None and label == basis.subsystem:
-                parts.append(basis.basis_states[i])
-            else:
-                parts.append(BASIS_1 if i == 0 else BASIS_2)
-        branch = parts[0]
-        for part in parts[1:]:
-            branch = np.kron(branch, part)
-        branch_vectors.append(branch)
-    a1 = complex(np.vdot(branch_vectors[0], state.vector))
-    a2 = complex(np.vdot(branch_vectors[1], state.vector))
-    residual = state.vector - a1 * branch_vectors[0] - a2 * branch_vectors[1]
+    if any(dim != 2 for _, dim in state.layout.factors):
+        raise UsageError("pointer decomposition needs two-dimensional factors")
+    a1, a2 = complex(state.vector[0]), complex(state.vector[-1])
+    residual = state.vector.copy()
+    residual[[0, -1]] = 0.0
     if float(np.linalg.norm(residual)) > tol:
         raise DecompositionError(
             f"state is not a combination of the pointer branch products "

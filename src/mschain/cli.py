@@ -49,7 +49,7 @@ from .metrics import (
     purity_report,
     transverse_spin,
 )
-from .sampling import run_trials
+from .sampling import born_report
 
 COMMANDS = ("chain", "discriminate", "overlap", "born", "decohere", "all")
 FORMATS = ("csv", "structured-text")
@@ -113,9 +113,9 @@ def _is_number(value) -> bool:
 
 def _parse_amplitude(value, name: str) -> complex:
     if _is_number(value):
-        return complex(float(value), 0.0)
+        return complex(_parse_number(value, name), 0.0)
     if isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_is_number, value)):
-        return complex(float(value[0]), float(value[1]))
+        return complex(_parse_number(value[0], name), _parse_number(value[1], name))
     raise ConfigError(f"field {name!r} must be a number or a [re, im] pair")
 
 
@@ -131,7 +131,10 @@ def _parse_integer(value, name: str) -> int:
 def _parse_number(value, name: str) -> float:
     if not _is_number(value):
         raise ConfigError(f"field {name!r} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"field {name!r} is out of the floating-point range") from None
 
 
 def _parse_tolerance(value, name: str) -> float:
@@ -163,8 +166,11 @@ def config_from_dict(data: dict, override_command: str | None = None) -> RunConf
 
     a1 = _parse_amplitude(data.get("a1", 2**-0.5), "a1")
     a2 = _parse_amplitude(data.get("a2", 2**-0.5), "a2")
-    residual = abs(a1) ** 2 + abs(a2) ** 2 - 1.0
-    if abs(residual) > AMPLITUDE_RESIDUAL_TOL:
+    try:
+        residual = abs(a1) ** 2 + abs(a2) ** 2 - 1.0
+    except OverflowError:
+        raise ConfigError("amplitudes not normalized: a squared modulus overflows") from None
+    if not abs(residual) <= AMPLITUDE_RESIDUAL_TOL:
         raise ConfigError(f"amplitudes not normalized: residual {residual:.6g}")
     scale = (1.0 + residual) ** -0.5
     a1, a2 = a1 * scale, a2 * scale
@@ -381,9 +387,9 @@ def _born_rows(config: RunConfig) -> tuple[list[ReportRow], list[str]]:
     scenario = config.scenario
     sigma_bound = config.tolerance("born_sigma")
     rows: list[ReportRow] = []
-    stream, report = run_trials(scenario)
+    report = born_report(scenario)
     rows.append(ReportRow("born.trials", report.trials))
-    rows.append(ReportRow("born.stream_digest", stream.scenario_digest))
+    rows.append(ReportRow("born.stream_digest", scenario_digest(scenario)))
     for stat in report.stats:
         tag = f"born.outcome[{stat.value:g}]"
         rows.append(ReportRow(f"{tag}.count", stat.count))

@@ -24,7 +24,7 @@ from itertools import combinations, permutations, product
 
 import numpy as np
 
-from .chain import BASIS_1, BASIS_2, MSState, PointerBasis, Scenario, full_chain
+from .chain import BASIS_1, BASIS_2, MSState, Scenario, full_chain
 from .errors import UsageError, ValidationError
 from .linalg import (
     HermitianObservable,
@@ -133,14 +133,9 @@ class FeasibilityResult:
         return self.verdict == "FEASIBLE"
 
 
-def build_pointer_algebra(scope: str, basis: PointerBasis | None = None) -> PointerAlgebra:
+def build_pointer_algebra(scope: str) -> PointerAlgebra:
     """Half-Pauli pointer triple in the pointer basis of a two-dim factor."""
-    if basis is None:
-        b1, b2 = BASIS_1, BASIS_2
-    else:
-        b1, b2 = basis.basis_states
-    if b1.shape != (2,) or b2.shape != (2,):
-        raise UsageError("pointer algebra is defined on two-dimensional factors only")
+    b1, b2 = BASIS_1, BASIS_2
     p11 = np.outer(b1, b1.conj())
     p22 = np.outer(b2, b2.conj())
     p12 = np.outer(b1, b2.conj())

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import MSState, PointerBasis, pointer_branch_amplitudes
+from .chain import MSState, pointer_branch_amplitudes
 from .errors import UsageError, ValidationError
 from .linalg import (
     GROUP_TOL_ABS,
@@ -176,7 +176,7 @@ def phase_averaged_purity_information(pure_rho, mixed_rho, n_grid: int = 36) -> 
     return total / n_grid
 
 
-def born_probabilities(state: MSState, basis: PointerBasis | None = None) -> tuple[float, float]:
+def born_probabilities(state: MSState) -> tuple[float, float]:
     """Squared moduli of the pointer branch coefficients of a chain state."""
-    a1, a2 = pointer_branch_amplitudes(state, basis)
+    a1, a2 = pointer_branch_amplitudes(state)
     return abs(a1) ** 2, abs(a2) ** 2

@@ -5,6 +5,12 @@ a pure function of (seed, k), computed with the SplitMix64 finalizer. Streams
 are therefore bit-identical for a given scenario and seed no matter how the
 trials are scheduled, and per-trial draws can be generated in any order or in
 parallel without shared generator state.
+
+One Born rule serves every draw: `outcome_cells` weighs a model's outcome
+cells and `_choose` picks the first cell whose cumulative weight exceeds the
+uniform, so single events, `run_trials` streams and `born_report` counts
+agree draw for draw. Draws being order-free, `born_report` counts `CHUNK`
+trials at a time, in memory that does not grow with the trial count.
 """
 
 from __future__ import annotations
@@ -25,13 +31,18 @@ from .chain import (
     pointer_branch_amplitudes,
     scenario_digest,
 )
-from .errors import UsageError, ValidationError
+from .errors import CapacityError, UsageError, ValidationError
 
 # SplitMix64: golden-ratio increment and the two finalizer multipliers.
 SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
 SPLITMIX_MULT_1 = 0xBF58476D1CE4E5B9
 SPLITMIX_MULT_2 = 0x94D049BB133111EB
 _U64 = np.uint64
+
+# Trials per counting step of `born_report`; its memory is O(CHUNK).
+CHUNK = 2**16
+# Largest trial count a run may ask for: about 40 s of chunked counting.
+MAX_TRIALS = 10**9
 
 
 def _finalize(state: np.ndarray) -> np.ndarray:
@@ -102,10 +113,6 @@ class OutcomeStream:
     def trials(self) -> int:
         return int(self.q_values.shape[0])
 
-    def patterns(self):
-        for q in self.q_values:
-            yield InformationPattern((float(q),))
-
 
 @dataclass(frozen=True)
 class OutcomeStat:
@@ -139,110 +146,129 @@ class StreamComparison:
     alpha: float
 
 
-def stochastic_restriction(state: MSState, rng_draw: float) -> InformationPattern:
-    """One-event restriction of a chain state to a recognized pointer outcome.
+def outcome_cells(model: MSState | Gemenge) -> tuple[list[float], list[int]]:
+    """Born weights of a chain model's outcome cells, and the cells they weigh.
 
-    Returns the first pointer eigenvalue when the draw falls below the first
-    branch weight, the second otherwise.
+    A pure chain state has two cells, its pointer branches, weighted |a1|^2
+    and 1 - |a1|^2; a gemenge has one cell per branch, weighted by its
+    probability. Cells below BRANCH_PROB_FLOOR are unreachable: they are
+    dropped and the rest renormalized. Returns the kept weights and the kept
+    cell indices (pointer index for a pure state, branch index for a gemenge).
     """
-    a1, _ = pointer_branch_amplitudes(state)
-    q = POINTER_EIGENVALUES[0] if rng_draw < abs(a1) ** 2 else POINTER_EIGENVALUES[1]
-    return InformationPattern((q,))
+    if isinstance(model, MSState):
+        a1, _ = pointer_branch_amplitudes(model)
+        weights = [abs(a1) ** 2, 1.0 - abs(a1) ** 2]
+    else:
+        weights = [p for _, p in model.branches]
+    cells = [i for i, p in enumerate(weights) if p >= BRANCH_PROB_FLOOR]
+    total = sum(weights[i] for i in cells)
+    return [weights[i] / total for i in cells], cells
+
+
+def _cell_outcome(model: MSState | Gemenge, cell: int) -> tuple[int, float]:
+    """Branch index (-1 for a pure state) and recognized pointer value of a cell."""
+    if isinstance(model, MSState):
+        return -1, POINTER_EIGENVALUES[cell]
+    state = model.branches[cell][0]
+    if not isinstance(state, MSState):
+        raise UsageError("gemenge sampling needs branches with factor layouts")
+    return cell, _branch_pointer_value(state)
 
 
 def _branch_pointer_value(state: MSState) -> float:
     factors = factorize_branch(state)
     if "O" not in factors:
         raise UsageError("branch layout has no observer factor")
-    o_vec = factors["O"]
-    for idx, q in enumerate(POINTER_EIGENVALUES):
-        basis = np.zeros(2, dtype=complex)
-        basis[idx] = 1.0
-        if abs(np.vdot(basis, o_vec)) ** 2 > 1.0 - 1e-10:
+    for q, weight in zip(POINTER_EIGENVALUES, np.abs(factors["O"]) ** 2):
+        if weight > 1.0 - 1e-10:
             return q
     raise UsageError("branch observer state is not a pointer basis state")
 
 
+def _choose(edges: np.ndarray, u):
+    """The Born rule: first cell whose cumulative weight exceeds `u` (scalar or array)."""
+    return np.minimum(np.searchsorted(edges, u, side="right"), len(edges) - 1)
+
+
+def _draw(model: MSState | Gemenge, rng_draw: float) -> tuple[int, InformationPattern]:
+    weights, cells = outcome_cells(model)
+    branch, q = _cell_outcome(model, cells[_choose(np.cumsum(weights), rng_draw)])
+    return branch, InformationPattern((q,))
+
+
+def stochastic_restriction(state: MSState, rng_draw: float) -> InformationPattern:
+    """One-event restriction of a chain state to a recognized pointer outcome.
+
+    Returns the first pointer eigenvalue when the draw falls below the first
+    branch weight, the second otherwise.
+    """
+    return _draw(state, rng_draw)[1]
+
+
 def sample_gemenge(w: Gemenge, rng_draw: float) -> tuple[int, InformationPattern]:
     """Sample one branch by cumulative probability; its restriction is deterministic."""
-    cumulative = 0.0
-    for index, (state, p) in enumerate(w.branches):
-        cumulative += p
-        if rng_draw < cumulative or index == len(w.branches) - 1:
-            if not isinstance(state, MSState):
-                raise UsageError("gemenge sampling needs branches with factor layouts")
-            return index, InformationPattern((_branch_pointer_value(state),))
-    raise AssertionError("unreachable")
+    return _draw(w, rng_draw)
+
+
+def _outcome_table(scenario: Scenario) -> tuple[list[float], list[tuple[int, float]]]:
+    """Cell weights and (branch, pointer value) per cell; caps trials before any work."""
+    if scenario.trials > MAX_TRIALS:
+        raise CapacityError(f"trials {scenario.trials} exceeds the cap of {MAX_TRIALS}")
+    model = full_chain(scenario)
+    weights, cells = outcome_cells(model)
+    return weights, [_cell_outcome(model, c) for c in cells]
 
 
 def run_trials(scenario: Scenario) -> tuple[OutcomeStream, FrequencyReport]:
-    """Build the chain once, then sample `scenario.trials` outcomes.
+    """Build the chain once, then sample `scenario.trials` outcomes as a stream.
 
-    Pure and gemenge inputs go through the same threshold rule on the same
-    per-trial uniforms; only the branch bookkeeping differs.
+    The stream holds every trial in memory; `born_report` gives the same
+    report in memory independent of the trial count.
     """
-    model = full_chain(scenario)
-    if isinstance(model, MSState):
-        a1, _ = pointer_branch_amplitudes(model)
-        cells = [(abs(a1) ** 2, POINTER_EIGENVALUES[0], -1),
-                 (1.0 - abs(a1) ** 2, POINTER_EIGENVALUES[1], -1)]
-    else:
-        cells = [(p, _branch_pointer_value(state), i)
-                 for i, (state, p) in enumerate(model.branches)]
-    # numerically empty cells are unreachable; drop them like gemenge branches
-    total = sum(p for p, _, _ in cells if p >= BRANCH_PROB_FLOOR)
-    cells = [(p / total, q, b) for p, q, b in cells if p >= BRANCH_PROB_FLOOR]
-
-    edges = np.cumsum([p for p, _, _ in cells])
+    weights, outcomes = _outcome_table(scenario)
     draws = trial_uniforms(scenario.seed, np.arange(scenario.trials))
-    chosen = np.searchsorted(edges, draws, side="right")
-    chosen = np.minimum(chosen, len(cells) - 1)
-
-    q_values = np.array([q for _, q, _ in cells])[chosen]
-    branches = np.array([b for _, _, b in cells], dtype=np.int64)[chosen]
+    chosen = _choose(np.cumsum(weights), draws)
+    branches = np.array([b for b, _ in outcomes], dtype=np.int64)[chosen]
+    q_values = np.array([q for _, q in outcomes])[chosen]
     stream = OutcomeStream(scenario.seed, q_values, branches, scenario_digest(scenario))
-
-    expected = {q: 0.0 for _, q, _ in cells}
-    for p, q, _ in cells:
-        expected[q] += p
-    report = _frequency_report(q_values, expected, scenario.trials)
-    return stream, report
+    counts = np.bincount(chosen, minlength=len(weights))
+    return stream, _frequency_report(weights, outcomes, counts, scenario.trials)
 
 
-def _frequency_report(q_values: np.ndarray, expected: dict[float, float],
-                      trials: int) -> FrequencyReport:
-    values = sorted(set(expected) | set(np.unique(q_values).tolist()), reverse=True)
+def born_report(scenario: Scenario) -> FrequencyReport:
+    """The frequency report of `run_trials`, counted CHUNK trials at a time."""
+    weights, outcomes = _outcome_table(scenario)
+    edges = np.cumsum(weights)
+    counts = np.zeros(len(weights), dtype=np.int64)
+    for start in range(0, scenario.trials, CHUNK):
+        stop = min(start + CHUNK, scenario.trials)
+        draws = trial_uniforms(scenario.seed, np.arange(start, stop, dtype=np.uint64))
+        counts += np.bincount(_choose(edges, draws), minlength=len(weights))
+    return _frequency_report(weights, outcomes, counts, scenario.trials)
+
+
+def _frequency_report(weights: list[float], outcomes: list[tuple[int, float]],
+                      counts: np.ndarray, trials: int) -> FrequencyReport:
+    """Per pointer value counts, frequencies and z-scores from per-cell counts."""
+    expected: dict[float, float] = {}
+    observed: dict[float, int] = {}
+    for p, (_, q), n in zip(weights, outcomes, counts):
+        expected[q] = expected.get(q, 0.0) + p
+        observed[q] = observed.get(q, 0) + int(n)
     stats = []
     chi_square = 0.0
-    live_cells = 0
-    degenerate = False
-    impossible = False
-    for v in values:
-        count = int(np.sum(q_values == v))
+    for v in sorted(expected, reverse=True):
+        p, count = expected[v], observed[v]
         freq = count / trials
-        p = expected.get(v, 0.0)
-        if p > 0.0:
-            live_cells += 1
-            chi_square += (count - trials * p) ** 2 / (trials * p)
-            spread = p * (1.0 - p) / trials
-            z = (freq - p) / np.sqrt(spread) if spread > 0.0 else 0.0
-        else:
-            degenerate = True
-            z = 0.0
-            if count > 0:
-                impossible = True
+        chi_square += (count - trials * p) ** 2 / (trials * p)
+        spread = p * (1.0 - p) / trials
+        z = (freq - p) / np.sqrt(spread) if spread > 0.0 else 0.0
         stats.append(OutcomeStat(float(v), count, freq, p, float(z)))
-    dof = live_cells - 1
-    if impossible:
-        p_value = 0.0
-        chi_square = float("inf")
-    elif dof < 1:
-        degenerate = True
-        p_value = 1.0
-        chi_square = 0.0
-    else:
-        p_value = float(chi2_dist.sf(chi_square, dof))
-    return FrequencyReport(tuple(stats), trials, float(chi_square), p_value, degenerate)
+    dof = len(stats) - 1
+    if dof < 1:
+        return FrequencyReport(tuple(stats), trials, 0.0, 1.0, True)
+    p_value = float(chi2_dist.sf(chi_square, dof))
+    return FrequencyReport(tuple(stats), trials, float(chi_square), p_value, False)
 
 
 def compare_streams(s1: OutcomeStream, s2: OutcomeStream,

@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from mschain.cli import (
     Report,
@@ -16,6 +21,7 @@ from mschain.cli import (
     render_report,
 )
 from mschain.errors import ConfigError
+from mschain.sampling import MAX_TRIALS
 
 SYM = 2**-0.5
 
@@ -224,6 +230,25 @@ class TestMain:
         assert main(["decohere", "--config", str(cfg)]) == 3
         assert "capacity" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["born", "all"])
+    def test_trials_above_the_cap_exit_3(self, tmp_path, capsys, command):
+        cfg = tmp_path / "many.json"
+        cfg.write_text('{"trials": 1e12}')
+        assert main([command, "--config", str(cfg)]) == 3
+        out = capsys.readouterr()
+        assert out.err.startswith("capacity error:") and "trials" in out.err
+        assert "Traceback" not in out.err and out.out == ""
+
+    def test_born_memory_does_not_grow_with_trials(self):
+        config = config_from_dict({"trials": 10**6}, override_command="born")
+        tracemalloc.start()
+        try:
+            execute(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
     def test_io_error_exit_code(self, tmp_path, capsys):
         assert main(["chain", "--out", str(tmp_path / "missing" / "subdir" / "x.json"),
                      "--trials", "100"]) == 4
@@ -268,6 +293,12 @@ class TestStrictConfig:
         assert out.err.startswith("config error:") and field in out.err
         assert out.out == ""
 
+    @pytest.mark.parametrize("value", ["1e200", "[1e308, 1e308]", "1" + "0" * 400])
+    def test_overflowing_amplitude_exits_2(self, tmp_path, capsys, value):
+        code, out = run_main_with_config(tmp_path, capsys, "chain", '{"a1": %s}' % value)
+        assert code == 2
+        assert out.err.startswith("config error:") and out.out == ""
+
     def test_non_number_env_overlap(self):
         for value in (True, "0.5", None):
             with pytest.raises(ConfigError, match="env_overlap"):
@@ -307,3 +338,53 @@ class TestTolerances:
         config = config_from_dict({"trials": 1000}, override_command="born")
         assert isinstance(config, RunConfig)
         assert config.command == "born"
+
+
+# Valid values of every config field. `born` runs only at a small trial count
+# or above the cap, so an example stays fast; `output_path` stays null, so no
+# example writes a file.
+_VALID = {
+    "a1": st.sampled_from([0.6, -0.6, [0.0, 0.6]]),
+    "a2": st.sampled_from([0.8, [0.8, 0.0], [0.0, -0.8]]),
+    "input_kind": st.sampled_from(["pure", "gemenge"]),
+    "n_env": st.integers(0, 3),
+    "env_overlap": st.floats(0.0, 1.0),
+    "seed": st.integers(0, 2**64 - 1),
+    "trials": st.one_of(st.integers(1, 10**4), st.integers(MAX_TRIALS + 1, 10**30)),
+    "command": st.sampled_from(["born", "fly"]),
+    "output_format": st.sampled_from(["structured-text", "csv"]),
+    "tolerances": st.dictionaries(st.sampled_from(["born_sigma", "oracle_feasible", "match"]),
+                                  st.floats(0.0, 10.0), max_size=3),
+    "output_path": st.none(),
+}
+# What a hand-written config may hold instead: wrong types, non-finite and
+# out-of-range numbers. Any float may land in a real-valued field; `trials`
+# gets none, since an integral float such as 1e8 would be a valid, slow run.
+_JUNK = st.one_of(
+    st.booleans(), st.text(max_size=6), st.none(),
+    st.sampled_from([10**400, -(10**400), 2**64, 1e308, -1e308, 1e200,
+                     float("nan"), float("inf"), float("-inf"), -1, 0.5]),
+    st.lists(st.one_of(st.integers(-2, 2), st.floats(), st.none()), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.floats(), max_size=1))
+_JUNK_FOR = {field: _JUNK | st.floats() for field in ("a1", "a2", "env_overlap")}
+# a string output path would be a valid one, and the run would write there
+_JUNK_FOR["output_path"] = _JUNK.filter(lambda value: not isinstance(value, str))
+_CORRUPTIONS = st.lists(st.one_of(
+    *(st.tuples(st.just(k), _JUNK_FOR.get(k, _JUNK)) for k in _VALID),
+    st.tuples(st.text(min_size=1, max_size=6), _JUNK)), max_size=2).map(dict)
+
+
+class TestConfigFuzz:
+    @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(valid=st.fixed_dictionaries({}, optional=_VALID), corrupt=_CORRUPTIONS)
+    def test_every_config_gets_a_documented_exit_code(self, tmp_path_factory, valid, corrupt):
+        fields = {**valid, **corrupt}
+        cfg = tmp_path_factory.mktemp("fuzz") / "cfg.json"
+        cfg.write_text(json.dumps(fields))
+        for command in ("chain", "overlap", "born"):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([command, "--config", str(cfg)])
+            assert code in (0, 2, 3, 4), err.getvalue()
+            assert "Traceback" not in err.getvalue()
+            assert (out.getvalue() != "") == (code == 0 and fields.get("output_path") is None)

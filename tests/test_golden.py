@@ -28,6 +28,12 @@ CASES = {
                         "a2": [math.sqrt(0.7) * math.cos(_PHASE), math.sqrt(0.7) * math.sin(_PHASE)],
                         "input_kind": "gemenge", "n_env": 3, "env_overlap": 0.9,
                         "seed": 7, "trials": 2000},
+    # Born counts over three chunks of 2**16 trials and a remainder
+    "chunks_pure": {"a1": math.sqrt(0.3), "a2": -math.sqrt(0.7), "seed": 5,
+                    "trials": 3 * 2**16 + 1234},
+    "chunks_gemenge": {"a1": math.sqrt(0.3),
+                       "a2": [math.sqrt(0.7) * math.cos(_PHASE), math.sqrt(0.7) * math.sin(_PHASE)],
+                       "input_kind": "gemenge", "seed": 6, "trials": 3 * 2**16 + 1234},
     # the 4096-dim cap: 8 chain dims times 2**9 environment dims
     "cap": {"a1": math.sqrt(0.3),
             "a2": [math.sqrt(0.7) * math.cos(_PHASE), math.sqrt(0.7) * math.sin(_PHASE)],
@@ -37,6 +43,8 @@ CASE_COMMANDS = {
     "symmetric": COMMANDS,
     "edge_weight": COMMANDS,
     "complex_gemenge": ("all",),
+    "chunks_pure": ("born",),
+    "chunks_gemenge": ("born",),
     "cap": ("decohere",),
 }
 _SUFFIX = {"structured-text": "json", "csv": "csv"}

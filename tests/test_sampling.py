@@ -1,13 +1,18 @@
 import numpy as np
 import pytest
 
+from mschain import sampling
 from mschain.chain import Gemenge, Scenario, full_chain
-from mschain.errors import PreconditionError, UsageError, ValidationError
+from mschain.errors import CapacityError, PreconditionError, UsageError, ValidationError
 from mschain.sampling import (
+    CHUNK,
+    MAX_TRIALS,
     InformationPattern,
     OutcomeStream,
+    born_report,
     compare_streams,
     ip_distance,
+    outcome_cells,
     run_trials,
     sample_gemenge,
     stochastic_restriction,
@@ -61,6 +66,12 @@ class TestStochasticRestriction:
         ms = full_chain(Scenario(SYM, SYM, "pure"))
         assert stochastic_restriction(ms, 0.3).values == (0.5,)
         assert stochastic_restriction(ms, 0.7).values == (-0.5,)
+
+    def test_draw_on_an_edge_goes_to_the_next_cell(self):
+        ms = full_chain(Scenario(0.6, 0.8, "pure"))
+        edge = np.cumsum(outcome_cells(ms)[0])[0]
+        assert stochastic_restriction(ms, float(np.nextafter(edge, 0.0))).values == (0.5,)
+        assert stochastic_restriction(ms, float(edge)).values == (-0.5,)
 
     def test_binomial_envelope_large_sample(self):
         # the threshold rule applied to a large batch of counter draws
@@ -168,9 +179,54 @@ class TestRunTrials:
         for k in range(scenario.trials):
             assert stochastic_restriction(ms, float(draws[k])).values == (stream.q_values[k],)
 
+    @pytest.mark.parametrize("a1,a2,kind", [
+        (1e-3, -np.sqrt(1.0 - 1e-6), "pure"),
+        (np.sqrt(0.3), np.sqrt(0.7), "gemenge"),
+        (1e-3, 1j * np.sqrt(1.0 - 1e-6), "gemenge"),
+    ])
+    def test_matches_single_event_operation_cases(self, a1, a2, kind):
+        scenario = Scenario(a1, a2, kind, seed=77, trials=500)
+        stream, _ = run_trials(scenario)
+        model = full_chain(scenario)
+        draws = trial_uniforms(scenario.seed, np.arange(scenario.trials))
+        for k in range(scenario.trials):
+            if kind == "pure":
+                assert stochastic_restriction(model, float(draws[k])).values == (stream.q_values[k],)
+            else:
+                index, pattern = sample_gemenge(model, float(draws[k]))
+                assert (index, pattern.values) == (stream.branches[k], (stream.q_values[k],))
+
     def test_zero_trials_rejected(self):
         with pytest.raises(ValidationError):
             Scenario(SYM, SYM, "pure", trials=0)
+
+
+class TestBornReport:
+    @pytest.mark.parametrize("a1,a2,kind", [
+        (np.sqrt(0.3), np.sqrt(0.7), "pure"),
+        (1e-3, -np.sqrt(1.0 - 1e-6), "pure"),
+        (1.0, 0.0, "pure"),
+        (np.sqrt(0.3), 1j * np.sqrt(0.7), "gemenge"),
+    ])
+    def test_chunked_counts_equal_the_stream(self, a1, a2, kind):
+        # three full chunks and a remainder
+        scenario = Scenario(a1, a2, kind, seed=21, trials=3 * CHUNK + 17)
+        _, report = run_trials(scenario)
+        assert born_report(scenario) == report
+
+    def test_cells_below_the_floor_dropped_and_renormalized(self):
+        ms = full_chain(Scenario(np.sqrt(1e-13), np.sqrt(1.0 - 1e-13), "pure"))
+        assert outcome_cells(ms) == ([1.0], [1])
+
+    @pytest.mark.parametrize("sample", [born_report, run_trials])
+    def test_trials_above_the_cap_rejected_without_drawing(self, monkeypatch, sample):
+        # draws come after the chain is built, so no chain means no draws
+        def no_chain(*args):
+            raise AssertionError("built the chain for a rejected trial count")
+
+        monkeypatch.setattr(sampling, "full_chain", no_chain)
+        with pytest.raises(CapacityError, match="trials"):
+            sample(Scenario(SYM, SYM, "pure", trials=MAX_TRIALS + 1))
 
 
 class TestCompareStreams:
