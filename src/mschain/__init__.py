@@ -71,12 +71,10 @@ from .linalg import (
 )
 from .metrics import (
     EigenDistribution,
-    OverlapReport,
     PurityReport,
     born_probabilities,
     eigen_distribution,
     overlap_bc,
-    overlap_report,
     overlap_tv,
     phase_averaged_purity_information,
     purity_information,

@@ -14,7 +14,7 @@ import functools
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -150,6 +150,8 @@ class Gemenge:
 
     branches: tuple[tuple[object, float], ...]
     notes: tuple[str, ...] = ()
+    # branch index -> observer pointer value, filled on first use by pointer_value
+    _pointer_values: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         total = sum(p for _, p in self.branches)
@@ -167,6 +169,16 @@ class Gemenge:
             raise ValidationError("gemenge branches carry inconsistent layouts")
         return next(iter(layouts))
 
+    def pointer_value(self, index: int) -> float:
+        """Observer pointer eigenvalue recognized in branch `index`.
+
+        A branch's value does not depend on the draw that picks it, so each
+        branch is factorized once per gemenge, on first use, and kept.
+        """
+        if index not in self._pointer_values:
+            self._pointer_values[index] = _branch_pointer_value(self.branches[index][0])
+        return self._pointer_values[index]
+
     def density(self) -> np.ndarray:
         out = None
         for state, p in self.branches:
@@ -174,6 +186,18 @@ class Gemenge:
             term = p * pure_density(vec)
             out = term if out is None else out + term
         return out
+
+
+def _branch_pointer_value(state) -> float:
+    if not isinstance(state, MSState):
+        raise UsageError("gemenge sampling needs branches with factor layouts")
+    factors = factorize_branch(state)
+    if "O" not in factors:
+        raise UsageError("branch layout has no observer factor")
+    for q, weight in zip(POINTER_EIGENVALUES, np.abs(factors["O"]) ** 2):
+        if weight > 1.0 - 1e-10:
+            return q
+    raise UsageError("branch observer state is not a pointer basis state")
 
 
 def _branch_vector(state) -> np.ndarray:
@@ -393,9 +417,11 @@ def decohere(state: MSState, n_env: int, eps: float,
         raise ValidationError("environment overlap eps must lie in [0, 1]")
     if n_env < 0:
         raise ValidationError("n_env must be nonnegative")
-    new_dim = state.dim * 2**n_env
-    if new_dim > max_dim:
-        raise CapacityError(f"decohered dimension {new_dim} exceeds the maximum {max_dim}")
+    # 2**n_env > max_dim once n_env reaches max_dim's bit length: decide that
+    # before building a dimension that could have millions of digits
+    if n_env >= max_dim.bit_length() or state.dim * 2**n_env > max_dim:
+        raise CapacityError(
+            f"decohered dimension {state.dim} * 2**{n_env} exceeds the maximum {max_dim}")
 
     factor = float(eps) ** n_env if n_env > 0 else 1.0
     env_states = (

@@ -49,16 +49,6 @@ class EigenDistribution:
 
 
 @dataclass(frozen=True)
-class OverlapReport:
-    """Both overlap conventions for one observable, plus the information they leave."""
-
-    k_bc: float
-    k_tv: float
-    observable: str
-    purity_information_bits: float
-
-
-@dataclass(frozen=True)
 class PurityReport:
     """Maximal phase-tuned transverse spin response of a two-dim state."""
 
@@ -128,12 +118,6 @@ def purity_information(k_tv: float) -> float:
     if not -1e-12 <= k_tv <= 1.0 + 1e-12:
         raise ValidationError(f"overlap {k_tv!r} outside [0, 1]")
     return 1.0 - min(max(k_tv, 0.0), 1.0)
-
-
-def overlap_report(w1: EigenDistribution, w2: EigenDistribution,
-                   observable: str = "") -> OverlapReport:
-    k_tv = overlap_tv(w1, w2)
-    return OverlapReport(overlap_bc(w1, w2), k_tv, observable, purity_information(k_tv))
 
 
 def transverse_spin(gamma: float) -> HermitianObservable:

@@ -265,6 +265,13 @@ class TestDecohere:
         with pytest.raises(CapacityError):
             decohere(ms, 10, 0.5)
 
+    @pytest.mark.parametrize("n_env", [10**5, 10**7])
+    def test_huge_environment_is_a_capacity_error(self, n_env):
+        # 8 * 2**n_env has too many digits to print; the check must not build it
+        ms = full_chain(Scenario(SYM, SYM, "pure"))
+        with pytest.raises(CapacityError, match=rf"2\*\*{n_env} exceeds"):
+            decohere(ms, n_env, 0.5)
+
     def test_parameter_validation(self):
         ms = full_chain(Scenario(SYM, SYM, "pure"))
         with pytest.raises(ValidationError):

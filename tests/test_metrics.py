@@ -27,7 +27,6 @@ from mschain.metrics import (
     born_probabilities,
     eigen_distribution,
     overlap_bc,
-    overlap_report,
     overlap_tv,
     phase_averaged_purity_information,
     purity_information,
@@ -185,11 +184,10 @@ class TestOverlaps:
 
     def test_report_bundles_both(self):
         w_pure, w_mix = spin_distributions(SYM, SYM)
-        report = overlap_report(w_pure, w_mix, "spin_x")
-        assert report.k_tv == pytest.approx(0.5, abs=1e-12)
-        assert report.k_bc == pytest.approx(np.sqrt(2) / 2, abs=1e-12)
-        assert report.purity_information_bits == pytest.approx(0.5, abs=1e-12)
-        assert report.observable == "spin_x"
+        k_tv = overlap_tv(w_pure, w_mix)
+        assert k_tv == pytest.approx(0.5, abs=1e-12)
+        assert overlap_bc(w_pure, w_mix) == pytest.approx(np.sqrt(2) / 2, abs=1e-12)
+        assert purity_information(k_tv) == pytest.approx(0.5, abs=1e-12)
 
 
 class TestPurity:

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from mschain import sampling
-from mschain.chain import Gemenge, Scenario, full_chain
+from mschain import chain, sampling
+from mschain.chain import BASIS_1, BASIS_2, Gemenge, MSState, Scenario, full_chain, make_gemenge
 from mschain.errors import CapacityError, PreconditionError, UsageError, ValidationError
 from mschain.sampling import (
     CHUNK,
@@ -23,6 +23,14 @@ from mschain.sampling import (
 
 SYM = 2**-0.5
 MASK = (1 << 64) - 1
+SEED = 21
+
+
+def chain_product(object_state, observer_state=None):
+    """Product chain state |s d o>: the detector copies the object, the observer `observer_state`."""
+    ms = full_chain(Scenario(1.0, 0.0, "pure"))
+    o = object_state if observer_state is None else observer_state
+    return MSState(np.kron(np.kron(object_state, object_state), o), ms.layout)
 
 
 def splitmix64_reference(seed: int, k: int) -> int:
@@ -108,6 +116,20 @@ class TestSampleGemenge:
         hits = sum(sample_gemenge(w, float(d))[0] == 0 for d in draws[:20000])
         sigma = np.sqrt(0.3 * 0.7 / 20000)
         assert abs(hits / 20000 - 0.3) < 4 * sigma
+
+    def test_branches_factorized_once_per_gemenge(self, monkeypatch):
+        w = full_chain(Scenario(np.sqrt(0.3), np.sqrt(0.7), "gemenge"))
+        factorize_branch = chain.factorize_branch
+        factorized = []
+
+        def counting(state, *args):
+            factorized.append(state)
+            return factorize_branch(state, *args)
+
+        monkeypatch.setattr(chain, "factorize_branch", counting)
+        drawn = {sample_gemenge(w, float(u))[0] for u in trial_uniforms(3, np.arange(64))}
+        assert drawn == {0, 1}
+        assert len(factorized) <= len(w.branches)
 
     def test_entangled_branch_rejected(self):
         entangled = full_chain(Scenario(SYM, SYM, "pure"))
@@ -213,6 +235,37 @@ class TestBornReport:
         scenario = Scenario(a1, a2, kind, seed=21, trials=3 * CHUNK + 17)
         _, report = run_trials(scenario)
         assert born_report(scenario) == report
+
+    @staticmethod
+    def _counted_like_the_stream(monkeypatch, model, trials):
+        """born_report and run_trials on `model`; asserts equal reports, returns the stream."""
+        monkeypatch.setattr(sampling, "full_chain", lambda scenario: model)
+        scenario = Scenario(SYM, SYM, "gemenge", seed=SEED, trials=trials)
+        stream, report = run_trials(scenario)
+        assert born_report(scenario) == report
+        return stream
+
+    @pytest.mark.parametrize("trials", [6, CHUNK + 1])
+    def test_draw_on_a_cell_edge_counted_in_the_upper_cell(self, monkeypatch, trials):
+        u5 = trial_uniform(SEED, 5)
+        model = make_gemenge([(chain_product(BASIS_1), u5), (chain_product(BASIS_2), 1.0 - u5)])
+        assert np.cumsum(outcome_cells(model)[0])[0] == u5  # draw 5 sits on the edge
+        stream = self._counted_like_the_stream(monkeypatch, model, trials)
+        assert stream.branches[5] == 1
+
+    @pytest.mark.parametrize("trials", [1, CHUNK - 1, CHUNK, CHUNK + 1])
+    def test_three_branch_gemenge(self, monkeypatch, trials):
+        model = make_gemenge([(chain_product(BASIS_1), 0.2), (chain_product(BASIS_2), 0.5),
+                              (chain_product(BASIS_1, BASIS_2), 0.3)])
+        self._counted_like_the_stream(monkeypatch, model, trials)
+
+    def test_draws_past_the_last_edge_clipped_into_the_last_cell(self, monkeypatch):
+        # weights short of 1 put the last edge at 0.5, so half the draws need the clip
+        model = full_chain(Scenario(SYM, SYM, "gemenge"))
+        monkeypatch.setattr(sampling, "outcome_cells", lambda model: ([0.25, 0.25], [0, 1]))
+        stream = self._counted_like_the_stream(monkeypatch, model, CHUNK + 1)
+        u = trial_uniforms(SEED, np.arange(CHUNK + 1))
+        assert np.array_equal(stream.branches, (u >= 0.25).astype(np.int64))
 
     def test_cells_below_the_floor_dropped_and_renormalized(self):
         ms = full_chain(Scenario(np.sqrt(1e-13), np.sqrt(1.0 - 1e-13), "pure"))
