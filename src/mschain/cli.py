@@ -12,14 +12,19 @@ Exit codes: 0 success, 2 config error, 3 capacity error, 4 I/O error.
 from __future__ import annotations
 
 import argparse
+import csv
+import functools
+import io
 import json
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__
 from .chain import (
+    Gemenge,
     MSState,
     Scenario,
     decohere,
@@ -31,6 +36,9 @@ from .chain import (
     statistical_restriction,
 )
 from .discriminate import (
+    FeasibilityResult,
+    ITObservable,
+    PointerAlgebra,
     build_it_observable,
     build_pointer_algebra,
     check_eigen_discrimination,
@@ -235,12 +243,46 @@ _BASIS_NAMES_8 = tuple(
 )
 
 
-def _chain_rows(config: RunConfig) -> tuple[list[ReportRow], list[str]]:
-    scenario = config.scenario
-    match_tol = config.tolerance("match")
+class _Fixed(NamedTuple):
+    pointer_d: PointerAlgebra
+    interference: ITObservable
+    recognition: FeasibilityResult
+
+
+@functools.cache
+def _fixed() -> _Fixed:
+    """The report parts that no scenario changes, built once per process."""
+    return _Fixed(build_pointer_algebra("D"), build_it_observable("full"),
+                  check_eigen_discrimination(recognition_problem()))
+
+
+class _Run:
+    """One `execute` call: the chain states its builders share, each built on first use."""
+
+    def __init__(self, config: RunConfig):
+        self.config = config
+        self.scenario = config.scenario
+
+    @functools.cached_property
+    def pure(self) -> MSState:
+        return full_chain(Scenario(self.scenario.a1, self.scenario.a2, "pure"))
+
+    @functools.cached_property
+    def gemenge(self) -> Gemenge:
+        return full_chain(Scenario(self.scenario.a1, self.scenario.a2, "gemenge"))
+
+    @property
+    def model(self) -> MSState | Gemenge:
+        """The chain of the configured input kind."""
+        return self.pure if self.scenario.input_kind == "pure" else self.gemenge
+
+
+def _chain_rows(run: _Run) -> tuple[list[ReportRow], list[str]]:
+    scenario = run.scenario
+    match_tol = run.config.tolerance("match")
     rows: list[ReportRow] = []
     notes: list[str] = []
-    model = full_chain(scenario)
+    model = run.model
     if isinstance(model, MSState):
         for k, amp in enumerate(model.vector):
             rows.append(ReportRow(f"chain.amplitude[{_BASIS_NAMES_8[k]}].re", float(amp.real)))
@@ -274,9 +316,9 @@ def _describe_evidence(ev) -> str:
     return f"states {ev.i},{ev.j} share a required-equal group"
 
 
-def _discriminate_rows(config: RunConfig) -> tuple[list[ReportRow], list[str]]:
-    scenario = config.scenario
-    oracle_tol = config.tolerance("oracle_feasible")
+def _discriminate_rows(run: _Run) -> tuple[list[ReportRow], list[str]]:
+    scenario = run.scenario
+    oracle_tol = run.config.tolerance("oracle_feasible")
     rows: list[ReportRow] = []
     notes: list[str] = []
 
@@ -305,7 +347,7 @@ def _discriminate_rows(config: RunConfig) -> tuple[list[ReportRow], list[str]]:
     rows.append(ReportRow("discriminate.oracle.min_residual", float(residual)))
     rows.append(ReportRow("discriminate.oracle.agrees", str(agrees), "True", agrees))
 
-    rec = check_eigen_discrimination(recognition_problem())
+    rec = _fixed().recognition
     rows.append(ReportRow("discriminate.recognition.verdict", rec.verdict, "FEASIBLE",
                           rec.verdict == "FEASIBLE"))
     notes.append("the recognition row refers to the two orthogonal pointer states")
@@ -325,9 +367,10 @@ def _overlap_pair_rows(label: str, w_pure, w_mixed, expected_tv=None,
     return rows
 
 
-def _overlap_rows(config: RunConfig) -> tuple[list[ReportRow], list[str]]:
-    scenario = config.scenario
-    match_tol = config.tolerance("match")
+def _overlap_rows(run: _Run) -> tuple[list[ReportRow], list[str]]:
+    scenario = run.scenario
+    match_tol = run.config.tolerance("match")
+    fixed = _fixed()
     a1, a2 = scenario.a1, scenario.a2
     rows: list[ReportRow] = []
     notes: list[str] = [OVERLAP_CONVENTION_NOTE]
@@ -361,16 +404,16 @@ def _overlap_rows(config: RunConfig) -> tuple[list[ReportRow], list[str]]:
     sd_pure = object_detector_state(a1, a2)
     rho_d_pure = sd_pure.reduced(("D",))
     rho_d_mixed = np.diag([abs(a1) ** 2, abs(a2) ** 2]).astype(complex)
-    alg = build_pointer_algebra("D")
+    alg = fixed.pointer_d
     for name, obs in (("pointer_D", alg.q), ("pointer_D_x", alg.qx), ("pointer_D_y", alg.qy)):
         rows += _overlap_pair_rows(name,
                                    eigen_distribution(rho_d_pure, obs),
                                    eigen_distribution(rho_d_mixed, obs),
                                    1.0, match_tol)
 
-    psi_ms = full_chain(Scenario(a1, a2, "pure"))
-    w_ms = full_chain(Scenario(a1, a2, "gemenge")) if min(scenario.probabilities) > 1e-12 else None
-    it = build_it_observable("full")
+    psi_ms = run.pure
+    w_ms = run.gemenge if min(scenario.probabilities) > 1e-12 else None
+    it = fixed.interference
     if w_ms is not None:
         expected_b = 1.0 - abs((a1 * a2.conjugate()).real)
         rows += _overlap_pair_rows("interference_full",
@@ -383,9 +426,9 @@ def _overlap_rows(config: RunConfig) -> tuple[list[ReportRow], list[str]]:
     return rows, notes
 
 
-def _born_rows(config: RunConfig) -> tuple[list[ReportRow], list[str]]:
-    scenario = config.scenario
-    sigma_bound = config.tolerance("born_sigma")
+def _born_rows(run: _Run) -> tuple[list[ReportRow], list[str]]:
+    scenario = run.scenario
+    sigma_bound = run.config.tolerance("born_sigma")
     rows: list[ReportRow] = []
     report = born_report(scenario)
     rows.append(ReportRow("born.trials", report.trials))
@@ -406,16 +449,16 @@ def _born_rows(config: RunConfig) -> tuple[list[ReportRow], list[str]]:
     return rows, []
 
 
-def _decohere_rows(config: RunConfig) -> tuple[list[ReportRow], list[str]]:
-    scenario = config.scenario
-    match_tol = config.tolerance("match")
+def _decohere_rows(run: _Run) -> tuple[list[ReportRow], list[str]]:
+    scenario = run.scenario
+    match_tol = run.config.tolerance("match")
     eps = scenario.env_overlap
     rows: list[ReportRow] = []
     notes: list[str] = []
     if scenario.input_kind == "gemenge":
         notes.append("decoherence sweep uses the pure chain state built from the "
                      "configured amplitudes")
-    ms = full_chain(Scenario(scenario.a1, scenario.a2, "pure"))
+    ms = run.pure
     # reference pointer coherence <S1D1O1|rho|S2D2O2> of the undecohered state
     cross = complex(ms.vector[0] * ms.vector[7].conjugate())
     for n in range(scenario.n_env + 1):
@@ -443,16 +486,20 @@ _COMMAND_BUILDERS = {
 
 
 def execute(config: RunConfig) -> Report:
-    """Run the configured command and collect a labeled, deterministic report."""
+    """Run the configured command and collect a labeled, deterministic report.
+
+    The builders share one run, so each chain they read is built once.
+    """
+    run = _Run(config)
     if config.command == "all":
         rows: list[ReportRow] = []
         notes: list[str] = []
         for name in ("chain", "discriminate", "overlap", "born", "decohere"):
-            r, n = _COMMAND_BUILDERS[name](config)
+            r, n = _COMMAND_BUILDERS[name](run)
             rows += r
             notes += n
     else:
-        rows, notes = _COMMAND_BUILDERS[config.command](config)
+        rows, notes = _COMMAND_BUILDERS[config.command](run)
     return Report(
         command=config.command,
         digest=scenario_digest(config.scenario),
@@ -517,7 +564,7 @@ def render_report(report: Report, output_format: str = "structured-text") -> str
         return _emit_value(report_to_dict(report), 0) + "\n"
     if output_format == "csv":
         if report.command == "born":
-            lines = ["outcome,count,frequency,expected,z"]
+            lines = [("outcome", "count", "frequency", "expected", "z")]
             by_tag: dict[str, dict[str, object]] = {}
             for row in report.rows:
                 if row.label.startswith("born.outcome["):
@@ -528,20 +575,23 @@ def render_report(report: Report, output_format: str = "structured-text") -> str
             for tag in sorted(by_tag, reverse=True):
                 entry = by_tag[tag]
                 outcome = tag[len("born.outcome["):-1]
-                lines.append(",".join([
+                lines.append((
                     outcome,
                     _fmt(entry.get("count", 0)),
                     _fmt(entry.get("frequency", 0.0)),
                     _fmt(entry.get("expected", 0.0)),
                     _fmt(entry.get("z", 0.0)),
-                ]))
-            return "\n".join(lines) + "\n"
-        lines = ["label,value,expected,status"]
-        for row in report.rows:
-            status = "" if row.passed is None else ("pass" if row.passed else "fail")
-            expected = "" if row.expected is None else _fmt(row.expected).strip('"')
-            lines.append(f"{row.label},{_fmt(row.value).strip(chr(34))},{expected},{status}")
-        return "\n".join(lines) + "\n"
+                ))
+        else:
+            lines = [("label", "value", "expected", "status")]
+            for row in report.rows:
+                status = "" if row.passed is None else ("pass" if row.passed else "fail")
+                expected = "" if row.expected is None else _fmt(row.expected).strip('"')
+                lines.append((row.label, _fmt(row.value).strip('"'), expected, status))
+        # RFC 4180: a field is quoted only when it holds a comma, a quote or a line break
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\n").writerows(lines)
+        return out.getvalue()
     raise ConfigError(f"unknown output format {output_format!r}")
 
 

@@ -18,6 +18,7 @@ an independent numerical check of every verdict.
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
@@ -462,18 +463,27 @@ def restriction_eigenstate_lift_check(full_state: MSState,
     return bool(residual <= tol)
 
 
+@functools.cache
+def _branch_products() -> tuple[np.ndarray, np.ndarray]:
+    """The two branch-product chain vectors, built once and shared read-only."""
+    vectors = tuple(full_chain(Scenario(a1, a2, "pure")).vector
+                    for a1, a2 in ((1.0, 0.0), (0.0, 1.0)))
+    for vec in vectors:
+        vec.flags.writeable = False
+    return vectors
+
+
 def superposition_discrimination_problem(a1: complex, a2: complex) -> DiscriminationProblem:
     """The chain's no-go instance: superposition vs both branch products.
 
     All three final chain states are required to take pairwise distinct
-    eigenvalues of one joint observable.
+    eigenvalues of one joint observable. The branch products do not depend on
+    the amplitudes; every problem shares one read-only copy of them.
     """
     psi_ms = full_chain(Scenario(a1, a2, "pure"))
-    psi_1 = full_chain(Scenario(1.0, 0.0, "pure"))
-    psi_2 = full_chain(Scenario(0.0, 1.0, "pure"))
     return DiscriminationProblem(
         8,
-        (psi_ms.vector, psi_1.vector, psi_2.vector),
+        (psi_ms.vector, *_branch_products()),
         ((0,), (1,), (2,)),
     )
 

@@ -317,6 +317,7 @@ class HermitianObservable:
         self.matrix = require_hermitian(matrix)
         self.scope = scope
         self._spectral: SpectralDecomposition | None = None
+        self._blocks: tuple[tuple[float, np.ndarray, np.ndarray], ...] | None = None
 
     @property
     def dim(self) -> int:
@@ -327,6 +328,18 @@ class HermitianObservable:
         if self._spectral is None:
             self._spectral = eig_hermitian(self.matrix)
         return self._spectral
+
+    @property
+    def blocks(self) -> tuple[tuple[float, np.ndarray, np.ndarray], ...]:
+        """(value, eigenvector block, its conjugate transpose) per eigenvalue group."""
+        if self._blocks is None:
+            spec = self.spectral
+            blocks = []
+            for value, idx in spec.groups:
+                block = spec.vectors[:, list(idx)]
+                blocks.append((value, block, block.conj().T))
+            self._blocks = tuple(blocks)
+        return self._blocks
 
     def embedded(self, layout: TensorLayout) -> np.ndarray:
         if self.scope is None:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from mschain import chain, cli, discriminate, sampling
 from mschain.cli import (
     Report,
     ReportRow,
@@ -150,6 +151,46 @@ class TestExecute:
                 if isinstance(row.value, (int, float)):
                     assert row.label, f"unlabeled numeric value in {command}"
                 assert row.label.startswith(command + ".")
+
+
+def count_full_chain(monkeypatch) -> list[str]:
+    """Route every module's `full_chain` through a wrapper that logs the input kind."""
+    calls: list[str] = []
+
+    def counting(scenario):
+        calls.append(scenario.input_kind)
+        return chain.full_chain(scenario)
+
+    for module in (cli, discriminate, sampling):
+        monkeypatch.setattr(module, "full_chain", counting)
+    return calls
+
+
+class TestRunContext:
+    @pytest.mark.parametrize("kind", ["pure", "gemenge"])
+    @pytest.mark.parametrize("a1,a2", [(0.6, 0.8), (1.0, 0.0)])
+    def test_all_builds_at_most_four_chains(self, monkeypatch, kind, a1, a2):
+        fields = dict(a1=a1, a2=a2, input_kind=kind, n_env=2, env_overlap=0.5)
+        first = run("all", **fields)  # builds the process-wide constants
+        calls = count_full_chain(monkeypatch)
+        assert run("all", **fields) == first
+        assert len(calls) <= 4
+
+    @pytest.mark.parametrize("kind", ["pure", "gemenge"])
+    @pytest.mark.parametrize("command", ["chain", "discriminate", "overlap", "born", "decohere"])
+    def test_each_command_builds_each_chain_once(self, monkeypatch, command, kind):
+        fields = dict(a1=0.6, a2=0.8, input_kind=kind, n_env=1, env_overlap=0.5)
+        first = run(command, **fields)
+        calls = count_full_chain(monkeypatch)
+        assert run(command, **fields) == first
+        # overlap compares the pure chain with the gemenge, so it needs both
+        assert len(calls) == len(set(calls)) <= (2 if command == "overlap" else 1)
+
+    def test_gemenge_input_reports_the_gemenge_chain(self):
+        rows = rows_by_label(run("chain", a1=0.6, a2=0.8, input_kind="gemenge"))
+        assert rows["chain.branch[0].probability"].value == pytest.approx(0.36)
+        assert rows["chain.branch[1].probability"].value == pytest.approx(0.64)
+        assert not any(label.startswith("chain.amplitude") for label in rows)
 
 
 class TestEmission:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from helpers import random_discrimination_problem
@@ -126,6 +128,29 @@ class TestSolverBasics:
                 result = check_eigen_discrimination(
                     superposition_discrimination_problem(a1, a2))
                 assert not result.feasible
+
+    @pytest.mark.parametrize("k", range(2, 17))
+    def test_no_go_near_zero_amplitude(self, k):
+        a1 = 10.0**-k
+        problem = superposition_discrimination_problem(a1, math.sqrt(1.0 - a1 * a1))
+        result = check_eigen_discrimination(problem)
+        assert result.verdict == "INFEASIBLE"
+        assert verify_certificate(problem, result)
+        # from k = 10 the overlap a1 with the first branch product is not above
+        # OVERLAP_TOL and the linear dependence pins that pair instead; from
+        # k = 12 the dependence no longer pins the first branch product, and
+        # only the overlap conflict with the second one is left
+        assert len(result.certificate) == (3 if k <= 11 else 1)
+
+    def test_branch_products_are_shared_read_only(self):
+        problem = superposition_discrimination_problem(0.6, 0.8)
+        with pytest.raises(ValueError):
+            problem.states[1][0] = 5.0
+        with pytest.raises(ValueError):
+            problem.states[2] *= 2.0
+        later = superposition_discrimination_problem(SYM, SYM)
+        for k, (a1, a2) in ((1, (1.0, 0.0)), (2, (0.0, 1.0))):
+            assert np.array_equal(later.states[k], full_chain(Scenario(a1, a2, "pure")).vector)
 
     def test_degenerate_amplitudes_still_infeasible(self):
         # the superposition collapses onto one branch product; requiring it

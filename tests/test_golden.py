@@ -9,6 +9,8 @@ first on the import path, run this module as a script:
 Regenerate only when a report is meant to change, and say why in CHANGES.md.
 """
 
+import csv
+import io
 import math
 from pathlib import Path
 
@@ -65,6 +67,13 @@ def render(case: str, command: str, fmt: str) -> bytes:
 @pytest.mark.parametrize("case,command,fmt", GOLDEN)
 def test_report_bytes_match_golden(case, command, fmt):
     assert render(case, command, fmt) == golden_path(case, command, fmt).read_bytes()
+
+
+@pytest.mark.parametrize("case,command", [(c, m) for c, m, fmt in GOLDEN if fmt == "csv"])
+def test_csv_rows_are_as_wide_as_their_header(case, command):
+    header, *rows = csv.reader(io.StringIO(render(case, command, "csv").decode("ascii")))
+    assert rows
+    assert all(len(row) == len(header) for row in rows)
 
 
 if __name__ == "__main__":

@@ -20,6 +20,7 @@ from mschain.discriminate import (
     build_pointer_algebra,
     combine_observable,
 )
+from mschain import metrics
 from mschain.errors import DecompositionError, UsageError, ValidationError
 from mschain.linalg import PAULI_X, PAULI_Y, pure_density
 from mschain.metrics import (
@@ -260,6 +261,28 @@ class TestPurityInformation:
         # mean of |a1 a2 cos(gamma)| over the grid: |a1 a2| * mean|cos|
         gammas = np.linspace(0, 2 * np.pi, 36, endpoint=False)
         assert estimate == pytest.approx(0.5 * np.mean(np.abs(np.cos(gammas))), abs=1e-9)
+
+    @pytest.mark.parametrize("a1,a2", [
+        (SYM, SYM),
+        (0.6, -0.8),
+        (np.sqrt(0.3), np.sqrt(0.7) * np.exp(2j)),
+        (1e-3, -np.sqrt(1.0 - 1e-6)),
+        (1.0, 0.0),
+    ])
+    def test_phase_averaged_equals_a_fresh_loop(self, a1, a2):
+        states = (pure_density(prepare_object_state(a1, a2)), prepare_gemenge(a1, a2).density())
+        pairs = [states, states[::-1], (states[0], states[0])]
+        metrics._transverse_spin_grid.cache_clear()
+        for _ in range(2):  # the first call fills the grid cache, the second reads it
+            for n_grid in (36, 12, 5):
+                for pure_rho, mixed_rho in pairs:
+                    total = 0.0
+                    for gamma in np.linspace(0.0, 2.0 * np.pi, n_grid, endpoint=False):
+                        obs = transverse_spin(gamma)
+                        total += purity_information(overlap_tv(
+                            eigen_distribution(pure_rho, obs), eigen_distribution(mixed_rho, obs)))
+                    assert phase_averaged_purity_information(
+                        pure_rho, mixed_rho, n_grid) == total / n_grid
 
 
 class TestBornProbabilities:
