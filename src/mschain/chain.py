@@ -31,11 +31,13 @@ from .linalg import (
     PAULI_X,
     PAULI_Y,
     TensorLayout,
+    _kept_positions,
+    _kron,
+    _reduced_vector,
+    _require_unit_norm,
     as_complex_array,
     partial_trace,
     pure_density,
-    reduced_state,
-    tensor_product,
     unitary_exp,
     validate_state_vector,
 )
@@ -128,6 +130,19 @@ class MSState:
                 f"vector dim {vec.shape[0]} does not match layout dim {self.layout.total_dim}"
             )
 
+    @classmethod
+    def _built(cls, vector: np.ndarray, layout: TensorLayout) -> "MSState":
+        """A state the package built from checked vectors by norm-preserving steps.
+
+        The layout matches by construction, and the vector skips the
+        conversion and finiteness pass of the public constructor. Its unit
+        norm is still checked, which a NaN or Inf entry fails.
+        """
+        state = object.__new__(cls)
+        object.__setattr__(state, "vector", _require_unit_norm(vector))
+        object.__setattr__(state, "layout", layout)
+        return state
+
     @property
     def dim(self) -> int:
         return self.vector.shape[0]
@@ -136,7 +151,7 @@ class MSState:
         return pure_density(self.vector)
 
     def reduced(self, keep) -> np.ndarray:
-        return reduced_state(self.vector, self.layout, keep)
+        return _reduced_vector(self.vector, self.layout, _kept_positions(self.layout, keep))
 
 
 @dataclass(frozen=True)
@@ -275,9 +290,14 @@ def prepare_gemenge(a1: complex, a2: complex) -> Gemenge:
 def attach_factor(state: MSState, label: str, factor_state: np.ndarray,
                   max_dim: int = DEFAULT_MAX_DIM) -> MSState:
     """Tensor a fresh factor in its own pure state onto the right of the chain."""
-    factor = validate_state_vector(factor_state)
-    vec = tensor_product(state.vector, factor, max_dim=max_dim)
-    return MSState(vec, state.layout.extended(label, factor.shape[0]))
+    return _attach(state, label, validate_state_vector(factor_state), max_dim)
+
+
+def _attach(state: MSState, label: str, factor: np.ndarray,
+            max_dim: int = DEFAULT_MAX_DIM) -> MSState:
+    """`attach_factor` with a factor state the package has checked."""
+    vec = _kron(state.vector, factor, max_dim)
+    return MSState._built(vec, state.layout.extended(label, factor.shape[0]))
 
 
 def _apply_two_factor_unitary(state: MSState, u4: np.ndarray,
@@ -294,7 +314,7 @@ def _apply_two_factor_unitary(state: MSState, u4: np.ndarray,
     block = u4 @ block
     moved = block.reshape((2, 2) + rest)
     tensor = np.moveaxis(moved, (0, 1), (c, a))
-    return MSState(tensor.reshape(-1), layout)
+    return MSState._built(tensor.reshape(-1), layout)
 
 
 def premeasure(state: MSState, control: str, apparatus: str,
@@ -331,16 +351,16 @@ def full_chain(scenario: Scenario):
 
 def object_detector_state(a1: complex, a2: complex) -> MSState:
     """The entangled object-detector state after the first premeasurement."""
-    ms = MSState(prepare_object_state(a1, a2), TensorLayout((("S", 2),)))
-    ms = attach_factor(ms, "D", READY_STATE)
+    ms = MSState._built(prepare_object_state(a1, a2), TensorLayout((("S", 2),)))
+    ms = _attach(ms, "D", READY_STATE)
     return premeasure(ms, "S", "D")
 
 
 def _chain_from_object_state(object_vec: np.ndarray) -> MSState:
-    ms = MSState(object_vec, TensorLayout((("S", 2),)))
-    ms = attach_factor(ms, "D", READY_STATE)
+    ms = MSState._built(object_vec, TensorLayout((("S", 2),)))
+    ms = _attach(ms, "D", READY_STATE)
     ms = premeasure(ms, "S", "D")
-    ms = attach_factor(ms, "O", READY_STATE)
+    ms = _attach(ms, "O", READY_STATE)
     ms = premeasure(ms, "D", "O")
     return ms
 
@@ -441,7 +461,7 @@ def decohere(state: MSState, n_env: int, eps: float,
     new_layout = state.layout
     for j in range(n_env):
         new_layout = new_layout.extended(f"E{j + 1}", 2)
-    enlarged = MSState(new_vec, new_layout)
+    enlarged = MSState._built(new_vec, new_layout)
     return DecoherenceResult(enlarged, factor, enlarged.reduced(state.layout.labels))
 
 

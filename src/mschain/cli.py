@@ -41,13 +41,13 @@ from .discriminate import (
     PointerAlgebra,
     build_it_observable,
     build_pointer_algebra,
+    _superposition_problem,
     check_eigen_discrimination,
     numeric_feasibility_oracle,
     recognition_problem,
-    superposition_discrimination_problem,
 )
 from .errors import CapacityError, ConfigError, ValidationError
-from .linalg import pure_density
+from .linalg import HermitianObservable, pure_density
 from .metrics import (
     eigen_distribution,
     overlap_bc,
@@ -57,7 +57,7 @@ from .metrics import (
     purity_report,
     transverse_spin,
 )
-from .sampling import born_report
+from .sampling import _born_report
 
 COMMANDS = ("chain", "discriminate", "overlap", "born", "decohere", "all")
 FORMATS = ("csv", "structured-text")
@@ -247,13 +247,14 @@ class _Fixed(NamedTuple):
     pointer_d: PointerAlgebra
     interference: ITObservable
     recognition: FeasibilityResult
+    spin_x: HermitianObservable
 
 
 @functools.cache
 def _fixed() -> _Fixed:
     """The report parts that no scenario changes, built once per process."""
     return _Fixed(build_pointer_algebra("D"), build_it_observable("full"),
-                  check_eigen_discrimination(recognition_problem()))
+                  check_eigen_discrimination(recognition_problem()), transverse_spin(0.0))
 
 
 class _Run:
@@ -322,7 +323,7 @@ def _discriminate_rows(run: _Run) -> tuple[list[ReportRow], list[str]]:
     rows: list[ReportRow] = []
     notes: list[str] = []
 
-    problem = superposition_discrimination_problem(scenario.a1, scenario.a2)
+    problem = _superposition_problem(run.pure)
     result = check_eigen_discrimination(problem)
     expected = "INFEASIBLE" if abs(scenario.a1 * scenario.a2) > 1e-12 else None
     rows.append(ReportRow("discriminate.verdict", result.verdict, expected,
@@ -378,7 +379,7 @@ def _overlap_rows(run: _Run) -> tuple[list[ReportRow], list[str]]:
     rho_pure = pure_density(prepare_object_state(a1, a2))
     rho_mixed = prepare_gemenge(a1, a2).density()
 
-    sx = transverse_spin(0.0)
+    sx = fixed.spin_x
     expected_sx = 1.0 - abs(a1) * abs(a2) if abs((a1 * a2.conjugate()).imag) < 1e-12 else None
     rows += _overlap_pair_rows("spin_x",
                                eigen_distribution(rho_pure, sx),
@@ -430,7 +431,7 @@ def _born_rows(run: _Run) -> tuple[list[ReportRow], list[str]]:
     scenario = run.scenario
     sigma_bound = run.config.tolerance("born_sigma")
     rows: list[ReportRow] = []
-    report = born_report(scenario)
+    report = _born_report(run.model, scenario)
     rows.append(ReportRow("born.trials", report.trials))
     rows.append(ReportRow("born.stream_digest", scenario_digest(scenario)))
     for stat in report.stats:

@@ -337,30 +337,20 @@ def _hermitian_design_matrix(states, dim: int) -> np.ndarray:
     """Real design matrix mapping Hermitian parameters to stacked G@phi values.
 
     Parameter order: the dim diagonal entries, then (real, imag) pairs for
-    each upper-triangle entry. Rows stack Re and Im of G@phi per state.
+    each upper-triangle entry in row-major order. Rows stack Re and Im of
+    G@phi per state. Column (i, j, part) of state phi holds part * phi[j] in
+    row i and conj(part) * phi[i] in row j.
     """
-    m = len(states)
-    n_params = dim * dim
-    a = np.zeros((2 * dim * m, n_params))
-    col = 0
-    for i in range(dim):
-        for k, phi in enumerate(states):
-            v = np.zeros(dim, dtype=complex)
-            v[i] = phi[i]
-            a[2 * dim * k: 2 * dim * k + dim, col] = v.real
-            a[2 * dim * k + dim: 2 * dim * (k + 1), col] = v.imag
-        col += 1
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            for part in (1.0, 1.0j):
-                for k, phi in enumerate(states):
-                    v = np.zeros(dim, dtype=complex)
-                    v[i] = part * phi[j]
-                    v[j] = np.conj(part) * phi[i]
-                    a[2 * dim * k: 2 * dim * k + dim, col] = v.real
-                    a[2 * dim * k + dim: 2 * dim * (k + 1), col] = v.imag
-                col += 1
-    return a
+    phi = np.array(states)
+    rows, cols = np.triu_indices(dim, 1)
+    values = np.zeros((len(states), dim, dim * dim), dtype=complex)
+    diag = np.arange(dim)
+    values[:, diag, diag] = phi
+    for offset, part in enumerate((1.0, 1.0j)):
+        col = dim + 2 * np.arange(len(rows)) + offset
+        values[:, rows, col] = part * phi[:, cols]
+        values[:, cols, col] = np.conj(part) * phi[:, rows]
+    return np.stack([values.real, values.imag], axis=1).reshape(-1, dim * dim)
 
 
 def numeric_feasibility_oracle(problem: DiscriminationProblem, eigenvalue_grid,
@@ -480,7 +470,11 @@ def superposition_discrimination_problem(a1: complex, a2: complex) -> Discrimina
     eigenvalues of one joint observable. The branch products do not depend on
     the amplitudes; every problem shares one read-only copy of them.
     """
-    psi_ms = full_chain(Scenario(a1, a2, "pure"))
+    return _superposition_problem(full_chain(Scenario(a1, a2, "pure")))
+
+
+def _superposition_problem(psi_ms: MSState) -> DiscriminationProblem:
+    """The no-go instance of the pure chain state `psi_ms`, built by the caller."""
     return DiscriminationProblem(
         8,
         (psi_ms.vector, *_branch_products()),

@@ -12,6 +12,7 @@ methods everywhere.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +31,7 @@ GROUP_TOL_ABS = 1e-12
 
 def as_complex_array(a) -> np.ndarray:
     arr = np.asarray(a, dtype=complex)
-    if not (np.all(np.isfinite(arr.real)) and np.all(np.isfinite(arr.imag))):
+    if not np.isfinite(arr).all():  # a complex entry is finite when both parts are
         raise ValidationError("entries must be finite (no NaN/Inf)")
     return arr
 
@@ -40,8 +41,18 @@ def validate_state_vector(v, tol: float = NORM_TOL) -> np.ndarray:
     vec = as_complex_array(v)
     if vec.ndim != 1 or vec.size == 0:
         raise ValidationError("state vector must be a nonempty 1-d array")
+    return _require_unit_norm(vec, tol)
+
+
+def _require_unit_norm(vec: np.ndarray, tol: float = NORM_TOL) -> np.ndarray:
+    """Check the norm of a nonempty 1-d complex array; a NaN or Inf entry fails too.
+
+    The squared norm sums |entry|**2 >= 0, so it is finite exactly when every
+    entry is: a vector the package built needs this one test, not the
+    conversion and finiteness pass of `as_complex_array`.
+    """
     norm_sq = float(np.vdot(vec, vec).real)
-    if abs(norm_sq - 1.0) > tol:
+    if not abs(norm_sq - 1.0) <= tol:
         raise ValidationError(
             f"state vector squared norm {norm_sq!r} deviates from 1 by more than {tol}"
         )
@@ -109,7 +120,7 @@ class TensorLayout:
 
     @property
     def total_dim(self) -> int:
-        return int(np.prod(self.dims))
+        return math.prod(self.dims)
 
     def position(self, label: str) -> int:
         for i, (lab, _) in enumerate(self.factors):
@@ -169,11 +180,18 @@ def tensor_product(a, b, max_dim: int = DEFAULT_MAX_DIM) -> np.ndarray:
     bb = as_complex_array(b)
     if aa.ndim != bb.ndim or aa.ndim not in (1, 2):
         raise UsageError("tensor_product expects two vectors or two matrices")
+    return _kron(aa, bb, max_dim)
+
+
+def _kron(aa: np.ndarray, bb: np.ndarray, max_dim: int = DEFAULT_MAX_DIM) -> np.ndarray:
+    """`tensor_product` of two complex arrays of one kind, already checked."""
     out_size = aa.shape[0] * bb.shape[0]
     if out_size > max_dim:
         raise CapacityError(
             f"tensor product dimension {out_size} exceeds the maximum {max_dim}"
         )
+    if aa.ndim == 1:  # np.kron's products, without its general-rank set-up
+        return np.multiply.outer(aa, bb).reshape(-1)
     return np.kron(aa, bb)
 
 
@@ -231,9 +249,15 @@ def reduced_state(vec, layout: TensorLayout, keep) -> np.ndarray:
     total = layout.total_dim
     if v.shape != (total,):
         raise UsageError(f"vector shape {v.shape} does not match layout dim {total}")
-    rest = [i for i in range(len(layout.factors)) if i not in positions]
-    d_keep = int(np.prod([layout.dims[i] for i in positions]))
-    m = v.reshape(layout.dims).transpose(positions + rest).reshape(d_keep, -1)
+    return _reduced_vector(v, layout, positions)
+
+
+def _reduced_vector(v: np.ndarray, layout: TensorLayout, positions: list[int]) -> np.ndarray:
+    """`reduced_state` of a complex vector already checked against `layout`."""
+    dims = layout.dims
+    rest = [i for i in range(len(dims)) if i not in positions]
+    d_keep = math.prod(dims[i] for i in positions)
+    m = v.reshape(dims).transpose(positions + rest).reshape(d_keep, -1)
     return m @ m.conj().T
 
 

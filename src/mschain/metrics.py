@@ -8,15 +8,23 @@ the minimum-overlap form, so that one is the reported default and the
 square-root form is always carried along for comparison.
 
 Fixed observables are diagonalized once: `eigen_distribution` reads the
-eigenvector blocks an observable keeps after its first use, and the
-transverse spins of `phase_averaged_purity_information` come from one cached
-grid per grid size, so repeated calls repeat no `eigh`.
+eigenvector blocks an observable keeps after its first use.
+`phase_averaged_purity_information` reads one grid cached per grid size: the
+transverse spins' eigenvector blocks stacked as arrays in ascending value
+order, with the eigenvalue merge of `overlap_tv` done once. One stacked
+`BH @ rho @ B` gives all 2 * n_grid probabilities of a state, bit for bit the
+products of the per-phase `eigen_distribution` loop, and the per-phase terms
+are added in grid order, so the average keeps its last bit too.
+
+A public function checks a state it is handed once, on entry: finite
+entries, then shape.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,14 +76,20 @@ def _as_observable(obs) -> HermitianObservable:
     return obs if isinstance(obs, HermitianObservable) else HermitianObservable(obs)
 
 
+def _state_array(state, dim: int) -> np.ndarray:
+    """The vector or density of a state, checked for an observable of dimension `dim`."""
+    arr = state.vector if isinstance(state, MSState) else as_complex_array(state)
+    if arr.ndim and arr.shape[0] != dim:
+        raise UsageError(f"state dim {arr.shape[0]} does not match observable dim {dim}")
+    if arr.shape not in ((dim,), (dim, dim)):
+        raise UsageError(f"state shape {arr.shape} is neither a vector nor a square density")
+    return arr
+
+
 def eigen_distribution(state, obs, source: tuple[str, str] = ("", "")) -> EigenDistribution:
     """w(lambda_i) over the grouped spectrum, for a vector or density matrix."""
     observable = _as_observable(obs)
-    arr = state.vector if isinstance(state, MSState) else as_complex_array(state)
-    if arr.shape[0] != observable.dim:
-        raise UsageError(
-            f"state dim {arr.shape[0]} does not match observable dim {observable.dim}"
-        )
+    arr = _state_array(state, observable.dim)
     entries = []
     for value, block, block_h in observable.blocks:
         if arr.ndim == 1:
@@ -88,15 +102,20 @@ def eigen_distribution(state, obs, source: tuple[str, str] = ("", "")) -> EigenD
     return EigenDistribution(tuple(entries), source)
 
 
-def _aligned_probabilities(w1: EigenDistribution, w2: EigenDistribution):
-    """Pair up the two distributions on the union of their eigenvalue grids."""
-    values = sorted({v for v, _ in w1.entries} | {v for v, _ in w2.entries})
+def _merged_values(values: list[float]) -> list[float]:
+    """The sorted `values`, less each one within the grouping tolerance of the last kept."""
     scale = max((abs(v) for v in values), default=0.0)
     tol = max(GROUP_TOL_REL * scale, GROUP_TOL_ABS)
     merged: list[float] = []
     for v in values:
         if not merged or v - merged[-1] > tol:
             merged.append(v)
+    return merged
+
+
+def _aligned_probabilities(w1: EigenDistribution, w2: EigenDistribution):
+    """Pair up the two distributions on the union of their eigenvalue grids."""
+    merged = _merged_values(sorted({v for v, _ in w1.entries} | {v for v, _ in w2.entries}))
     p1 = np.zeros(len(merged))
     p2 = np.zeros(len(merged))
     for probs, dist in ((p1, w1), (p2, w2)):
@@ -150,29 +169,84 @@ def purity_report(rho) -> PurityReport:
     return PurityReport(2.0 * magnitude, gamma_star, magnitude)
 
 
+class _PhaseGrid(NamedTuple):
+    """The transverse spins of a phase grid, stacked for one matmul per state."""
+
+    values: tuple[tuple[float, float], ...]  # each spin's two eigenvalues, ascending
+    blocks: np.ndarray  # (n_grid, 2, 2, 1): the eigenvector of each value
+    blocks_h: np.ndarray  # (n_grid, 2, 1, 2): their conjugate transposes
+
+
 # bounded, so a caller sweeping many grid sizes does not keep every grid alive
 @functools.lru_cache(maxsize=8)
-def _transverse_spin_grid(n_grid: int) -> tuple[HermitianObservable, ...]:
-    """The transverse spins on a uniform phase grid, spectra computed up front."""
-    grid = tuple(transverse_spin(gamma)
-                 for gamma in np.linspace(0.0, 2.0 * np.pi, n_grid, endpoint=False))
-    for obs in grid:
-        obs.blocks  # computes and keeps each eigenvector block
-    return grid
+def _transverse_spin_grid(n_grid: int) -> _PhaseGrid:
+    """The transverse spins on a uniform phase grid, diagonalized and merged up front.
+
+    A pure and a mixed distribution under one spin share its spectrum, so the
+    eigenvalue merge of `overlap_tv` depends on the phase alone. The spectrum
+    is +-1/2 at every phase, which the merge keeps as two values, so value k
+    of the pair is slot k of the aligned distributions.
+    """
+    values, blocks, blocks_h = [], [], []
+    for gamma in np.linspace(0.0, 2.0 * np.pi, n_grid, endpoint=False):
+        ordered = sorted(transverse_spin(gamma).blocks, key=lambda b: b[0])
+        pair = tuple(v for v, _, _ in ordered)
+        if len(pair) != 2 or _merged_values(list(pair)) != list(pair):
+            raise RuntimeError(f"transverse spin spectrum {pair} does not align as +-1/2")
+        values.append(pair)
+        blocks.append([b for _, b, _ in ordered])
+        blocks_h.append([bh for _, _, bh in ordered])
+    return _PhaseGrid(tuple(values), np.array(blocks, dtype=complex).reshape(n_grid, 2, 2, 1),
+                      np.array(blocks_h, dtype=complex).reshape(n_grid, 2, 1, 2))
+
+
+def _grid_probabilities(state, grid: _PhaseGrid) -> np.ndarray:
+    """w(lambda) of a two-dim state under every spin of the grid, shape (n_grid, 2), unclipped.
+
+    Each stacked product dispatches, slice by slice, to the same kernel as the
+    per-observable product of `eigen_distribution`, so each probability has
+    the same bits.
+    """
+    arr = _state_array(state, 2)
+    if arr.ndim == 1:
+        return np.array([[np.vdot(a, a).real for a in pair] for pair in grid.blocks_h @ arr])
+    return np.real((grid.blocks_h @ arr @ grid.blocks)[..., 0, 0])
 
 
 def phase_averaged_purity_information(pure_rho, mixed_rho, n_grid: int = 36) -> float:
     """Average purity information over a uniform grid of transverse phases.
 
     This is a package-defined estimate for the case where the tuning phase is
-    unknown: the mean of 1 - k_tv under the gamma family of observables.
+    unknown: the mean of 1 - k_tv under the gamma family of observables. It
+    equals, bit for bit, the loop of `purity_information(overlap_tv(...))`
+    over the per-phase `eigen_distribution` pairs, and raises the same errors.
     """
+    if n_grid < 1:
+        raise UsageError(f"the phase grid needs at least one point, got n_grid={n_grid!r}")
+    grid = _transverse_spin_grid(n_grid)
+    p = np.maximum([_grid_probabilities(pure_rho, grid),
+                    _grid_probabilities(mixed_rho, grid)], 0.0)
+    lowest = np.minimum(p[0], p[1])
+    k_tv = lowest[:, 0] + lowest[:, 1]
+    # both EigenDistribution checks of every phase, then purity_information's range check
+    if not (p.min() >= -1e-10 and p.max() <= 1 + 1e-10
+            and np.abs(p[..., 0] + p[..., 1] - 1.0).max() <= 1e-10
+            and k_tv.min() >= -1e-12 and k_tv.max() <= 1.0 + 1e-12):
+        _raise_first_phase_error(grid, p, k_tv.tolist())
     total = 0.0
-    for obs in _transverse_spin_grid(n_grid):
-        w_pure = eigen_distribution(pure_rho, obs)
-        w_mixed = eigen_distribution(mixed_rho, obs)
-        total += purity_information(overlap_tv(w_pure, w_mixed))
+    # each phase's purity_information, added in grid order: np.sum would pair
+    # the terms, and sum() compensates on Python 3.12
+    for term in (1.0 - np.minimum(np.maximum(k_tv, 0.0), 1.0)).tolist():
+        total += term
     return total / n_grid
+
+
+def _raise_first_phase_error(grid: _PhaseGrid, p: np.ndarray, k_tv: list[float]) -> None:
+    """Raise the error that the per-phase loop over `eigen_distribution` raises first."""
+    for g, k in enumerate(k_tv):
+        for probs in p[:, g]:
+            EigenDistribution(tuple(zip(grid.values[g], probs.tolist())))
+        purity_information(k)
 
 
 def born_probabilities(state: MSState) -> tuple[float, float]:

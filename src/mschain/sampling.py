@@ -208,11 +208,13 @@ def sample_gemenge(w: Gemenge, rng_draw: float) -> tuple[int, InformationPattern
     return _draw(w, rng_draw)
 
 
-def _outcome_table(scenario: Scenario) -> tuple[list[float], list[tuple[int, float]]]:
-    """Cell weights and (branch, pointer value) per cell; caps trials before any work."""
-    if scenario.trials > MAX_TRIALS:
-        raise CapacityError(f"trials {scenario.trials} exceeds the cap of {MAX_TRIALS}")
-    model = full_chain(scenario)
+def _require_trials_within_cap(trials: int) -> None:
+    if trials > MAX_TRIALS:
+        raise CapacityError(f"trials {trials} exceeds the cap of {MAX_TRIALS}")
+
+
+def _outcome_table(model: MSState | Gemenge) -> tuple[list[float], list[tuple[int, float]]]:
+    """Cell weights and (branch, pointer value) per cell."""
     weights, cells = outcome_cells(model)
     return weights, [_cell_outcome(model, c) for c in cells]
 
@@ -223,7 +225,8 @@ def run_trials(scenario: Scenario) -> tuple[OutcomeStream, FrequencyReport]:
     The stream holds every trial in memory; `born_report` gives the same
     report in memory independent of the trial count.
     """
-    weights, outcomes = _outcome_table(scenario)
+    _require_trials_within_cap(scenario.trials)
+    weights, outcomes = _outcome_table(full_chain(scenario))
     draws = trial_uniforms(scenario.seed, np.arange(scenario.trials))
     chosen = _choose(np.cumsum(weights), draws)
     branches = np.array([b for b, _ in outcomes], dtype=np.int64)[chosen]
@@ -234,14 +237,21 @@ def run_trials(scenario: Scenario) -> tuple[OutcomeStream, FrequencyReport]:
 
 
 def born_report(scenario: Scenario) -> FrequencyReport:
-    """The frequency report of `run_trials`, counted CHUNK trials at a time.
+    """The frequency report of `run_trials`, counted CHUNK trials at a time."""
+    _require_trials_within_cap(scenario.trials)  # before the chain is built
+    return _born_report(full_chain(scenario), scenario)
+
+
+def _born_report(model: MSState | Gemenge, scenario: Scenario) -> FrequencyReport:
+    """`born_report` on the chain `model` of `scenario`, built by the caller.
 
     No draw is labelled with its cell. By `_choose`, a draw lands in cell j or
     above (0 < j < n) exactly when u >= edges[j - 1], last-cell clip included,
     so each chunk adds those tail counts and cell j's count is
     tail[j] - tail[j + 1], with tail[0] = trials and tail[n] = 0.
     """
-    weights, outcomes = _outcome_table(scenario)
+    _require_trials_within_cap(scenario.trials)
+    weights, outcomes = _outcome_table(model)
     edges = np.cumsum(weights)
     tail = np.zeros(len(weights) + 1, dtype=np.int64)
     tail[0] = scenario.trials

@@ -169,12 +169,22 @@ def count_full_chain(monkeypatch) -> list[str]:
 class TestRunContext:
     @pytest.mark.parametrize("kind", ["pure", "gemenge"])
     @pytest.mark.parametrize("a1,a2", [(0.6, 0.8), (1.0, 0.0)])
-    def test_all_builds_at_most_four_chains(self, monkeypatch, kind, a1, a2):
+    def test_all_builds_at_most_two_chains(self, monkeypatch, kind, a1, a2):
         fields = dict(a1=a1, a2=a2, input_kind=kind, n_env=2, env_overlap=0.5)
         first = run("all", **fields)  # builds the process-wide constants
         calls = count_full_chain(monkeypatch)
         assert run("all", **fields) == first
-        assert len(calls) <= 4
+        assert len(calls) <= 2
+
+    @pytest.mark.parametrize("kind", ["pure", "gemenge"])
+    @pytest.mark.parametrize("command", ["born", "discriminate"])
+    def test_born_and_discriminate_read_the_run_chain(self, monkeypatch, command, kind):
+        fields = dict(a1=0.6, a2=0.8, input_kind=kind)
+        first = run(command, **fields)
+        calls = count_full_chain(monkeypatch)
+        assert run(command, **fields) == first
+        # born counts on the configured chain; the no-go problem needs the pure one
+        assert calls == [kind if command == "born" else "pure"]
 
     @pytest.mark.parametrize("kind", ["pure", "gemenge"])
     @pytest.mark.parametrize("command", ["chain", "discriminate", "overlap", "born", "decohere"])

@@ -9,6 +9,7 @@ from mschain.chain import BASIS_1, BASIS_2, Scenario, full_chain
 from mschain.discriminate import (
     DiscriminationProblem,
     ObservableSpec,
+    _hermitian_design_matrix,
     build_it_observable,
     build_pointer_algebra,
     check_eigen_discrimination,
@@ -228,6 +229,50 @@ class TestOracle:
         problem = superposition_discrimination_problem(SYM, SYM)
         with pytest.raises(ValidationError):
             numeric_feasibility_oracle(problem, (0.0, 1.0))
+
+
+def loop_design_matrix(states, dim):
+    """The column-by-column reference for the oracle's design matrix."""
+    m = len(states)
+    a = np.zeros((2 * dim * m, dim * dim))
+    col = 0
+    for i in range(dim):
+        for k, phi in enumerate(states):
+            v = np.zeros(dim, dtype=complex)
+            v[i] = phi[i]
+            a[2 * dim * k: 2 * dim * k + dim, col] = v.real
+            a[2 * dim * k + dim: 2 * dim * (k + 1), col] = v.imag
+        col += 1
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            for part in (1.0, 1.0j):
+                for k, phi in enumerate(states):
+                    v = np.zeros(dim, dtype=complex)
+                    v[i] = part * phi[j]
+                    v[j] = np.conj(part) * phi[i]
+                    a[2 * dim * k: 2 * dim * k + dim, col] = v.real
+                    a[2 * dim * k + dim: 2 * dim * (k + 1), col] = v.imag
+                col += 1
+    return a
+
+
+class TestDesignMatrix:
+    @pytest.mark.parametrize("a1,a2", [
+        (1e-12, 1.0), (1e-6, -1.0), (0.6, 0.8j), (SYM, SYM),
+        (math.sqrt(0.3), math.sqrt(0.7) * np.exp(2.5j)), (1.0, 0.0),
+    ])
+    def test_superposition_problem_equals_the_loop(self, a1, a2):
+        problem = superposition_discrimination_problem(a1, a2)
+        assert np.array_equal(_hermitian_design_matrix(problem.states, 8),
+                              loop_design_matrix(problem.states, 8))
+
+    def test_recognition_and_random_problems_equal_the_loop(self):
+        problems = [recognition_problem()]
+        rng = np.random.default_rng(71)
+        problems += [random_discrimination_problem(rng)[0] for _ in range(20)]
+        for problem in problems:
+            assert np.array_equal(_hermitian_design_matrix(problem.states, problem.space_dim),
+                                  loop_design_matrix(problem.states, problem.space_dim))
 
 
 class TestSolverOracleAgreement:

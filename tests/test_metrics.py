@@ -285,6 +285,81 @@ class TestPurityInformation:
                         pure_rho, mixed_rho, n_grid) == total / n_grid
 
 
+def _phase_loop(pure_rho, mixed_rho, n_grid=36):
+    """The per-phase reference: one eigen_distribution pair and overlap per phase."""
+    total = 0.0
+    for gamma in np.linspace(0.0, 2.0 * np.pi, n_grid, endpoint=False):
+        obs = transverse_spin(gamma)
+        total += purity_information(overlap_tv(
+            eigen_distribution(pure_rho, obs), eigen_distribution(mixed_rho, obs)))
+    return total / n_grid
+
+
+def _random_two_dim_states(rng):
+    """Seeded pure vectors, their densities, mixtures and random densities.
+
+    Weights |a1|^2 cover the edges 0, 1e-12, 1e-6 and 1 - 1e-6 as well as
+    random values, with complex relative phases throughout.
+    """
+    states = []
+    for weight in (0.0, 1e-12, 1e-6, 1.0 - 1e-6, *rng.uniform(0.0, 1.0, 11)):
+        for _ in range(6):
+            phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 2))
+            vec = np.array([np.sqrt(weight), np.sqrt(1.0 - weight)]) * phases
+            states += [vec, pure_density(vec), prepare_gemenge(vec[0], vec[1]).density()]
+    for _ in range(60):
+        m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        rho = m @ m.conj().T
+        states.append(rho / np.trace(rho).real)
+    return states
+
+
+class TestPhaseGridIdentity:
+    def test_random_states_equal_the_loop_bit_for_bit(self):
+        rng = np.random.default_rng(2026)
+        states = _random_two_dim_states(rng)
+        assert len(states) >= 300
+        for k, state in enumerate(states):
+            partner = states[(7 * k + 3) % len(states)]
+            pure_rho, mixed_rho = (state, partner) if k % 2 else (partner, state)
+            assert phase_averaged_purity_information(pure_rho, mixed_rho) == \
+                _phase_loop(pure_rho, mixed_rho)
+
+    def test_small_grids_equal_the_loop(self):
+        rng = np.random.default_rng(2027)
+        states = _random_two_dim_states(rng)[::7]
+        for n_grid in (1, 2, 5, 12):
+            for state in states:
+                rho_mix = np.diag(np.diag(pure_density(state) if state.ndim == 1 else state))
+                assert phase_averaged_purity_information(state, rho_mix, n_grid) == \
+                    _phase_loop(state, rho_mix, n_grid)
+
+    def test_empty_grid_is_a_usage_error(self):
+        rho = prepare_gemenge(0.6, 0.8).density()
+        with pytest.raises(UsageError, match="at least one point"):
+            phase_averaged_purity_information(rho, rho, 0)
+
+    @pytest.mark.parametrize("bad", ["trace", "nan", "overlap"])
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_invalid_density_raises_the_loop_error(self, bad, side):
+        good = prepare_gemenge(0.6, 0.8).density()
+        rho = pure_density(prepare_object_state(0.6, 0.8j))
+        if bad == "trace":
+            rho = 1.5 * rho
+        elif bad == "nan":
+            rho = np.where(np.eye(2) > 0, rho, np.nan)
+        else:
+            # each distribution sums to 1 + 5e-11, within its check, but the
+            # overlap of two equal ones exceeds purity_information's 1 + 1e-12
+            good = rho = (1.0 + 5e-11) * rho
+        args = (rho, good) if side == 0 else (good, rho)
+        with pytest.raises(ValidationError) as expected:
+            _phase_loop(*args)
+        with pytest.raises(ValidationError) as got:
+            phase_averaged_purity_information(*args)
+        assert str(got.value) == str(expected.value)
+
+
 class TestBornProbabilities:
     def test_symmetric(self):
         ms = full_chain(Scenario(SYM, SYM, "pure"))
