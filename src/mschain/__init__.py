@@ -59,20 +59,16 @@ from .linalg import (
     TensorLayout,
     eig_hermitian,
     embed_operator,
-    expectation,
     partial_trace,
-    projector_onto,
     pure_density,
     reduced_state,
     tensor_product,
     unitary_exp,
-    validate_density_operator,
     validate_state_vector,
 )
 from .metrics import (
     EigenDistribution,
     PurityReport,
-    born_probabilities,
     eigen_distribution,
     overlap_bc,
     overlap_tv,
@@ -88,11 +84,9 @@ from .sampling import (
     StreamComparison,
     born_report,
     compare_streams,
-    ip_distance,
     run_trials,
     sample_gemenge,
     stochastic_restriction,
-    stream_to_csv,
     trial_uniform,
     trial_uniforms,
 )

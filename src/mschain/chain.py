@@ -58,10 +58,6 @@ PREMEASURE_UNITARY = np.zeros((4, 4), dtype=complex)
 PREMEASURE_UNITARY[:2, :2] = _HADAMARD
 PREMEASURE_UNITARY[2:, 2:] = PAULI_X @ _HADAMARD
 
-# Coupling*duration value at which the Hamiltonian path reproduces the
-# net-effect unitary exactly.
-TUNED_COUPLING_DURATION = 1.0
-
 READY_FIDELITY_TOL = 1e-10
 BRANCH_PROB_FLOOR = 1e-12
 
@@ -197,7 +193,7 @@ class Gemenge:
     def density(self) -> np.ndarray:
         out = None
         for state, p in self.branches:
-            vec = state.vector if isinstance(state, MSState) else as_complex_array(state)
+            vec = state.vector if isinstance(state, MSState) else state  # pure_density checks it
             term = p * pure_density(vec)
             out = term if out is None else out + term
         return out
@@ -250,10 +246,6 @@ class HamiltonianSpec:
 
     coupling: float
     duration: float
-
-    @property
-    def is_tuned(self) -> bool:
-        return abs(self.coupling * self.duration - TUNED_COUPLING_DURATION) < 1e-12
 
 
 @dataclass(frozen=True)
@@ -317,22 +309,18 @@ def _apply_two_factor_unitary(state: MSState, u4: np.ndarray,
     return MSState._built(tensor.reshape(-1), layout)
 
 
-def premeasure(state: MSState, control: str, apparatus: str,
-               allow_any_apparatus_state: bool = False) -> MSState:
+def premeasure(state: MSState, control: str, apparatus: str) -> MSState:
     """Entangle the apparatus pointer with the control factor's basis states.
 
     The apparatus must sit in its symmetric ready state; the unitary is only
-    the tuned evolution from there. Pass `allow_any_apparatus_state=True` to
-    push arbitrary inputs through the same unitary anyway.
+    the tuned evolution from there.
     """
-    if not allow_any_apparatus_state:
-        rho_app = state.reduced((apparatus,))
-        fidelity = float(np.real(READY_STATE.conj() @ rho_app @ READY_STATE))
-        if fidelity <= 1.0 - READY_FIDELITY_TOL:
-            raise PreconditionError(
-                f"apparatus {apparatus!r} is not in the ready state "
-                f"(fidelity {fidelity!r}); pass allow_any_apparatus_state=True to override"
-            )
+    rho_app = state.reduced((apparatus,))
+    fidelity = float(np.real(READY_STATE.conj() @ rho_app @ READY_STATE))
+    if fidelity <= 1.0 - READY_FIDELITY_TOL:
+        raise PreconditionError(
+            f"apparatus {apparatus!r} is not in the ready state (fidelity {fidelity!r})"
+        )
     return _apply_two_factor_unitary(state, PREMEASURE_UNITARY, control, apparatus)
 
 
@@ -377,12 +365,12 @@ def statistical_restriction(state, layout: TensorLayout | None = None) -> np.nda
     return partial_trace(as_complex_array(state), layout, ("O",))
 
 
-def factorize_branch(state: MSState, tol: float = 1e-10) -> dict[str, np.ndarray]:
+def factorize_branch(state: MSState) -> dict[str, np.ndarray]:
     """Split a product chain state into per-factor pure states.
 
     Raises PreconditionError when the state is entangled across any factor cut,
     i.e. when the product of the per-factor principal states fails to
-    reconstruct the input within fidelity `tol`.
+    reconstruct the input within fidelity 1e-10.
     """
     factors: dict[str, np.ndarray] = {}
     for label in state.layout.labels:
@@ -397,7 +385,7 @@ def factorize_branch(state: MSState, tol: float = 1e-10) -> dict[str, np.ndarray
     for label in state.layout.labels[1:]:
         product = np.kron(product, factors[label])
     fidelity = abs(np.vdot(product, state.vector)) ** 2
-    if fidelity <= 1.0 - tol:
+    if fidelity <= 1.0 - 1e-10:
         raise PreconditionError(
             f"state is entangled across the factor cut (product fidelity {fidelity!r})"
         )
@@ -466,7 +454,7 @@ def decohere(state: MSState, n_env: int, eps: float,
 
 
 def _premeasure_generator() -> np.ndarray:
-    """Generator whose tuned evolution equals the net-effect unitary exactly."""
+    """Generator whose evolution at coupling*duration = 1 equals the net-effect unitary."""
     p1 = np.outer(BASIS_1, BASIS_1.conj())
     p2 = np.outer(BASIS_2, BASIS_2.conj())
     k1 = (math.pi / 2.0) * (_HADAMARD - IDENTITY_2)
@@ -497,19 +485,19 @@ def hamiltonian_premeasure_crosscheck(spec: HamiltonianSpec, state: MSState,
     )
 
 
-def pointer_branch_amplitudes(state: MSState, tol: float = 1e-10) -> tuple[complex, complex]:
+def pointer_branch_amplitudes(state: MSState) -> tuple[complex, complex]:
     """Coefficients of the state in the diagonal pointer product basis.
 
-    The state must be (within `tol`) a combination of the two branch products
-    |b_1 b_1 ... b_1> and |b_2 b_2 ... b_2>, the first and last basis vectors
-    of the layout; anything else raises DecompositionError.
+    The state must be (within residual norm 1e-10) a combination of the two
+    branch products |b_1 b_1 ... b_1> and |b_2 b_2 ... b_2>, the first and last
+    basis vectors of the layout; anything else raises DecompositionError.
     """
     if any(dim != 2 for _, dim in state.layout.factors):
         raise UsageError("pointer decomposition needs two-dimensional factors")
     a1, a2 = complex(state.vector[0]), complex(state.vector[-1])
     residual = state.vector.copy()
     residual[[0, -1]] = 0.0
-    if float(np.linalg.norm(residual)) > tol:
+    if float(np.linalg.norm(residual)) > 1e-10:
         raise DecompositionError(
             f"state is not a combination of the pointer branch products "
             f"(residual norm {float(np.linalg.norm(residual))!r})"

@@ -253,7 +253,7 @@ class _Fixed(NamedTuple):
 @functools.cache
 def _fixed() -> _Fixed:
     """The report parts that no scenario changes, built once per process."""
-    return _Fixed(build_pointer_algebra("D"), build_it_observable("full"),
+    return _Fixed(build_pointer_algebra("D"), build_it_observable(),
                   check_eigen_discrimination(recognition_problem()), transverse_spin(0.0))
 
 

@@ -26,7 +26,7 @@ from itertools import combinations, permutations, product
 import numpy as np
 
 from .chain import BASIS_1, BASIS_2, MSState, Scenario, full_chain
-from .errors import UsageError, ValidationError
+from .errors import ValidationError
 from .linalg import (
     HermitianObservable,
     embed_operator,
@@ -184,7 +184,7 @@ def _null_space(columns: np.ndarray, rel_tol: float) -> np.ndarray:
     return vh[rank:].conj().T
 
 
-def _dependence_forced_pairs(states, rel_tol: float = OVERLAP_TOL):
+def _dependence_forced_pairs(states):
     """Pairs of state indices whose eigenvalues every dependence constraint pins equal.
 
     A dependence sum_k c_k phi_k = 0 requires the componentwise product c*g to
@@ -194,7 +194,7 @@ def _dependence_forced_pairs(states, rel_tol: float = OVERLAP_TOL):
     """
     m = len(states)
     phi = np.column_stack(states)
-    null_basis = _null_space(phi, rel_tol)
+    null_basis = _null_space(phi, OVERLAP_TOL)
     r = null_basis.shape[1]
     if r == 0:
         return [], null_basis
@@ -216,8 +216,7 @@ def _dependence_forced_pairs(states, rel_tol: float = OVERLAP_TOL):
     return forced, null_basis
 
 
-def check_eigen_discrimination(problem: DiscriminationProblem,
-                               overlap_tol: float = OVERLAP_TOL) -> FeasibilityResult:
+def check_eigen_discrimination(problem: DiscriminationProblem) -> FeasibilityResult:
     """Decide whether any Hermitian operator realizes the eigenvalue pattern.
 
     Feasible verdicts come with an explicit witness operator built from
@@ -241,10 +240,10 @@ def check_eigen_discrimination(problem: DiscriminationProblem,
 
     for j, k in combinations(range(m), 2):
         ov = complex(np.vdot(states[j], states[k]))
-        if abs(ov) > overlap_tol:
+        if abs(ov) > OVERLAP_TOL:
             record(MergeEvidence("overlap", j, k, (ov,)))
 
-    dep_pairs, null_basis = _dependence_forced_pairs(states, overlap_tol)
+    dep_pairs, null_basis = _dependence_forced_pairs(states)
     dep_detail = tuple(tuple(complex(x) for x in c) for c in null_basis.T)
     for j, k in dep_pairs:
         record(MergeEvidence("dependence", j, k, dep_detail))
@@ -267,7 +266,7 @@ def check_eigen_discrimination(problem: DiscriminationProblem,
         members = [i for i in range(m) if uf.find(i) == root]
         span = np.column_stack([states[i] for i in members])
         u, s, _ = np.linalg.svd(span, full_matrices=False)
-        basis = u[:, s > overlap_tol * s[0]]
+        basis = u[:, s > OVERLAP_TOL * s[0]]
         witness += float(value) * (basis @ basis.conj().T)
         for i in members:
             assignment[i] = float(value)
@@ -304,8 +303,7 @@ def _merge_path(adjacency, start: int, goal: int) -> tuple[MergeEvidence, ...]:
     return tuple(reversed(chain))
 
 
-def verify_certificate(problem: DiscriminationProblem, result: FeasibilityResult,
-                       overlap_tol: float = OVERLAP_TOL) -> bool:
+def verify_certificate(problem: DiscriminationProblem, result: FeasibilityResult) -> bool:
     """Re-check every forced equality in an infeasibility certificate."""
     if result.certificate is None:
         return False
@@ -315,14 +313,14 @@ def verify_certificate(problem: DiscriminationProblem, result: FeasibilityResult
             return False
         for ev in forced.chain:
             if ev.kind == "overlap":
-                if abs(np.vdot(states[ev.i], states[ev.j])) <= overlap_tol:
+                if abs(np.vdot(states[ev.i], states[ev.j])) <= OVERLAP_TOL:
                     return False
             elif ev.kind == "dependence":
                 for coeffs in ev.detail:
                     combo = sum(c * states[k] for k, c in enumerate(coeffs))
                     if np.linalg.norm(combo) > 1e-8:
                         return False
-                dep_pairs, _ = _dependence_forced_pairs(states, overlap_tol)
+                dep_pairs, _ = _dependence_forced_pairs(states)
                 if (ev.i, ev.j) not in dep_pairs and (ev.j, ev.i) not in dep_pairs:
                     return False
             elif ev.kind == "same-group":
@@ -353,8 +351,7 @@ def _hermitian_design_matrix(states, dim: int) -> np.ndarray:
     return np.stack([values.real, values.imag], axis=1).reshape(-1, dim * dim)
 
 
-def numeric_feasibility_oracle(problem: DiscriminationProblem, eigenvalue_grid,
-                               tol: float = 1e-10):
+def numeric_feasibility_oracle(problem: DiscriminationProblem, eigenvalue_grid):
     """Brute-force least squares over every admissible grid assignment.
 
     For each way of assigning grid values (distinct across groups, free for
@@ -377,7 +374,7 @@ def numeric_feasibility_oracle(problem: DiscriminationProblem, eigenvalue_grid,
 
     a = _hermitian_design_matrix(states, dim)
     u, s, _ = np.linalg.svd(a, full_matrices=False)
-    rank = int(np.sum(s > tol * (s[0] if s.size else 0.0)))
+    rank = int(np.sum(s > 1e-10 * (s[0] if s.size else 0.0)))
     q = u[:, :rank]
 
     best = np.inf
@@ -408,30 +405,21 @@ class ITObservable:
     """Joint interference-term observable coupling the pointer branches."""
 
     observable: HermitianObservable
-    kind: str  # "full" | "sd"
 
 
-def build_it_observable(kind: str = "full") -> ITObservable:
-    """Symmetric interference-term observable on the full chain or the S,D pair.
+def build_it_observable() -> ITObservable:
+    """Symmetric interference-term observable on the full S, D, O chain.
 
     The operator swaps the two pointer branch products; its spectrum is
     {+1, -1} on the branch pair plus zero on everything else.
     """
-    if kind == "full":
-        dim, flip = 8, 7
-    elif kind == "sd":
-        dim, flip = 4, 3
-    else:
-        raise UsageError(f"kind must be 'full' or 'sd', got {kind!r}")
-    matrix = np.zeros((dim, dim), dtype=complex)
-    matrix[0, flip] = 1.0
-    matrix[flip, 0] = 1.0
-    return ITObservable(HermitianObservable(matrix), kind)
+    matrix = np.zeros((8, 8), dtype=complex)
+    matrix[0, 7] = 1.0
+    matrix[7, 0] = 1.0
+    return ITObservable(HermitianObservable(matrix))
 
 
-def restriction_eigenstate_lift_check(full_state: MSState,
-                                      o_obs: HermitianObservable,
-                                      tol: float = 1e-9) -> bool:
+def restriction_eigenstate_lift_check(full_state: MSState, o_obs: HermitianObservable) -> bool:
     """Check one instance of the eigenstate lift implication.
 
     If the observer restriction of the state is (a pure state and) an
@@ -439,6 +427,7 @@ def restriction_eigenstate_lift_check(full_state: MSState,
     eigenstate of the embedded observable. Returns True when the implication
     holds, including vacuously when the restriction is not an eigenstate.
     """
+    tol = 1e-9
     rho_o = full_state.reduced(("O",))
     purity = float(np.real(np.trace(rho_o @ rho_o)))
     if purity <= 1.0 - tol:

@@ -36,15 +36,20 @@ def as_complex_array(a) -> np.ndarray:
     return arr
 
 
-def validate_state_vector(v, tol: float = NORM_TOL) -> np.ndarray:
-    """Check unit norm within `tol` and return the vector as a complex array."""
+def _vector_array(v) -> np.ndarray:
+    """`v` as a complex array, checked for finite entries and a nonempty 1-d shape."""
     vec = as_complex_array(v)
     if vec.ndim != 1 or vec.size == 0:
         raise ValidationError("state vector must be a nonempty 1-d array")
-    return _require_unit_norm(vec, tol)
+    return vec
 
 
-def _require_unit_norm(vec: np.ndarray, tol: float = NORM_TOL) -> np.ndarray:
+def validate_state_vector(v) -> np.ndarray:
+    """Check unit norm within NORM_TOL and return the vector as a complex array."""
+    return _require_unit_norm(_vector_array(v))
+
+
+def _require_unit_norm(vec: np.ndarray) -> np.ndarray:
     """Check the norm of a nonempty 1-d complex array; a NaN or Inf entry fails too.
 
     The squared norm sums |entry|**2 >= 0, so it is finite exactly when every
@@ -52,44 +57,29 @@ def _require_unit_norm(vec: np.ndarray, tol: float = NORM_TOL) -> np.ndarray:
     conversion and finiteness pass of `as_complex_array`.
     """
     norm_sq = float(np.vdot(vec, vec).real)
-    if not abs(norm_sq - 1.0) <= tol:
+    if not abs(norm_sq - 1.0) <= NORM_TOL:
         raise ValidationError(
-            f"state vector squared norm {norm_sq!r} deviates from 1 by more than {tol}"
+            f"state vector squared norm {norm_sq!r} deviates from 1 by more than {NORM_TOL}"
         )
     return vec
-
-
-def validate_density_operator(rho, tol: float = HERM_TOL) -> np.ndarray:
-    """Check hermiticity, unit trace and positivity within `tol`."""
-    mat = as_complex_array(rho)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValidationError("density operator must be a square matrix")
-    if np.max(np.abs(mat - mat.conj().T)) > tol:
-        raise ValidationError("density operator is not Hermitian within tolerance")
-    tr = complex(np.trace(mat))
-    if abs(tr - 1.0) > tol:
-        raise ValidationError(f"density operator trace {tr!r} is not 1 within {tol}")
-    if np.min(np.linalg.eigvalsh(hermitian_part(mat))) < -tol:
-        raise ValidationError("density operator has a negative eigenvalue beyond tolerance")
-    return mat
 
 
 def hermitian_part(m: np.ndarray) -> np.ndarray:
     return (m + m.conj().T) / 2
 
 
-def require_hermitian(m, tol: float = HERM_TOL) -> np.ndarray:
+def require_hermitian(m) -> np.ndarray:
     mat = as_complex_array(m)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValidationError("operator must be a square matrix")
-    if np.max(np.abs(mat - mat.conj().T)) > tol:
+    if np.max(np.abs(mat - mat.conj().T)) > HERM_TOL:
         raise ValidationError("operator is not Hermitian within tolerance")
     return mat
 
 
-def pure_density(v: np.ndarray) -> np.ndarray:
-    """|v><v| for a 1-d state vector."""
-    vec = np.asarray(v, dtype=complex)
+def pure_density(v) -> np.ndarray:
+    """|v><v| for a 1-d state vector, checked for finite entries and shape."""
+    vec = _vector_array(v)
     return np.outer(vec, vec.conj())
 
 
@@ -128,15 +118,8 @@ class TensorLayout:
                 return i
         raise UsageError(f"unknown factor label {label!r}; layout has {self.labels}")
 
-    def dim_of(self, label: str) -> int:
-        return self.factors[self.position(label)][1]
-
     def extended(self, label: str, dim: int) -> "TensorLayout":
         return TensorLayout(self.factors + ((label, dim),))
-
-    def restricted_to(self, keep: tuple[str, ...]) -> "TensorLayout":
-        keep_set = set(keep)
-        return TensorLayout(tuple(f for f in self.factors if f[0] in keep_set))
 
 
 @dataclass(frozen=True)
@@ -155,19 +138,6 @@ class SpectralDecomposition:
     @property
     def distinct_values(self) -> tuple[float, ...]:
         return tuple(val for val, _ in self.groups)
-
-    def group_indices(self, value: float, tol: float) -> tuple[int, ...]:
-        best = None
-        best_gap = tol
-        for val, idx in self.groups:
-            gap = abs(val - value)
-            if gap <= best_gap:
-                best, best_gap = idx, gap
-        if best is None:
-            raise LookupError(
-                f"no eigenvalue group within {tol} of {value}; spectrum has {self.distinct_values}"
-            )
-        return best
 
 
 def tensor_product(a, b, max_dim: int = DEFAULT_MAX_DIM) -> np.ndarray:
@@ -285,32 +255,6 @@ def eig_hermitian(h) -> SpectralDecomposition:
     return SpectralDecomposition(vals, vecs, _group_sorted_desc(vals))
 
 
-def projector_onto(spec: SpectralDecomposition, value: float, tol: float) -> np.ndarray:
-    """Orthogonal projector onto the eigenvalue group within `tol` of `value`."""
-    idx = spec.group_indices(value, tol)
-    block = spec.vectors[:, list(idx)]
-    return block @ block.conj().T
-
-
-def expectation(state, obs) -> float:
-    """<obs> for a state vector or density matrix; the result must be real."""
-    op = require_hermitian(obs)
-    arr = as_complex_array(state)
-    if arr.ndim == 1:
-        if arr.shape[0] != op.shape[0]:
-            raise UsageError(f"state dim {arr.shape[0]} does not match operator dim {op.shape[0]}")
-        val = complex(np.vdot(arr, op @ arr))
-    elif arr.ndim == 2:
-        if arr.shape != op.shape:
-            raise UsageError(f"density shape {arr.shape} does not match operator {op.shape}")
-        val = complex(np.trace(arr @ op))
-    else:
-        raise UsageError("state must be a vector or a density matrix")
-    if abs(val.imag) >= 1e-9:
-        raise ValidationError(f"expectation value has imaginary part {val.imag!r}")
-    return float(val.real)
-
-
 def unitary_exp(h, t: float) -> np.ndarray:
     """exp(-i*h*t) for a Hermitian generator h, via spectral decomposition."""
     spec = eig_hermitian(h)
@@ -333,8 +277,8 @@ def embed_operator(op: np.ndarray, layout: TensorLayout, label: str) -> np.ndarr
 class HermitianObservable:
     """A self-adjoint operator with a lazily cached spectral decomposition.
 
-    `scope` optionally names the tensor factor the operator acts on, so it can
-    be embedded into a composite space later.
+    `scope` optionally names the tensor factor the operator acts on, the label
+    `embed_operator` lifts it by into a composite space.
     """
 
     def __init__(self, matrix, scope: str | None = None):
@@ -364,11 +308,6 @@ class HermitianObservable:
                 blocks.append((value, block, block.conj().T))
             self._blocks = tuple(blocks)
         return self._blocks
-
-    def embedded(self, layout: TensorLayout) -> np.ndarray:
-        if self.scope is None:
-            raise UsageError("observable has no scope label to embed by")
-        return embed_operator(self.matrix, layout, self.scope)
 
     def __repr__(self):
         return f"HermitianObservable(dim={self.dim}, scope={self.scope!r})"

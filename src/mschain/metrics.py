@@ -1,4 +1,4 @@
-"""Eigenvalue distributions, overlap measures, purity rate, Born probabilities.
+"""Eigenvalue distributions, overlap measures and the purity rate.
 
 Two overlap conventions are computed side by side everywhere. The square-root
 product form (Bhattacharyya coefficient) and the minimum-overlap form (the
@@ -9,10 +9,10 @@ square-root form is always carried along for comparison.
 
 Fixed observables are diagonalized once: `eigen_distribution` reads the
 eigenvector blocks an observable keeps after its first use.
-`phase_averaged_purity_information` reads one grid cached per grid size: the
-transverse spins' eigenvector blocks stacked as arrays in ascending value
+`phase_averaged_purity_information` reads one cached grid of N_PHASES phases:
+the transverse spins' eigenvector blocks stacked as arrays in ascending value
 order, with the eigenvalue merge of `overlap_tv` done once. One stacked
-`BH @ rho @ B` gives all 2 * n_grid probabilities of a state, bit for bit the
+`BH @ rho @ B` gives all 2 * N_PHASES probabilities of a state, bit for bit the
 products of the per-phase `eigen_distribution` loop, and the per-phase terms
 are added in grid order, so the average keeps its last bit too.
 
@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .chain import MSState, pointer_branch_amplitudes
+from .chain import MSState
 from .errors import UsageError, ValidationError
 from .linalg import (
     GROUP_TOL_ABS,
@@ -39,13 +39,15 @@ from .linalg import (
     as_complex_array,
 )
 
+# Points of the uniform transverse-phase grid that the phase average runs over.
+N_PHASES = 36
+
 
 @dataclass(frozen=True)
 class EigenDistribution:
     """Probability of each grouped eigenvalue for one (state, observable) pair."""
 
     entries: tuple[tuple[float, float], ...]
-    source: tuple[str, str] = ("", "")
 
     def __post_init__(self):
         values = [v for v, _ in self.entries]
@@ -86,7 +88,7 @@ def _state_array(state, dim: int) -> np.ndarray:
     return arr
 
 
-def eigen_distribution(state, obs, source: tuple[str, str] = ("", "")) -> EigenDistribution:
+def eigen_distribution(state, obs) -> EigenDistribution:
     """w(lambda_i) over the grouped spectrum, for a vector or density matrix."""
     observable = _as_observable(obs)
     arr = _state_array(state, observable.dim)
@@ -99,7 +101,7 @@ def eigen_distribution(state, obs, source: tuple[str, str] = ("", "")) -> EigenD
             p = float(np.real(np.trace(block_h @ arr @ block)))
         entries.append((value, max(p, 0.0)))
     entries.sort(key=lambda e: e[0])
-    return EigenDistribution(tuple(entries), source)
+    return EigenDistribution(tuple(entries))
 
 
 def _merged_values(values: list[float]) -> list[float]:
@@ -170,17 +172,16 @@ def purity_report(rho) -> PurityReport:
 
 
 class _PhaseGrid(NamedTuple):
-    """The transverse spins of a phase grid, stacked for one matmul per state."""
+    """The transverse spins of the phase grid, stacked for one matmul per state."""
 
     values: tuple[tuple[float, float], ...]  # each spin's two eigenvalues, ascending
-    blocks: np.ndarray  # (n_grid, 2, 2, 1): the eigenvector of each value
-    blocks_h: np.ndarray  # (n_grid, 2, 1, 2): their conjugate transposes
+    blocks: np.ndarray  # (N_PHASES, 2, 2, 1): the eigenvector of each value
+    blocks_h: np.ndarray  # (N_PHASES, 2, 1, 2): their conjugate transposes
 
 
-# bounded, so a caller sweeping many grid sizes does not keep every grid alive
-@functools.lru_cache(maxsize=8)
-def _transverse_spin_grid(n_grid: int) -> _PhaseGrid:
-    """The transverse spins on a uniform phase grid, diagonalized and merged up front.
+@functools.cache
+def _transverse_spin_grid() -> _PhaseGrid:
+    """The transverse spins on the uniform phase grid, diagonalized and merged up front.
 
     A pure and a mixed distribution under one spin share its spectrum, so the
     eigenvalue merge of `overlap_tv` depends on the phase alone. The spectrum
@@ -188,7 +189,7 @@ def _transverse_spin_grid(n_grid: int) -> _PhaseGrid:
     of the pair is slot k of the aligned distributions.
     """
     values, blocks, blocks_h = [], [], []
-    for gamma in np.linspace(0.0, 2.0 * np.pi, n_grid, endpoint=False):
+    for gamma in np.linspace(0.0, 2.0 * np.pi, N_PHASES, endpoint=False):
         ordered = sorted(transverse_spin(gamma).blocks, key=lambda b: b[0])
         pair = tuple(v for v, _, _ in ordered)
         if len(pair) != 2 or _merged_values(list(pair)) != list(pair):
@@ -196,12 +197,12 @@ def _transverse_spin_grid(n_grid: int) -> _PhaseGrid:
         values.append(pair)
         blocks.append([b for _, b, _ in ordered])
         blocks_h.append([bh for _, _, bh in ordered])
-    return _PhaseGrid(tuple(values), np.array(blocks, dtype=complex).reshape(n_grid, 2, 2, 1),
-                      np.array(blocks_h, dtype=complex).reshape(n_grid, 2, 1, 2))
+    return _PhaseGrid(tuple(values), np.array(blocks, dtype=complex).reshape(N_PHASES, 2, 2, 1),
+                      np.array(blocks_h, dtype=complex).reshape(N_PHASES, 2, 1, 2))
 
 
 def _grid_probabilities(state, grid: _PhaseGrid) -> np.ndarray:
-    """w(lambda) of a two-dim state under every spin of the grid, shape (n_grid, 2), unclipped.
+    """w(lambda) of a two-dim state under every spin of the grid, shape (N_PHASES, 2), unclipped.
 
     Each stacked product dispatches, slice by slice, to the same kernel as the
     per-observable product of `eigen_distribution`, so each probability has
@@ -213,17 +214,15 @@ def _grid_probabilities(state, grid: _PhaseGrid) -> np.ndarray:
     return np.real((grid.blocks_h @ arr @ grid.blocks)[..., 0, 0])
 
 
-def phase_averaged_purity_information(pure_rho, mixed_rho, n_grid: int = 36) -> float:
-    """Average purity information over a uniform grid of transverse phases.
+def phase_averaged_purity_information(pure_rho, mixed_rho) -> float:
+    """Average purity information over the N_PHASES-point grid of transverse phases.
 
     This is a package-defined estimate for the case where the tuning phase is
     unknown: the mean of 1 - k_tv under the gamma family of observables. It
     equals, bit for bit, the loop of `purity_information(overlap_tv(...))`
     over the per-phase `eigen_distribution` pairs, and raises the same errors.
     """
-    if n_grid < 1:
-        raise UsageError(f"the phase grid needs at least one point, got n_grid={n_grid!r}")
-    grid = _transverse_spin_grid(n_grid)
+    grid = _transverse_spin_grid()
     p = np.maximum([_grid_probabilities(pure_rho, grid),
                     _grid_probabilities(mixed_rho, grid)], 0.0)
     lowest = np.minimum(p[0], p[1])
@@ -238,7 +237,7 @@ def phase_averaged_purity_information(pure_rho, mixed_rho, n_grid: int = 36) -> 
     # the terms, and sum() compensates on Python 3.12
     for term in (1.0 - np.minimum(np.maximum(k_tv, 0.0), 1.0)).tolist():
         total += term
-    return total / n_grid
+    return total / N_PHASES
 
 
 def _raise_first_phase_error(grid: _PhaseGrid, p: np.ndarray, k_tv: list[float]) -> None:
@@ -248,8 +247,3 @@ def _raise_first_phase_error(grid: _PhaseGrid, p: np.ndarray, k_tv: list[float])
             EigenDistribution(tuple(zip(grid.values[g], probs.tolist())))
         purity_information(k)
 
-
-def born_probabilities(state: MSState) -> tuple[float, float]:
-    """Squared moduli of the pointer branch coefficients of a chain state."""
-    a1, a2 = pointer_branch_amplitudes(state)
-    return abs(a1) ** 2, abs(a2) ** 2

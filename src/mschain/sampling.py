@@ -33,7 +33,7 @@ from .chain import (
     pointer_branch_amplitudes,
     scenario_digest,
 )
-from .errors import CapacityError, UsageError, ValidationError
+from .errors import CapacityError, ValidationError
 
 # SplitMix64: golden-ratio increment and the two finalizer multipliers.
 SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
@@ -99,13 +99,6 @@ class InformationPattern:
             raise ValidationError("information pattern entries must be finite")
 
 
-def ip_distance(j1: InformationPattern, j2: InformationPattern) -> float:
-    """L1 distance between two information patterns of equal length."""
-    if len(j1.values) != len(j2.values):
-        raise UsageError("information patterns have different lengths")
-    return float(sum(abs(a - b) for a, b in zip(j1.values, j2.values)))
-
-
 @dataclass(frozen=True)
 class OutcomeStream:
     """Reproducible record of sampled outcomes for one scenario and seed.
@@ -154,7 +147,6 @@ class StreamComparison:
     chi_square: float
     p_value: float
     verdict: str  # "indistinguishable" | "distinct"
-    alpha: float
 
 
 def outcome_cells(model: MSState | Gemenge) -> tuple[list[float], list[int]]:
@@ -290,9 +282,8 @@ def _frequency_report(weights: list[float], outcomes: list[tuple[int, float]],
     return FrequencyReport(tuple(stats), trials, float(chi_square), p_value, False)
 
 
-def compare_streams(s1: OutcomeStream, s2: OutcomeStream,
-                    alpha: float = 0.01) -> StreamComparison:
-    """Two-sample chi-square test on the outcome counts of two streams."""
+def compare_streams(s1: OutcomeStream, s2: OutcomeStream) -> StreamComparison:
+    """Two-sample chi-square test on the outcome counts of two streams, at level 0.01."""
     if s1.trials == 0 or s2.trials == 0:
         raise ValidationError("streams must be nonempty")
     values = sorted(set(np.unique(s1.q_values)) | set(np.unique(s2.q_values)), reverse=True)
@@ -305,17 +296,10 @@ def compare_streams(s1: OutcomeStream, s2: OutcomeStream,
     total = counts.sum()
     dof = len(values) - 1
     if dof < 1:
-        return StreamComparison(0.0, 1.0, "indistinguishable", alpha)
+        return StreamComparison(0.0, 1.0, "indistinguishable")
     expected = np.outer(row_totals, col_totals) / total
     chi_square = float(((counts - expected) ** 2 / expected).sum())
     p_value = float(chi2_dist.sf(chi_square, dof))
-    verdict = "indistinguishable" if p_value >= alpha else "distinct"
-    return StreamComparison(chi_square, p_value, verdict, alpha)
+    verdict = "indistinguishable" if p_value >= 0.01 else "distinct"
+    return StreamComparison(chi_square, p_value, verdict)
 
-
-def stream_to_csv(stream: OutcomeStream) -> str:
-    """Serialize a stream as CSV with columns trial, outcome_q, branch."""
-    lines = ["trial,outcome_q,branch"]
-    for k in range(stream.trials):
-        lines.append(f"{k},{stream.q_values[k]:.12g},{int(stream.branches[k])}")
-    return "\n".join(lines) + "\n"

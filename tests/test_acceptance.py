@@ -165,7 +165,7 @@ def test_criterion_4_detector_blindness():
 
 def test_criterion_5_interference_term():
     failures = []
-    it = build_it_observable("full")
+    it = build_it_observable()
     psi = full_chain(Scenario(SYM, SYM, "pure"))
     residual = float(np.linalg.norm(it.observable.matrix @ psi.vector - psi.vector))
     if residual >= 1e-12:

@@ -2,8 +2,8 @@
 
 Every public function that takes an array gets a NaN, an Inf and a wrong
 shape, and must raise the exception type and message pinned here: the ones
-it raised while every layer still re-checked its arrays, except four shape
-cases marked below. Arrays the package builds itself pass inward unchecked,
+it raised while every layer still re-checked its arrays, except the cases
+marked below. Arrays the package builds itself pass inward unchecked,
 so these cases are what keeps the checks at the boundary from getting weaker.
 """
 
@@ -26,14 +26,13 @@ from mschain.linalg import (
     TensorLayout,
     eig_hermitian,
     embed_operator,
-    expectation,
     partial_trace,
+    pure_density,
     reduced_state,
     require_hermitian,
     tensor_many,
     tensor_product,
     unitary_exp,
-    validate_density_operator,
     validate_state_vector,
 )
 from mschain.metrics import (
@@ -80,7 +79,8 @@ NONFINITE = {
     "tensor_product/right": lambda v2, r2, v8, r8: tensor_product(V2, v2),
     "tensor_many": lambda v2, r2, v8, r8: tensor_many(RHO2, RHO2, r2),
     "validate_state_vector": lambda v2, r2, v8, r8: validate_state_vector(v2),
-    "validate_density_operator": lambda v2, r2, v8, r8: validate_density_operator(r2),
+    # pure_density checked nothing before: it returned a NaN density
+    "pure_density": lambda v2, r2, v8, r8: pure_density(v2),
     "require_hermitian": lambda v2, r2, v8, r8: require_hermitian(r2),
     "MSState": lambda v2, r2, v8, r8: MSState(v8, LAYOUT),
     "attach_factor": lambda v2, r2, v8, r8: attach_factor(_chain(), "E", v2),
@@ -88,8 +88,6 @@ NONFINITE = {
     "HermitianObservable": lambda v2, r2, v8, r8: HermitianObservable(r2),
     "eig_hermitian": lambda v2, r2, v8, r8: eig_hermitian(r2),
     "unitary_exp": lambda v2, r2, v8, r8: unitary_exp(r2, 1.0),
-    "expectation/state": lambda v2, r2, v8, r8: expectation(v2, SX.matrix),
-    "expectation/operator": lambda v2, r2, v8, r8: expectation(V2, r2),
     "embed_operator": lambda v2, r2, v8, r8: embed_operator(r2, LAYOUT, "D"),
     "DiscriminationProblem": lambda v2, r2, v8, r8: DiscriminationProblem(
         2, (V2, v2), ((0,), (1,))),
@@ -143,8 +141,11 @@ WRONG_SHAPE = {
                                      V, "state vector must be a nonempty 1-d array"),
     "validate_state_vector/empty": (lambda: validate_state_vector(np.zeros(0)),
                                     V, "state vector must be a nonempty 1-d array"),
-    "validate_density_operator": (lambda: validate_density_operator(np.ones((2, 3))),
-                                  V, "density operator must be a square matrix"),
+    # these two returned a 4x4 and an empty matrix before
+    "pure_density/matrix": (lambda: pure_density(RHO2),
+                            V, "state vector must be a nonempty 1-d array"),
+    "pure_density/empty": (lambda: pure_density(np.zeros(0)),
+                           V, "state vector must be a nonempty 1-d array"),
     "require_hermitian": (lambda: require_hermitian(V2), V, "operator must be a square matrix"),
     "MSState/length": (lambda: MSState(V2, LAYOUT),
                        V, "vector dim 2 does not match layout dim 8"),
@@ -160,8 +161,6 @@ WRONG_SHAPE = {
                                         V, "operator must be a square matrix"),
     "HermitianObservable/vector": (lambda: HermitianObservable(V2),
                                    V, "operator must be a square matrix"),
-    "expectation": (lambda: expectation(V3, SX.matrix),
-                    U, "state dim 3 does not match operator dim 2"),
     "embed_operator": (lambda: embed_operator(RHO3, LAYOUT, "D"),
                        U, "operator shape (3, 3) does not match factor 'D' of dim 2"),
     "DiscriminationProblem": (lambda: DiscriminationProblem(2, (V2, V3), ((0,),)),

@@ -20,7 +20,7 @@ from mschain.discriminate import (
     superposition_discrimination_problem,
     verify_certificate,
 )
-from mschain.errors import UsageError, ValidationError
+from mschain.errors import ValidationError
 from mschain.linalg import PAULI_X, PAULI_Y, PAULI_Z
 
 SYM = 2**-0.5
@@ -301,12 +301,12 @@ class TestSolverOracleAgreement:
 
 class TestITObservable:
     def test_symmetric_chain_state_is_unit_eigenvector(self):
-        it = build_it_observable("full")
+        it = build_it_observable()
         psi = full_chain(Scenario(SYM, SYM, "pure")).vector
         assert np.linalg.norm(it.observable.matrix @ psi - psi) < 1e-12
 
     def test_spectrum(self):
-        it = build_it_observable("full")
+        it = build_it_observable()
         spec = it.observable.spectral
         assert spec.distinct_values == pytest.approx((1.0, 0.0, -1.0))
         assert [len(idx) for _, idx in spec.groups] == [1, 6, 1]
@@ -315,21 +315,10 @@ class TestITObservable:
         assert abs(np.trace(it.observable.matrix)) < 1e-12
 
     def test_swaps_branch_products(self):
-        it = build_it_observable("full")
+        it = build_it_observable()
         psi_1 = full_chain(Scenario(1.0, 0.0, "pure")).vector
         psi_2 = full_chain(Scenario(0.0, 1.0, "pure")).vector
         assert_allclose(it.observable.matrix @ psi_1, psi_2, atol=1e-12)
-
-    def test_sd_variant(self):
-        it = build_it_observable("sd")
-        assert it.observable.dim == 4
-        spec = it.observable.spectral
-        assert spec.distinct_values == pytest.approx((1.0, 0.0, -1.0))
-        assert [len(idx) for _, idx in spec.groups] == [1, 2, 1]
-
-    def test_unknown_kind(self):
-        with pytest.raises(UsageError):
-            build_it_observable("sideways")
 
 
 class TestLiftCheck:

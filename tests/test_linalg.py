@@ -12,14 +12,11 @@ from mschain.linalg import (
     TensorLayout,
     eig_hermitian,
     embed_operator,
-    expectation,
     partial_trace,
-    projector_onto,
     pure_density,
     reduced_state,
     tensor_product,
     unitary_exp,
-    validate_density_operator,
     validate_state_vector,
 )
 
@@ -226,47 +223,6 @@ class TestEigHermitian:
             eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
-class TestProjector:
-    def test_simple(self):
-        spec = eig_hermitian(np.diag([1.0, -1.0]))
-        assert_allclose(projector_onto(spec, 1.0, 1e-9), np.diag([1.0, 0.0]), atol=1e-12)
-
-    def test_fully_degenerate(self):
-        spec = eig_hermitian(IDENTITY_2)
-        assert_allclose(projector_onto(spec, 1.0, 1e-9), np.eye(2), atol=1e-12)
-
-    def test_branch_swap_zero_eigenspace(self):
-        spec = eig_hermitian(branch_product_matrix())
-        p0 = projector_onto(spec, 0.0, 1e-9)
-        assert abs(np.trace(p0).real - 6.0) < 1e-9
-        assert np.max(np.abs(p0 @ p0 - p0)) < 1e-9
-        assert np.max(np.abs(p0 - p0.conj().T)) < 1e-9
-
-    def test_no_match(self):
-        spec = eig_hermitian(np.diag([1.0, -1.0]))
-        with pytest.raises(LookupError):
-            projector_onto(spec, 0.5, 1e-3)
-
-
-class TestExpectation:
-    def test_mixed_state_symmetry(self):
-        assert expectation(np.eye(2) / 2, PAULI_Z) == pytest.approx(0.0, abs=1e-12)
-
-    def test_branch_swap_on_symmetric_superposition(self):
-        psi = np.zeros(8, dtype=complex)
-        psi[0] = psi[7] = 1 / np.sqrt(2)
-        assert expectation(psi, branch_product_matrix()) == pytest.approx(1.0, abs=1e-12)
-
-    def test_branch_swap_on_even_mixture(self):
-        rho = np.zeros((8, 8), dtype=complex)
-        rho[0, 0] = rho[7, 7] = 0.5
-        assert expectation(rho, branch_product_matrix()) == pytest.approx(0.0, abs=1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(UsageError):
-            expectation(np.eye(2) / 2, np.eye(4))
-
-
 class TestUnitaryExp:
     def test_zero_generator(self):
         assert_allclose(unitary_exp(np.zeros((3, 3)), 2.7), np.eye(3), atol=1e-12)
@@ -302,15 +258,6 @@ class TestValidators:
         with pytest.raises(ValidationError):
             validate_state_vector([0.0, 0.0])
 
-    def test_density_checks(self):
-        validate_density_operator(np.eye(2) / 2)
-        with pytest.raises(ValidationError):
-            validate_density_operator(np.array([[0.5, 0.5], [0.0, 0.5]]))
-        with pytest.raises(ValidationError):
-            validate_density_operator(np.eye(2))
-        with pytest.raises(ValidationError):
-            validate_density_operator(np.diag([1.5, -0.5]))
-
     def test_layout(self):
         with pytest.raises(ValidationError):
             TensorLayout((("A", 2), ("A", 2)))
@@ -339,8 +286,3 @@ class TestHermitianObservable:
         obs = HermitianObservable(PAULI_Y, scope="O")
         assert obs.spectral is obs.spectral
         assert_allclose(obs.spectral.eigenvalues, [1.0, -1.0])
-
-    def test_embedding_uses_scope(self):
-        layout = TensorLayout((("S", 2), ("O", 2)))
-        obs = HermitianObservable(PAULI_Z, scope="O")
-        assert_allclose(obs.embedded(layout), np.kron(np.eye(2), PAULI_Z))

@@ -25,7 +25,6 @@ from mschain.errors import DecompositionError, UsageError, ValidationError
 from mschain.linalg import PAULI_X, PAULI_Y, pure_density
 from mschain.metrics import (
     EigenDistribution,
-    born_probabilities,
     eigen_distribution,
     overlap_bc,
     overlap_tv,
@@ -34,6 +33,7 @@ from mschain.metrics import (
     purity_report,
     transverse_spin,
 )
+from mschain.sampling import outcome_cells
 
 SYM = 2**-0.5
 
@@ -51,7 +51,7 @@ def spin_distributions(a1, a2):
 
 class TestEigenDistribution:
     def test_symmetric_chain_state_under_interference_term(self):
-        it = build_it_observable("full")
+        it = build_it_observable()
         psi = full_chain(Scenario(SYM, SYM, "pure"))
         dist = eigen_distribution(psi, it.observable)
         assert dist.probabilities[1.0] == pytest.approx(1.0, abs=1e-12)
@@ -59,7 +59,7 @@ class TestEigenDistribution:
         assert dist.probabilities[-1.0] == pytest.approx(0.0, abs=1e-12)
 
     def test_even_mixture_under_interference_term(self):
-        it = build_it_observable("full")
+        it = build_it_observable()
         w = full_chain(Scenario(SYM, SYM, "gemenge"))
         dist = eigen_distribution(w.density(), it.observable)
         assert dist.probabilities[1.0] == pytest.approx(0.5, abs=1e-12)
@@ -151,7 +151,7 @@ class TestOverlaps:
             assert overlap_bc(w_pure, w_mix) == pytest.approx(1.0, abs=1e-12)
 
     def test_interference_term_overlap(self):
-        it = build_it_observable("full")
+        it = build_it_observable()
         w_pure = eigen_distribution(full_chain(Scenario(SYM, SYM, "pure")), it.observable)
         w_mix = eigen_distribution(full_chain(Scenario(SYM, SYM, "gemenge")).density(),
                                it.observable)
@@ -274,25 +274,23 @@ class TestPurityInformation:
         pairs = [states, states[::-1], (states[0], states[0])]
         metrics._transverse_spin_grid.cache_clear()
         for _ in range(2):  # the first call fills the grid cache, the second reads it
-            for n_grid in (36, 12, 5):
-                for pure_rho, mixed_rho in pairs:
-                    total = 0.0
-                    for gamma in np.linspace(0.0, 2.0 * np.pi, n_grid, endpoint=False):
-                        obs = transverse_spin(gamma)
-                        total += purity_information(overlap_tv(
-                            eigen_distribution(pure_rho, obs), eigen_distribution(mixed_rho, obs)))
-                    assert phase_averaged_purity_information(
-                        pure_rho, mixed_rho, n_grid) == total / n_grid
+            for pure_rho, mixed_rho in pairs:
+                total = 0.0
+                for gamma in np.linspace(0.0, 2.0 * np.pi, 36, endpoint=False):
+                    obs = transverse_spin(gamma)
+                    total += purity_information(overlap_tv(
+                        eigen_distribution(pure_rho, obs), eigen_distribution(mixed_rho, obs)))
+                assert phase_averaged_purity_information(pure_rho, mixed_rho) == total / 36
 
 
-def _phase_loop(pure_rho, mixed_rho, n_grid=36):
+def _phase_loop(pure_rho, mixed_rho):
     """The per-phase reference: one eigen_distribution pair and overlap per phase."""
     total = 0.0
-    for gamma in np.linspace(0.0, 2.0 * np.pi, n_grid, endpoint=False):
+    for gamma in np.linspace(0.0, 2.0 * np.pi, 36, endpoint=False):
         obs = transverse_spin(gamma)
         total += purity_information(overlap_tv(
             eigen_distribution(pure_rho, obs), eigen_distribution(mixed_rho, obs)))
-    return total / n_grid
+    return total / 36
 
 
 def _random_two_dim_states(rng):
@@ -325,20 +323,6 @@ class TestPhaseGridIdentity:
             assert phase_averaged_purity_information(pure_rho, mixed_rho) == \
                 _phase_loop(pure_rho, mixed_rho)
 
-    def test_small_grids_equal_the_loop(self):
-        rng = np.random.default_rng(2027)
-        states = _random_two_dim_states(rng)[::7]
-        for n_grid in (1, 2, 5, 12):
-            for state in states:
-                rho_mix = np.diag(np.diag(pure_density(state) if state.ndim == 1 else state))
-                assert phase_averaged_purity_information(state, rho_mix, n_grid) == \
-                    _phase_loop(state, rho_mix, n_grid)
-
-    def test_empty_grid_is_a_usage_error(self):
-        rho = prepare_gemenge(0.6, 0.8).density()
-        with pytest.raises(UsageError, match="at least one point"):
-            phase_averaged_purity_information(rho, rho, 0)
-
     @pytest.mark.parametrize("bad", ["trace", "nan", "overlap"])
     @pytest.mark.parametrize("side", [0, 1])
     def test_invalid_density_raises_the_loop_error(self, bad, side):
@@ -361,18 +345,20 @@ class TestPhaseGridIdentity:
 
 
 class TestBornProbabilities:
+    """The Born weights of a pure chain state, as `outcome_cells` weighs its pointer cells."""
+
     def test_symmetric(self):
         ms = full_chain(Scenario(SYM, SYM, "pure"))
-        assert born_probabilities(ms) == pytest.approx((0.5, 0.5), abs=1e-12)
+        assert outcome_cells(ms)[0] == pytest.approx([0.5, 0.5], abs=1e-12)
 
     def test_eigenstate(self):
         ms = full_chain(Scenario(1.0, 0.0, "pure"))
-        assert born_probabilities(ms) == pytest.approx((1.0, 0.0), abs=1e-12)
+        assert outcome_cells(ms) == ([1.0], [0])
 
     @pytest.mark.parametrize("phi", np.linspace(0, 2 * np.pi, 7))
     def test_phase_independent(self, phi):
         ms = full_chain(Scenario(np.sqrt(0.3), np.sqrt(0.7) * np.exp(1j * phi), "pure"))
-        assert born_probabilities(ms) == pytest.approx((0.3, 0.7), abs=1e-12)
+        assert outcome_cells(ms)[0] == pytest.approx([0.3, 0.7], abs=1e-12)
 
     def test_matches_restriction_diagonal(self):
         rng = np.random.default_rng(61)
@@ -380,7 +366,8 @@ class TestBornProbabilities:
             a = rng.normal(size=2) + 1j * rng.normal(size=2)
             a /= np.linalg.norm(a)
             ms = full_chain(Scenario(a[0], a[1], "pure"))
-            p1, p2 = born_probabilities(ms)
+            (p1, p2), cells = outcome_cells(ms)
+            assert cells == [0, 1]
             rho = statistical_restriction(ms)
             assert p1 == pytest.approx(float(rho[0, 0].real), abs=1e-12)
             assert p2 == pytest.approx(float(rho[1, 1].real), abs=1e-12)
@@ -393,4 +380,4 @@ class TestBornProbabilities:
         vec[1] = 1.0
         state = MSState(vec, TensorLayout((("S", 2), ("D", 2), ("O", 2))))
         with pytest.raises(DecompositionError):
-            born_probabilities(state)
+            outcome_cells(state)

@@ -11,12 +11,10 @@ from mschain.sampling import (
     OutcomeStream,
     born_report,
     compare_streams,
-    ip_distance,
     outcome_cells,
     run_trials,
     sample_gemenge,
     stochastic_restriction,
-    stream_to_csv,
     trial_uniform,
     trial_uniforms,
 )
@@ -318,40 +316,9 @@ class TestCompareStreams:
 
 
 class TestInformationPattern:
-    def test_distance_identical(self):
-        j = InformationPattern((0.5,))
-        assert ip_distance(j, j) == 0.0
-
-    def test_distance_pointer_values(self):
-        assert ip_distance(InformationPattern((0.5,)), InformationPattern((-0.5,))) == 1.0
-
-    def test_distance_multi_entry(self):
-        assert ip_distance(InformationPattern((1.0, 2.0)), InformationPattern((0.0, 4.0))) == 3.0
-
-    def test_length_mismatch(self):
-        with pytest.raises(UsageError):
-            ip_distance(InformationPattern((1.0,)), InformationPattern((1.0, 2.0)))
-
     def test_validation(self):
         with pytest.raises(ValidationError):
             InformationPattern(())
         with pytest.raises(ValidationError):
             InformationPattern((float("nan"),))
 
-
-class TestCsvExport:
-    def test_schema(self):
-        stream, _ = run_trials(Scenario(SYM, SYM, "pure", seed=10, trials=5))
-        text = stream_to_csv(stream)
-        lines = text.strip().split("\n")
-        assert lines[0] == "trial,outcome_q,branch"
-        assert len(lines) == 6
-        first = lines[1].split(",")
-        assert first[0] == "0"
-        assert first[1] in ("0.5", "-0.5")
-        assert first[2] == "-1"
-
-    def test_gemenge_branch_column(self):
-        stream, _ = run_trials(Scenario(SYM, SYM, "gemenge", seed=10, trials=5))
-        rows = stream_to_csv(stream).strip().split("\n")[1:]
-        assert all(row.split(",")[2] in ("0", "1") for row in rows)
