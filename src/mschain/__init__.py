@@ -15,7 +15,6 @@ from .chain import (
     HamiltonianSpec,
     MSState,
     Scenario,
-    attach_factor,
     decohere,
     full_chain,
     gemenge_restriction,
@@ -61,8 +60,6 @@ from .linalg import (
     embed_operator,
     partial_trace,
     pure_density,
-    reduced_state,
-    tensor_product,
     unitary_exp,
     validate_state_vector,
 )

@@ -26,14 +26,13 @@ from .errors import (
     ValidationError,
 )
 from .linalg import (
-    DEFAULT_MAX_DIM,
     IDENTITY_2,
+    MAX_DIM,
     PAULI_X,
     PAULI_Y,
     TensorLayout,
     _kept_positions,
     _kron,
-    _reduced_vector,
     _require_unit_norm,
     as_complex_array,
     partial_trace,
@@ -96,18 +95,22 @@ class Scenario:
         return (abs(self.a1) ** 2, abs(self.a2) ** 2)
 
 
+def _scenario_fields(s: Scenario) -> tuple[tuple[str, object], ...]:
+    """The scenario's fields as (name, value) pairs sorted by name; complex as [re, im]."""
+    return (
+        ("a1", [s.a1.real, s.a1.imag]),
+        ("a2", [s.a2.real, s.a2.imag]),
+        ("env_overlap", s.env_overlap),
+        ("input_kind", s.input_kind),
+        ("n_env", s.n_env),
+        ("seed", s.seed),
+        ("trials", s.trials),
+    )
+
+
 def scenario_digest(scenario: Scenario) -> str:
     """Content hash of a scenario, stable across runs and platforms."""
-    payload = {
-        "a1": [scenario.a1.real, scenario.a1.imag],
-        "a2": [scenario.a2.real, scenario.a2.imag],
-        "input_kind": scenario.input_kind,
-        "n_env": scenario.n_env,
-        "env_overlap": scenario.env_overlap,
-        "seed": scenario.seed,
-        "trials": scenario.trials,
-    }
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    text = json.dumps(dict(_scenario_fields(scenario)), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode("ascii")).hexdigest()[:16]
 
 
@@ -147,7 +150,20 @@ class MSState:
         return pure_density(self.vector)
 
     def reduced(self, keep) -> np.ndarray:
-        return _reduced_vector(self.vector, self.layout, _kept_positions(self.layout, keep))
+        """Reduced density matrix on the kept factor labels, in layout order.
+
+        Equals `partial_trace(self.density(), self.layout, keep)` without
+        forming |psi><psi|: the vector is viewed as a tensor over the layout's
+        dims, the kept axes move to the front, and the result is M @ M^dagger
+        with M of shape (d_keep, dim / d_keep), so memory stays O(dim).
+        Raises UsageError on an empty keep set or an unknown label.
+        """
+        positions = _kept_positions(self.layout, keep)
+        dims = self.layout.dims
+        rest = [i for i in range(len(dims)) if i not in positions]
+        d_keep = math.prod(dims[i] for i in positions)
+        m = self.vector.reshape(dims).transpose(positions + rest).reshape(d_keep, -1)
+        return m @ m.conj().T
 
 
 @dataclass(frozen=True)
@@ -279,16 +295,9 @@ def prepare_gemenge(a1: complex, a2: complex) -> Gemenge:
     return make_gemenge(branches, notes)
 
 
-def attach_factor(state: MSState, label: str, factor_state: np.ndarray,
-                  max_dim: int = DEFAULT_MAX_DIM) -> MSState:
-    """Tensor a fresh factor in its own pure state onto the right of the chain."""
-    return _attach(state, label, validate_state_vector(factor_state), max_dim)
-
-
-def _attach(state: MSState, label: str, factor: np.ndarray,
-            max_dim: int = DEFAULT_MAX_DIM) -> MSState:
-    """`attach_factor` with a factor state the package has checked."""
-    vec = _kron(state.vector, factor, max_dim)
+def _attach(state: MSState, label: str, factor: np.ndarray) -> MSState:
+    """Tensor a fresh factor, in a pure state the package has checked, onto the right."""
+    vec = _kron(state.vector, factor)
     return MSState._built(vec, state.layout.extended(label, factor.shape[0]))
 
 
@@ -412,8 +421,7 @@ class DecoherenceResult:
     reduced_ms: np.ndarray
 
 
-def decohere(state: MSState, n_env: int, eps: float,
-             max_dim: int = DEFAULT_MAX_DIM) -> DecoherenceResult:
+def decohere(state: MSState, n_env: int, eps: float) -> DecoherenceResult:
     """Entangle the chain with n_env two-level environment elements.
 
     Each element ends in one of two states whose mutual overlap is `eps`,
@@ -425,11 +433,11 @@ def decohere(state: MSState, n_env: int, eps: float,
         raise ValidationError("environment overlap eps must lie in [0, 1]")
     if n_env < 0:
         raise ValidationError("n_env must be nonnegative")
-    # 2**n_env > max_dim once n_env reaches max_dim's bit length: decide that
+    # 2**n_env > MAX_DIM once n_env reaches MAX_DIM's bit length: decide that
     # before building a dimension that could have millions of digits
-    if n_env >= max_dim.bit_length() or state.dim * 2**n_env > max_dim:
+    if n_env >= MAX_DIM.bit_length() or state.dim * 2**n_env > MAX_DIM:
         raise CapacityError(
-            f"decohered dimension {state.dim} * 2**{n_env} exceeds the maximum {max_dim}")
+            f"decohered dimension {state.dim} * 2**{n_env} exceeds the maximum {MAX_DIM}")
 
     factor = float(eps) ** n_env if n_env > 0 else 1.0
     env_states = (

@@ -27,6 +27,7 @@ from .chain import (
     Gemenge,
     MSState,
     Scenario,
+    _scenario_fields,
     decohere,
     full_chain,
     object_detector_state,
@@ -57,7 +58,7 @@ from .metrics import (
     purity_report,
     transverse_spin,
 )
-from .sampling import _born_report
+from .sampling import born_report
 
 COMMANDS = ("chain", "discriminate", "overlap", "born", "decohere", "all")
 FORMATS = ("csv", "structured-text")
@@ -152,17 +153,21 @@ def _parse_tolerance(value, name: str) -> float:
     return tol
 
 
-def _json_object(text: str) -> dict:
+def _json_object(text: str | bytes) -> dict:
+    """Parse config text; bytes must be UTF-8."""
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
+        data = json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config is not UTF-8: {exc}") from exc
+    # bad JSON or an integer of more than 4300 digits; nesting past the parser's depth
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
     return data
 
 
-def parse_config(text: str, override_command: str | None = None) -> RunConfig:
+def parse_config(text: str | bytes, override_command: str | None = None) -> RunConfig:
     """Validate a JSON config and apply the documented defaults."""
     return config_from_dict(_json_object(text), override_command)
 
@@ -223,18 +228,6 @@ def config_from_dict(data: dict, override_command: str | None = None) -> RunConf
         output_path=output_path,
         output_format=output_format,
         tolerances=tuple(sorted((k, _parse_tolerance(v, k)) for k, v in tolerances.items())),
-    )
-
-
-def _scenario_echo(s: Scenario) -> tuple[tuple[str, object], ...]:
-    return (
-        ("a1", [s.a1.real, s.a1.imag]),
-        ("a2", [s.a2.real, s.a2.imag]),
-        ("env_overlap", s.env_overlap),
-        ("input_kind", s.input_kind),
-        ("n_env", s.n_env),
-        ("seed", s.seed),
-        ("trials", s.trials),
     )
 
 
@@ -431,7 +424,7 @@ def _born_rows(run: _Run) -> tuple[list[ReportRow], list[str]]:
     scenario = run.scenario
     sigma_bound = run.config.tolerance("born_sigma")
     rows: list[ReportRow] = []
-    report = _born_report(run.model, scenario)
+    report = born_report(run.model, scenario)
     rows.append(ReportRow("born.trials", report.trials))
     rows.append(ReportRow("born.stream_digest", scenario_digest(scenario)))
     for stat in report.stats:
@@ -504,7 +497,7 @@ def execute(config: RunConfig) -> Report:
     return Report(
         command=config.command,
         digest=scenario_digest(config.scenario),
-        scenario=_scenario_echo(config.scenario),
+        scenario=_scenario_fields(config.scenario),
         version=__version__,
         rows=tuple(rows),
         notes=tuple(notes),
@@ -632,7 +625,7 @@ def main(argv=None) -> int:
 
     try:
         if args.config is not None:
-            with open(args.config, "r", encoding="utf-8") as handle:
+            with open(args.config, "rb") as handle:
                 text = handle.read()
         else:
             text = "{}"

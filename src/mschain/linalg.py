@@ -3,8 +3,9 @@
 Everything here works on plain numpy arrays: state vectors are 1-d complex
 arrays with unit norm, operators are square complex matrices. The chain
 itself has 8 dimensions; with environment elements a state grows up to the
-4096-dimension cap. At that size a dense |psi><psi| takes 256 MiB, so a pure
-state is reduced from its vector (`reduced_state`) and never from its
+4096-dimension cap, `MAX_DIM`, which bounds every dimension the package
+builds. At that size a dense |psi><psi| takes 256 MiB, so a pure state is
+reduced from its vector (`chain.MSState.reduced`) and never from its
 density; `partial_trace` is for genuinely mixed densities. Otherwise clarity
 beats cleverness throughout: dense row-major storage, no sparsity, spectral
 methods everywhere.
@@ -12,6 +13,7 @@ methods everywhere.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -20,7 +22,7 @@ import numpy as np
 from .errors import CapacityError, UsageError, ValidationError
 
 # Hard cap on any composite Hilbert-space dimension built by this package.
-DEFAULT_MAX_DIM = 4096
+MAX_DIM = 4096
 
 NORM_TOL = 1e-10
 HERM_TOL = 1e-10
@@ -135,41 +137,21 @@ class SpectralDecomposition:
     vectors: np.ndarray
     groups: tuple[tuple[float, tuple[int, ...]], ...]
 
-    @property
-    def distinct_values(self) -> tuple[float, ...]:
-        return tuple(val for val, _ in self.groups)
 
-
-def tensor_product(a, b, max_dim: int = DEFAULT_MAX_DIM) -> np.ndarray:
-    """Kronecker product of two vectors or two matrices.
+def _kron(aa: np.ndarray, bb: np.ndarray) -> np.ndarray:
+    """Kronecker product of two checked complex vectors or two matrices.
 
     Index convention for matrices: (A otimes B)[i*r + k, j*s + l] = A[i,j] * B[k,l]
     with B of shape (r, s). numpy's kron implements exactly this.
     """
-    aa = as_complex_array(a)
-    bb = as_complex_array(b)
-    if aa.ndim != bb.ndim or aa.ndim not in (1, 2):
-        raise UsageError("tensor_product expects two vectors or two matrices")
-    return _kron(aa, bb, max_dim)
-
-
-def _kron(aa: np.ndarray, bb: np.ndarray, max_dim: int = DEFAULT_MAX_DIM) -> np.ndarray:
-    """`tensor_product` of two complex arrays of one kind, already checked."""
     out_size = aa.shape[0] * bb.shape[0]
-    if out_size > max_dim:
+    if out_size > MAX_DIM:
         raise CapacityError(
-            f"tensor product dimension {out_size} exceeds the maximum {max_dim}"
+            f"tensor product dimension {out_size} exceeds the maximum {MAX_DIM}"
         )
     if aa.ndim == 1:  # np.kron's products, without its general-rank set-up
         return np.multiply.outer(aa, bb).reshape(-1)
     return np.kron(aa, bb)
-
-
-def tensor_many(*ops, max_dim: int = DEFAULT_MAX_DIM) -> np.ndarray:
-    out = as_complex_array(ops[0])
-    for op in ops[1:]:
-        out = tensor_product(out, op, max_dim=max_dim)
-    return out
 
 
 def _kept_positions(layout: TensorLayout, keep) -> list[int]:
@@ -184,7 +166,7 @@ def partial_trace(rho, layout: TensorLayout, keep) -> np.ndarray:
 
     `keep` is an iterable of factor labels; the remaining factors are traced
     out. Works for any density matrix matching the layout's total dimension;
-    a pure state is reduced from its vector by `reduced_state` instead.
+    a pure state is reduced from its vector by `chain.MSState.reduced` instead.
     """
     positions = _kept_positions(layout, keep)
     mat = as_complex_array(rho)
@@ -202,33 +184,6 @@ def partial_trace(rho, layout: TensorLayout, keep) -> np.ndarray:
     reduced = np.einsum(tensor, row_idx + col_idx, out_idx)
     d_keep = int(np.prod([dims[i] for i in positions]))
     return reduced.reshape(d_keep, d_keep)
-
-
-def reduced_state(vec, layout: TensorLayout, keep) -> np.ndarray:
-    """Reduced density matrix of the pure state `vec` on the kept factors.
-
-    Equals `partial_trace(pure_density(vec), layout, keep)` without forming
-    |vec><vec|: the vector is viewed as a tensor over `layout.dims`, the kept
-    axes move to the front in layout order, and the result is M @ M^dagger
-    with M of shape (d_keep, total / d_keep). Memory stays O(total) rather
-    than O(total**2). Raises UsageError on an empty keep set, an unknown
-    label or a vector whose length does not match the layout.
-    """
-    positions = _kept_positions(layout, keep)
-    v = as_complex_array(vec)
-    total = layout.total_dim
-    if v.shape != (total,):
-        raise UsageError(f"vector shape {v.shape} does not match layout dim {total}")
-    return _reduced_vector(v, layout, positions)
-
-
-def _reduced_vector(v: np.ndarray, layout: TensorLayout, positions: list[int]) -> np.ndarray:
-    """`reduced_state` of a complex vector already checked against `layout`."""
-    dims = layout.dims
-    rest = [i for i in range(len(dims)) if i not in positions]
-    d_keep = math.prod(dims[i] for i in positions)
-    m = v.reshape(dims).transpose(positions + rest).reshape(d_keep, -1)
-    return m @ m.conj().T
 
 
 def _group_sorted_desc(values: np.ndarray) -> tuple[tuple[float, tuple[int, ...]], ...]:
@@ -270,8 +225,12 @@ def embed_operator(op: np.ndarray, layout: TensorLayout, label: str) -> np.ndarr
         raise UsageError(
             f"operator shape {mat.shape} does not match factor {label!r} of dim {layout.dims[pos]}"
         )
+    if layout.total_dim > MAX_DIM:  # before building any piece
+        raise CapacityError(
+            f"embedded operator dimension {layout.total_dim} exceeds the maximum {MAX_DIM}"
+        )
     pieces = [np.eye(d, dtype=complex) if i != pos else mat for i, d in enumerate(layout.dims)]
-    return tensor_many(*pieces, max_dim=layout.total_dim)
+    return functools.reduce(_kron, pieces)
 
 
 class HermitianObservable:

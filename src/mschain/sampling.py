@@ -7,13 +7,14 @@ trials are scheduled, and per-trial draws can be generated in any order or in
 parallel without shared generator state.
 
 One Born rule serves every draw: `outcome_cells` weighs a model's outcome
-cells and `_choose` picks the first cell whose cumulative weight exceeds the
-uniform, so single events, `run_trials` streams and `born_report` counts
-agree draw for draw. Draws being order-free, `born_report` counts `CHUNK`
-trials at a time, in memory that does not grow with the trial count: one
-in-place SplitMix64 kernel, shared with `trial_uniforms`, fills reused
-buffers, and each cell's count is read off a chunk as the number of draws at
-or above its edge, so no draw is ever labelled with its cell.
+cells, and a draw's cell is the number of inner edges (every cumulative
+weight but the last) at or below it, so single events, `run_trials` streams
+and `born_report` counts agree draw for draw. Draws being order-free,
+`born_report` counts `CHUNK` trials at a time, in memory that does not grow
+with the trial count: one in-place SplitMix64 kernel, shared with
+`trial_uniforms`, fills reused buffers, and each cell's count is read off a
+chunk as the number of draws at or above its edge, so no draw is ever
+labelled with its cell.
 """
 
 from __future__ import annotations
@@ -175,14 +176,10 @@ def _cell_outcome(model: MSState | Gemenge, cell: int) -> tuple[int, float]:
     return cell, model.pointer_value(cell)
 
 
-def _choose(edges: np.ndarray, u):
-    """The Born rule: first cell whose cumulative weight exceeds `u` (scalar or array)."""
-    return np.minimum(np.searchsorted(edges, u, side="right"), len(edges) - 1)
-
-
 def _draw(model: MSState | Gemenge, rng_draw: float) -> tuple[int, InformationPattern]:
     weights, cells = outcome_cells(model)
-    branch, q = _cell_outcome(model, cells[_choose(np.cumsum(weights), rng_draw)])
+    cell = np.searchsorted(np.cumsum(weights)[:-1], rng_draw, side="right")
+    branch, q = _cell_outcome(model, cells[cell])
     return branch, InformationPattern((q,))
 
 
@@ -220,7 +217,7 @@ def run_trials(scenario: Scenario) -> tuple[OutcomeStream, FrequencyReport]:
     _require_trials_within_cap(scenario.trials)
     weights, outcomes = _outcome_table(full_chain(scenario))
     draws = trial_uniforms(scenario.seed, np.arange(scenario.trials))
-    chosen = _choose(np.cumsum(weights), draws)
+    chosen = np.searchsorted(np.cumsum(weights)[:-1], draws, side="right")
     branches = np.array([b for b, _ in outcomes], dtype=np.int64)[chosen]
     q_values = np.array([q for _, q in outcomes])[chosen]
     stream = OutcomeStream(scenario.seed, q_values, branches, scenario_digest(scenario))
@@ -228,23 +225,17 @@ def run_trials(scenario: Scenario) -> tuple[OutcomeStream, FrequencyReport]:
     return stream, _frequency_report(weights, outcomes, counts, scenario.trials)
 
 
-def born_report(scenario: Scenario) -> FrequencyReport:
-    """The frequency report of `run_trials`, counted CHUNK trials at a time."""
-    _require_trials_within_cap(scenario.trials)  # before the chain is built
-    return _born_report(full_chain(scenario), scenario)
+def born_report(model: MSState | Gemenge, scenario: Scenario) -> FrequencyReport:
+    """The frequency report of `run_trials` on the chain `model` of `scenario`.
 
-
-def _born_report(model: MSState | Gemenge, scenario: Scenario) -> FrequencyReport:
-    """`born_report` on the chain `model` of `scenario`, built by the caller.
-
-    No draw is labelled with its cell. By `_choose`, a draw lands in cell j or
-    above (0 < j < n) exactly when u >= edges[j - 1], last-cell clip included,
-    so each chunk adds those tail counts and cell j's count is
-    tail[j] - tail[j + 1], with tail[0] = trials and tail[n] = 0.
+    Counted CHUNK trials at a time, and no draw is labelled with its cell: a
+    draw lands in cell j or above (0 < j < n) exactly when it is at or above
+    the inner edge edges[j - 1], so each chunk adds those tail counts and cell
+    j's count is tail[j] - tail[j + 1], with tail[0] = trials and tail[n] = 0.
     """
     _require_trials_within_cap(scenario.trials)
     weights, outcomes = _outcome_table(model)
-    edges = np.cumsum(weights)
+    edges = np.cumsum(weights)[:-1]
     tail = np.zeros(len(weights) + 1, dtype=np.int64)
     tail[0] = scenario.trials
     counters = np.arange(1, CHUNK + 1, dtype=np.uint64)
@@ -253,8 +244,8 @@ def _born_report(model: MSState | Gemenge, scenario: Scenario) -> FrequencyRepor
         size = min(CHUNK, scenario.trials - start)
         np.add(counters[:size], _U64(start), out=z[:size])
         draws = _splitmix_uniforms(scenario.seed, z[:size], scratch[:size], u[:size])
-        for j in range(1, len(weights)):
-            tail[j] += np.count_nonzero(draws >= edges[j - 1])
+        for j, edge in enumerate(edges, start=1):
+            tail[j] += np.count_nonzero(draws >= edge)
     return _frequency_report(weights, outcomes, tail[:-1] - tail[1:], scenario.trials)
 
 

@@ -15,7 +15,6 @@ from mschain.chain import (
     Gemenge,
     MSState,
     Scenario,
-    attach_factor,
     full_chain,
     make_gemenge,
     statistical_restriction,
@@ -28,10 +27,7 @@ from mschain.linalg import (
     embed_operator,
     partial_trace,
     pure_density,
-    reduced_state,
     require_hermitian,
-    tensor_many,
-    tensor_product,
     unitary_exp,
     validate_state_vector,
 )
@@ -73,17 +69,12 @@ NONFINITE = {
     "phase_averaged/vector": lambda v2, r2, v8, r8: phase_averaged_purity_information(v2, RHO2),
     "purity_report/density": lambda v2, r2, v8, r8: purity_report(r2),
     "purity_report/vector": lambda v2, r2, v8, r8: purity_report(v2),
-    "reduced_state": lambda v2, r2, v8, r8: reduced_state(v8, LAYOUT, "O"),
     "partial_trace": lambda v2, r2, v8, r8: partial_trace(r8, LAYOUT, "O"),
-    "tensor_product/left": lambda v2, r2, v8, r8: tensor_product(v2, V2),
-    "tensor_product/right": lambda v2, r2, v8, r8: tensor_product(V2, v2),
-    "tensor_many": lambda v2, r2, v8, r8: tensor_many(RHO2, RHO2, r2),
     "validate_state_vector": lambda v2, r2, v8, r8: validate_state_vector(v2),
     # pure_density checked nothing before: it returned a NaN density
     "pure_density": lambda v2, r2, v8, r8: pure_density(v2),
     "require_hermitian": lambda v2, r2, v8, r8: require_hermitian(r2),
     "MSState": lambda v2, r2, v8, r8: MSState(v8, LAYOUT),
-    "attach_factor": lambda v2, r2, v8, r8: attach_factor(_chain(), "E", v2),
     "statistical_restriction": lambda v2, r2, v8, r8: statistical_restriction(r8, LAYOUT),
     "HermitianObservable": lambda v2, r2, v8, r8: HermitianObservable(r2),
     "eig_hermitian": lambda v2, r2, v8, r8: eig_hermitian(r2),
@@ -127,16 +118,10 @@ WRONG_SHAPE = {
                               U, "purity rate is defined for two-dim states"),
     "purity_report/vector": (lambda: purity_report(V3),
                              U, "purity rate is defined for two-dim states"),
-    "reduced_state/length": (lambda: reduced_state(V3, LAYOUT, "O"),
-                             U, "vector shape (3,) does not match layout dim 8"),
-    "reduced_state/matrix": (lambda: reduced_state(RHO8, LAYOUT, "O"),
-                             U, "vector shape (8, 8) does not match layout dim 8"),
     "partial_trace/size": (lambda: partial_trace(RHO3, LAYOUT, "O"),
                            U, "density shape (3, 3) does not match layout dim 8"),
     "partial_trace/vector": (lambda: partial_trace(_chain().vector, LAYOUT, "O"),
                              U, "density shape (8,) does not match layout dim 8"),
-    "tensor_product": (lambda: tensor_product(V2, RHO2),
-                       U, "tensor_product expects two vectors or two matrices"),
     "validate_state_vector/matrix": (lambda: validate_state_vector(RHO2),
                                      V, "state vector must be a nonempty 1-d array"),
     "validate_state_vector/empty": (lambda: validate_state_vector(np.zeros(0)),
@@ -151,8 +136,6 @@ WRONG_SHAPE = {
                        V, "vector dim 2 does not match layout dim 8"),
     "MSState/matrix": (lambda: MSState(RHO8, LAYOUT),
                        V, "state vector must be a nonempty 1-d array"),
-    "attach_factor": (lambda: attach_factor(_chain(), "E", RHO2),
-                      V, "state vector must be a nonempty 1-d array"),
     "statistical_restriction/size": (lambda: statistical_restriction(RHO3, LAYOUT),
                                      U, "density shape (3, 3) does not match layout dim 8"),
     "statistical_restriction/no-layout": (lambda: statistical_restriction(RHO8),

@@ -13,7 +13,7 @@ from mschain.chain import (
     PREMEASURE_UNITARY,
     READY_STATE,
     Scenario,
-    attach_factor,
+    _attach,
     decohere,
     factorize_branch,
     full_chain,
@@ -396,11 +396,19 @@ class TestScenario:
 class TestAttachFactor:
     def test_layout_grows(self):
         ms = MSState(BASIS_1, TensorLayout((("S", 2),)))
-        grown = attach_factor(ms, "D", READY_STATE)
+        grown = _attach(ms, "D", READY_STATE)
         assert grown.layout.labels == ("S", "D")
         assert_allclose(grown.vector, np.kron(BASIS_1, READY_STATE))
 
     def test_capacity_respected(self):
         ms = MSState(BASIS_1, TensorLayout((("S", 2),)))
         with pytest.raises(CapacityError):
-            attach_factor(ms, "X", np.ones(4096) / 64.0, max_dim=4096)
+            _attach(ms, "X", np.ones(4096) / 64.0)
+
+    def test_reaches_the_cap_and_fails_one_factor_past_it(self):
+        ms = MSState(BASIS_1, TensorLayout((("S", 2),)))
+        for k in range(11):
+            ms = _attach(ms, f"E{k}", READY_STATE)
+        assert ms.dim == 4096 and len(ms.layout.labels) == 12
+        with pytest.raises(CapacityError, match="dimension 8192 exceeds the maximum 4096"):
+            _attach(ms, "E11", READY_STATE)

@@ -378,6 +378,31 @@ class TestStrictConfig:
         assert config.tolerance("born_sigma") == 3.0
 
 
+# Config text that `json.loads` cannot turn into an object, by the error it raised
+CONFIG_TEXTS = {
+    "not-utf8": b'{"a1": 0.6, "a2": 0.8, "command": "\xff"}',  # UnicodeDecodeError
+    "deep-nesting": b'{"a1": ' + b"[" * 200_000 + b"]" * 200_000 + b"}",  # RecursionError
+    "huge-integer": b'{"seed": ' + b"1" * 5000 + b"}",  # ValueError past 4300 digits
+}
+
+
+class TestConfigText:
+    @pytest.mark.parametrize("name", sorted(CONFIG_TEXTS))
+    def test_main_exits_2_with_one_line(self, tmp_path, capsys, name):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(CONFIG_TEXTS[name])
+        assert main(["chain", "--config", str(cfg)]) == 2
+        out = capsys.readouterr()
+        assert out.err.startswith("config error:") and out.err.count("\n") == 1
+        assert out.out == ""
+
+    @pytest.mark.parametrize("name", sorted(CONFIG_TEXTS))
+    def test_parse_config_raises_config_error(self, name):
+        text = CONFIG_TEXTS[name]
+        with pytest.raises(ConfigError):
+            parse_config(text if name == "not-utf8" else text.decode("ascii"), "chain")
+
+
 class TestTolerances:
     def test_override_respected(self):
         config = config_from_dict(

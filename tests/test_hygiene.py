@@ -1,7 +1,8 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used in that module, and every
+private name a module defines is used somewhere in the package.
 
 A stdlib `ast` walk, so it runs wherever the tests run. `__init__.py` is
-exempt: its imports are the package's re-exports.
+exempt from both checks: its imports are the package's re-exports.
 """
 
 import ast
@@ -33,3 +34,39 @@ def test_every_import_is_used(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     unused = sorted(_imported_names(tree) - _used_names(tree))
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def _module_private_names(tree: ast.Module) -> set[str]:
+    """Names starting with `_` that a module defines at its top level."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+
+
+def _references(tree: ast.Module) -> set[str]:
+    """Every name a module reads, looks up as an attribute or imports from a module."""
+    refs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            refs.update(alias.name for alias in node.names)
+    return refs
+
+
+TREES = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(PACKAGE.glob("*.py"))}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_every_private_name_is_referenced(path):
+    # a private half left behind when its public twin or its caller goes
+    referenced = set().union(*(_references(tree) for tree in TREES.values()))
+    dead = sorted(_module_private_names(TREES[path.name]) - referenced)
+    assert not dead, f"{path.name} defines private names no package module uses: {dead}"

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from mschain.chain import MSState
 from mschain.errors import CapacityError, UsageError, ValidationError
 from mschain.linalg import (
     HermitianObservable,
@@ -10,12 +13,11 @@ from mschain.linalg import (
     PAULI_Y,
     PAULI_Z,
     TensorLayout,
+    _kron,
     eig_hermitian,
     embed_operator,
     partial_trace,
     pure_density,
-    reduced_state,
-    tensor_product,
     unitary_exp,
     validate_state_vector,
 )
@@ -43,14 +45,16 @@ def branch_product_matrix():
 
 
 class TestTensorProduct:
+    layout_ab = TensorLayout((("A", 2), ("B", 2)))
+
     def test_basis_index_case(self):
-        assert_allclose(tensor_product(E1, E1), [1, 0, 0, 0])
+        assert_allclose(_kron(E1, E1), [1, 0, 0, 0])
 
     def test_identity_case(self):
-        assert_allclose(tensor_product(IDENTITY_2, IDENTITY_2), np.eye(4))
+        assert_allclose(embed_operator(IDENTITY_2, self.layout_ab, "A"), np.eye(4))
 
     def test_pauli_x_with_identity_against_index_formula(self):
-        got = tensor_product(PAULI_X, IDENTITY_2)
+        got = embed_operator(PAULI_X, self.layout_ab, "A")
         # independent oracle: apply the index convention entrywise
         expected = np.zeros((4, 4), dtype=complex)
         for i in range(2):
@@ -66,23 +70,19 @@ class TestTensorProduct:
         rng = np.random.default_rng(3)
         for _ in range(25):
             a, b, c = (rng.integers(-3, 4, size=(2, 2)).astype(complex) for _ in range(3))
-            left = tensor_product(tensor_product(a, b), c)
-            right = tensor_product(a, tensor_product(b, c))
+            left = _kron(_kron(a, b), c)
+            right = _kron(a, _kron(b, c))
             assert np.array_equal(left, right)
 
     def test_capacity_error(self):
         big = np.eye(70, dtype=complex)
         with pytest.raises(CapacityError):
-            tensor_product(big, big)
-
-    def test_rejects_mixed_kinds(self):
-        with pytest.raises(UsageError):
-            tensor_product(E1, IDENTITY_2)
+            _kron(big, big)
 
     def test_rejects_nonfinite(self):
         bad = np.array([[np.nan, 0], [0, 1]])
         with pytest.raises(ValidationError):
-            tensor_product(bad, IDENTITY_2)
+            embed_operator(bad, self.layout_ab, "A")
 
 
 class TestPartialTrace:
@@ -96,14 +96,14 @@ class TestPartialTrace:
         assert_allclose(reduced, rho_a, atol=1e-12)
 
     def test_maximally_entangled(self):
-        bell = (tensor_product(E1, E1) + tensor_product(E2, E2)) / np.sqrt(2)
+        bell = (np.kron(E1, E1) + np.kron(E2, E2)) / np.sqrt(2)
         for keep in ("A", "B"):
             reduced = partial_trace(pure_density(bell), self.layout_ab, (keep,))
             assert_allclose(reduced, np.eye(2) / 2, atol=1e-12)
 
     def test_entangled_chain_state_detector_reduction(self):
         a1, a2 = np.sqrt(0.3), np.sqrt(0.7)
-        psi = a1 * tensor_product(E1, E1) + a2 * tensor_product(E2, E2)
+        psi = a1 * np.kron(E1, E1) + a2 * np.kron(E2, E2)
         layout = TensorLayout((("S", 2), ("D", 2)))
         reduced = partial_trace(pure_density(psi), layout, ("D",))
         assert_allclose(reduced, np.diag([0.3, 0.7]), atol=1e-12)
@@ -144,6 +144,8 @@ class TestPartialTrace:
 
 
 class TestReducedState:
+    """A pure state's reduction from its vector, `MSState.reduced`, against the dense trace."""
+
     layout = TensorLayout((("A", 2), ("B", 3), ("C", 2), ("D", 2)))
 
     def test_matches_dense_partial_trace_for_every_keep_set(self):
@@ -158,7 +160,7 @@ class TestReducedState:
         for keep in subsets:
             shuffled = tuple(rng.permutation(keep))
             expected = partial_trace(rho, self.layout, shuffled)
-            reduced = reduced_state(v, self.layout, shuffled)
+            reduced = MSState(v, self.layout).reduced(shuffled)
             assert reduced.shape == expected.shape
             assert np.max(np.abs(reduced - expected)) < 1e-12
 
@@ -166,22 +168,23 @@ class TestReducedState:
         rng = np.random.default_rng(19)
         v = rng.normal(size=24) + 1j * rng.normal(size=24)
         v /= np.linalg.norm(v)
-        assert_allclose(reduced_state(v, self.layout, "B"),
+        assert_allclose(MSState(v, self.layout).reduced("B"),
                         partial_trace(pure_density(v), self.layout, ("B",)), atol=1e-12)
 
     def test_empty_keep(self):
         with pytest.raises(UsageError):
-            reduced_state(np.ones(24) / np.sqrt(24), self.layout, ())
+            MSState(np.ones(24) / np.sqrt(24), self.layout).reduced(())
 
     def test_unknown_label(self):
         with pytest.raises(UsageError):
-            reduced_state(np.ones(24) / np.sqrt(24), self.layout, ("A", "X"))
+            MSState(np.ones(24) / np.sqrt(24), self.layout).reduced(("A", "X"))
 
     def test_length_mismatch(self):
-        with pytest.raises(UsageError):
-            reduced_state(np.ones(12) / np.sqrt(12), self.layout, ("A",))
-        with pytest.raises(UsageError):
-            reduced_state(np.ones((24, 1)) / np.sqrt(24), self.layout, ("A",))
+        # a vector enters through MSState, so one of another length never reaches a reduction
+        with pytest.raises(ValidationError):
+            MSState(np.ones(12) / np.sqrt(12), self.layout)
+        with pytest.raises(ValidationError):
+            MSState(np.ones((24, 1)) / np.sqrt(24), self.layout)
 
 
 class TestEigHermitian:
@@ -203,7 +206,7 @@ class TestEigHermitian:
         assert_allclose(raw, [-1.0] + [0.0] * 6 + [1.0], atol=1e-12)
 
         spec = eig_hermitian(b)
-        assert spec.distinct_values == pytest.approx((1.0, 0.0, -1.0))
+        assert [value for value, _ in spec.groups] == pytest.approx([1.0, 0.0, -1.0])
         sizes = [len(idx) for _, idx in spec.groups]
         assert sizes == [1, 6, 1]
 
@@ -279,6 +282,18 @@ class TestEmbedOperator:
         layout = TensorLayout((("A", 2), ("B", 3)))
         with pytest.raises(UsageError):
             embed_operator(PAULI_Z, layout, "B")
+
+    def test_capacity_checked_before_building_any_piece(self):
+        # 2**13 = 8192 dims: the lifted operator alone would take 1 GiB
+        layout = TensorLayout(tuple((f"F{k}", 2) for k in range(13)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match="exceeds the maximum 4096"):
+                embed_operator(PAULI_Z, layout, "F0")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestHermitianObservable:

@@ -232,7 +232,7 @@ class TestBornReport:
         # three full chunks and a remainder
         scenario = Scenario(a1, a2, kind, seed=21, trials=3 * CHUNK + 17)
         _, report = run_trials(scenario)
-        assert born_report(scenario) == report
+        assert born_report(full_chain(scenario), scenario) == report
 
     @staticmethod
     def _counted_like_the_stream(monkeypatch, model, trials):
@@ -240,7 +240,7 @@ class TestBornReport:
         monkeypatch.setattr(sampling, "full_chain", lambda scenario: model)
         scenario = Scenario(SYM, SYM, "gemenge", seed=SEED, trials=trials)
         stream, report = run_trials(scenario)
-        assert born_report(scenario) == report
+        assert born_report(model, scenario) == report
         return stream
 
     @pytest.mark.parametrize("trials", [6, CHUNK + 1])
@@ -269,15 +269,22 @@ class TestBornReport:
         ms = full_chain(Scenario(np.sqrt(1e-13), np.sqrt(1.0 - 1e-13), "pure"))
         assert outcome_cells(ms) == ([1.0], [1])
 
-    @pytest.mark.parametrize("sample", [born_report, run_trials])
+    @pytest.mark.parametrize("sample", ["born_report", "run_trials"])
     def test_trials_above_the_cap_rejected_without_drawing(self, monkeypatch, sample):
-        # draws come after the chain is built, so no chain means no draws
-        def no_chain(*args):
-            raise AssertionError("built the chain for a rejected trial count")
+        scenario = Scenario(SYM, SYM, "pure", trials=MAX_TRIALS + 1)
+        model = full_chain(scenario)  # born_report counts on a chain its caller built
 
-        monkeypatch.setattr(sampling, "full_chain", no_chain)
+        def fail(*args):
+            raise AssertionError("built a chain or drew a uniform for a rejected trial count")
+
+        # every uniform comes from the one SplitMix64 kernel
+        monkeypatch.setattr(sampling, "_splitmix_uniforms", fail)
+        monkeypatch.setattr(sampling, "full_chain", fail)
         with pytest.raises(CapacityError, match="trials"):
-            sample(Scenario(SYM, SYM, "pure", trials=MAX_TRIALS + 1))
+            if sample == "born_report":
+                born_report(model, scenario)
+            else:
+                run_trials(scenario)
 
 
 class TestCompareStreams:
