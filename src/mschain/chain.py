@@ -28,6 +28,7 @@ from .errors import (
 from .linalg import (
     IDENTITY_2,
     MAX_DIM,
+    NORM_TOL,
     PAULI_X,
     PAULI_Y,
     TensorLayout,
@@ -76,18 +77,19 @@ class Scenario:
     def __post_init__(self):
         if self.input_kind not in ("pure", "gemenge"):
             raise ValidationError(f"input_kind must be 'pure' or 'gemenge', got {self.input_kind!r}")
+        # each check is written so that a NaN fails it
         norm_sq = abs(self.a1) ** 2 + abs(self.a2) ** 2
-        if abs(norm_sq - 1.0) > 1e-10:
+        if not abs(norm_sq - 1.0) <= NORM_TOL:
             raise ValidationError(
                 f"amplitudes not normalized: |a1|^2+|a2|^2 deviates from 1 by {norm_sq - 1.0!r}"
             )
-        if self.n_env < 0:
+        if not self.n_env >= 0:
             raise ValidationError("n_env must be nonnegative")
         if not 0.0 <= self.env_overlap <= 1.0:
             raise ValidationError("env_overlap must lie in [0, 1]")
         if not 0 <= self.seed < 2**64:
             raise ValidationError("seed must be a 64-bit unsigned integer")
-        if self.trials < 1:
+        if not self.trials >= 1:
             raise ValidationError("trials must be a positive integer")
 
     @property
@@ -181,10 +183,11 @@ class Gemenge:
     _pointer_values: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        # each check is written so that a NaN fails it
         total = sum(p for _, p in self.branches)
-        if abs(total - 1.0) > 1e-10:
+        if not abs(total - 1.0) <= 1e-10:
             raise ValidationError(f"branch probabilities sum to {total!r}, not 1")
-        if any(p <= 0 for _, p in self.branches):
+        if not all(p > 0 for _, p in self.branches):
             raise ValidationError("branch probabilities must be positive")
 
     @property

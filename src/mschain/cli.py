@@ -406,9 +406,9 @@ def _overlap_rows(run: _Run) -> tuple[list[ReportRow], list[str]]:
                                    1.0, match_tol)
 
     psi_ms = run.pure
-    w_ms = run.gemenge if min(scenario.probabilities) > 1e-12 else None
+    w_ms = run.gemenge
     it = fixed.interference
-    if w_ms is not None:
+    if len(w_ms.branches) > 1:
         expected_b = 1.0 - abs((a1 * a2.conjugate()).real)
         rows += _overlap_pair_rows("interference_full",
                                    eigen_distribution(psi_ms, it.observable),
@@ -430,10 +430,7 @@ def _born_rows(run: _Run) -> tuple[list[ReportRow], list[str]]:
     for stat in report.stats:
         tag = f"born.outcome[{stat.value:g}]"
         rows.append(ReportRow(f"{tag}.count", stat.count))
-        spread = (stat.expected * (1.0 - stat.expected) / report.trials) ** 0.5
-        passed = None
-        if spread > 0.0:
-            passed = bool(abs(stat.frequency - stat.expected) < sigma_bound * spread)
+        passed = None if report.degenerate else bool(abs(stat.z_score) < sigma_bound)
         rows.append(ReportRow(f"{tag}.frequency", stat.frequency, stat.expected, passed))
         rows.append(ReportRow(f"{tag}.z", stat.z_score))
     rows.append(ReportRow("born.chi_square", report.chi_square))

@@ -158,24 +158,6 @@ def combine_observable(alg: PointerAlgebra, spec: ObservableSpec) -> HermitianOb
     return HermitianObservable(matrix, alg.scope)
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, i: int) -> int:
-        while self.parent[i] != i:
-            self.parent[i] = self.parent[self.parent[i]]
-            i = self.parent[i]
-        return i
-
-    def union(self, i: int, j: int) -> bool:
-        ri, rj = self.find(i), self.find(j)
-        if ri == rj:
-            return False
-        self.parent[rj] = ri
-        return True
-
-
 def _null_space(columns: np.ndarray, rel_tol: float) -> np.ndarray:
     """Orthonormal basis (as columns) of the null space of a column-stacked matrix."""
     _, s, vh = np.linalg.svd(columns, full_matrices=True)
@@ -226,11 +208,9 @@ def check_eigen_discrimination(problem: DiscriminationProblem) -> FeasibilityRes
     """
     states = problem.states
     m = len(states)
-    uf = _UnionFind(m)
     adjacency: dict[int, list[tuple[int, MergeEvidence]]] = {i: [] for i in range(m)}
 
     def record(ev: MergeEvidence):
-        uf.union(ev.i, ev.j)
         adjacency[ev.i].append((ev.j, ev))
         adjacency[ev.j].append((ev.i, ev))
 
@@ -248,22 +228,28 @@ def check_eigen_discrimination(problem: DiscriminationProblem) -> FeasibilityRes
     for j, k in dep_pairs:
         record(MergeEvidence("dependence", j, k, dep_detail))
 
+    # merge classes, numbered in the order of their lowest member
+    classes: list[list[int]] = []
+    class_of = [-1] * m
+    for i in range(m):
+        if class_of[i] < 0:
+            members = sorted(_search(adjacency, i))
+            for j in members:
+                class_of[j] = len(classes)
+            classes.append(members)
+
     conflicts = []
     groups = problem.distinct_groups
     for (ga, gb) in combinations(range(len(groups)), 2):
-        ra = uf.find(groups[ga][0])
-        rb = uf.find(groups[gb][0])
-        if ra == rb:
+        if class_of[groups[ga][0]] == class_of[groups[gb][0]]:
             chain = _merge_path(adjacency, groups[ga][0], groups[gb][0])
             conflicts.append(ForcedEquality(ga, gb, chain))
     if conflicts:
         return FeasibilityResult("INFEASIBLE", certificate=tuple(conflicts))
 
-    roots = sorted({uf.find(i) for i in range(m)}, key=lambda r: min(i for i in range(m) if uf.find(i) == r))
     assignment = np.zeros(m)
     witness = np.zeros((problem.space_dim, problem.space_dim), dtype=complex)
-    for value, root in enumerate(roots):
-        members = [i for i in range(m) if uf.find(i) == root]
+    for value, members in enumerate(classes):
         span = np.column_stack([states[i] for i in members])
         u, s, _ = np.linalg.svd(span, full_matrices=False)
         basis = u[:, s > OVERLAP_TOL * s[0]]
@@ -281,20 +267,26 @@ def check_eigen_discrimination(problem: DiscriminationProblem) -> FeasibilityRes
     return FeasibilityResult("FEASIBLE", witness=(obs, tuple(float(v) for v in assignment)))
 
 
-def _merge_path(adjacency, start: int, goal: int) -> tuple[MergeEvidence, ...]:
-    """Shortest evidence chain connecting two states in the merge graph."""
-    prev: dict[int, tuple[int, MergeEvidence]] = {}
+def _search(adjacency, start: int) -> dict[int, tuple[int, MergeEvidence] | None]:
+    """Breadth-first search of the merge graph from `start`.
+
+    Maps every state it reaches to the state it was first reached from and
+    the evidence on that edge (None for `start`).
+    """
+    prev: dict[int, tuple[int, MergeEvidence] | None] = {start: None}
     queue = deque([start])
-    seen = {start}
     while queue:
         node = queue.popleft()
-        if node == goal:
-            break
         for other, ev in adjacency[node]:
-            if other not in seen:
-                seen.add(other)
+            if other not in prev:
                 prev[other] = (node, ev)
                 queue.append(other)
+    return prev
+
+
+def _merge_path(adjacency, start: int, goal: int) -> tuple[MergeEvidence, ...]:
+    """Shortest evidence chain connecting two states in the merge graph."""
+    prev = _search(adjacency, start)
     chain = []
     node = goal
     while node != start:

@@ -229,7 +229,9 @@ def embed_operator(op: np.ndarray, layout: TensorLayout, label: str) -> np.ndarr
         raise CapacityError(
             f"embedded operator dimension {layout.total_dim} exceeds the maximum {MAX_DIM}"
         )
-    pieces = [np.eye(d, dtype=complex) if i != pos else mat for i, d in enumerate(layout.dims)]
+    # a copy of `mat`, which may be the caller's array: one factor is its own product
+    pieces = [np.eye(d, dtype=complex) if i != pos else mat.copy()
+              for i, d in enumerate(layout.dims)]
     return functools.reduce(_kron, pieces)
 
 

@@ -11,10 +11,10 @@ Fixed observables are diagonalized once: `eigen_distribution` reads the
 eigenvector blocks an observable keeps after its first use.
 `phase_averaged_purity_information` reads one cached grid of N_PHASES phases:
 the transverse spins' eigenvector blocks stacked as arrays in ascending value
-order, with the eigenvalue merge of `overlap_tv` done once. One stacked
-`BH @ rho @ B` gives all 2 * N_PHASES probabilities of a state, bit for bit the
-products of the per-phase `eigen_distribution` loop, and the per-phase terms
-are added in grid order, so the average keeps its last bit too.
+order. One stacked `BH @ rho @ B` gives all 2 * N_PHASES probabilities of a
+state, bit for bit the products of the per-phase `eigen_distribution` loop,
+and the per-phase terms are added in grid order, so the average keeps its
+last bit too.
 
 A public function checks a state it is handed once, on entry: finite
 entries, then shape.
@@ -31,8 +31,6 @@ import numpy as np
 from .chain import MSState
 from .errors import UsageError, ValidationError
 from .linalg import (
-    GROUP_TOL_ABS,
-    GROUP_TOL_REL,
     HermitianObservable,
     PAULI_X,
     PAULI_Y,
@@ -104,38 +102,23 @@ def eigen_distribution(state, obs) -> EigenDistribution:
     return EigenDistribution(tuple(entries))
 
 
-def _merged_values(values: list[float]) -> list[float]:
-    """The sorted `values`, less each one within the grouping tolerance of the last kept."""
-    scale = max((abs(v) for v in values), default=0.0)
-    tol = max(GROUP_TOL_REL * scale, GROUP_TOL_ABS)
-    merged: list[float] = []
-    for v in values:
-        if not merged or v - merged[-1] > tol:
-            merged.append(v)
-    return merged
-
-
-def _aligned_probabilities(w1: EigenDistribution, w2: EigenDistribution):
-    """Pair up the two distributions on the union of their eigenvalue grids."""
-    merged = _merged_values(sorted({v for v, _ in w1.entries} | {v for v, _ in w2.entries}))
-    p1 = np.zeros(len(merged))
-    p2 = np.zeros(len(merged))
-    for probs, dist in ((p1, w1), (p2, w2)):
-        for v, p in dist.entries:
-            k = min(range(len(merged)), key=lambda i: abs(v - merged[i]))
-            probs[k] += p
-    return p1, p2
+def _paired_probabilities(w1: EigenDistribution, w2: EigenDistribution):
+    """The probabilities of two distributions of one observable, slot by slot."""
+    if [v for v, _ in w1.entries] != [v for v, _ in w2.entries]:
+        raise UsageError("an overlap compares two distributions of one observable; "
+                         "their eigenvalues differ")
+    return np.array([p for _, p in w1.entries]), np.array([p for _, p in w2.entries])
 
 
 def overlap_tv(w1: EigenDistribution, w2: EigenDistribution) -> float:
     """Minimum overlap sum_i min(w1, w2): one minus the total-variation distance."""
-    p1, p2 = _aligned_probabilities(w1, w2)
+    p1, p2 = _paired_probabilities(w1, w2)
     return float(np.minimum(p1, p2).sum())
 
 
 def overlap_bc(w1: EigenDistribution, w2: EigenDistribution) -> float:
     """Bhattacharyya coefficient sum_i sqrt(w1 * w2)."""
-    p1, p2 = _aligned_probabilities(w1, w2)
+    p1, p2 = _paired_probabilities(w1, w2)
     return float(np.sqrt(p1 * p2).sum())
 
 
@@ -181,19 +164,17 @@ class _PhaseGrid(NamedTuple):
 
 @functools.cache
 def _transverse_spin_grid() -> _PhaseGrid:
-    """The transverse spins on the uniform phase grid, diagonalized and merged up front.
+    """The transverse spins on the uniform phase grid, diagonalized up front.
 
-    A pure and a mixed distribution under one spin share its spectrum, so the
-    eigenvalue merge of `overlap_tv` depends on the phase alone. The spectrum
-    is +-1/2 at every phase, which the merge keeps as two values, so value k
-    of the pair is slot k of the aligned distributions.
+    A pure and a mixed distribution under one spin share its spectrum, +-1/2
+    at every phase, so value k of the pair is slot k of both distributions.
     """
     values, blocks, blocks_h = [], [], []
     for gamma in np.linspace(0.0, 2.0 * np.pi, N_PHASES, endpoint=False):
         ordered = sorted(transverse_spin(gamma).blocks, key=lambda b: b[0])
         pair = tuple(v for v, _, _ in ordered)
-        if len(pair) != 2 or _merged_values(list(pair)) != list(pair):
-            raise RuntimeError(f"transverse spin spectrum {pair} does not align as +-1/2")
+        if len(pair) != 2:
+            raise RuntimeError(f"transverse spin spectrum {pair} does not have two values")
         values.append(pair)
         blocks.append([b for _, b, _ in ordered])
         blocks_h.append([bh for _, _, bh in ordered])

@@ -6,10 +6,11 @@ are therefore bit-identical for a given scenario and seed no matter how the
 trials are scheduled, and per-trial draws can be generated in any order or in
 parallel without shared generator state.
 
-One Born rule serves every draw: `outcome_cells` weighs a model's outcome
-cells, and a draw's cell is the number of inner edges (every cumulative
-weight but the last) at or below it, so single events, `run_trials` streams
-and `born_report` counts agree draw for draw. Draws being order-free,
+One Born rule serves every draw: `outcome_cells` is the one table of a
+model's outcome cells, each with its weight and what it records, and a
+draw's cell is the number of inner edges (every cumulative weight but the
+last) at or below it, so single events, `run_trials` streams and
+`born_report` counts agree draw for draw. Draws being order-free,
 `born_report` counts `CHUNK` trials at a time, in memory that does not grow
 with the trial count: one in-place SplitMix64 kernel, shared with
 `trial_uniforms`, fills reused buffers, and each cell's count is read off a
@@ -150,36 +151,31 @@ class StreamComparison:
     verdict: str  # "indistinguishable" | "distinct"
 
 
-def outcome_cells(model: MSState | Gemenge) -> tuple[list[float], list[int]]:
-    """Born weights of a chain model's outcome cells, and the cells they weigh.
+def outcome_cells(model: MSState | Gemenge) -> tuple[list[float], list[tuple[int, float]]]:
+    """Born weights of a chain model's outcome cells, and what each cell records.
 
     A pure chain state has two cells, its pointer branches, weighted |a1|^2
     and 1 - |a1|^2; a gemenge has one cell per branch, weighted by its
     probability. Cells below BRANCH_PROB_FLOOR are unreachable: they are
-    dropped and the rest renormalized. Returns the kept weights and the kept
-    cell indices (pointer index for a pure state, branch index for a gemenge).
+    dropped and the rest renormalized. Returns the kept weights and each kept
+    cell's (branch index, recognized pointer value); the branch index is -1
+    for a pure state.
     """
     if isinstance(model, MSState):
         a1, _ = pointer_branch_amplitudes(model)
         weights = [abs(a1) ** 2, 1.0 - abs(a1) ** 2]
+        outcome = lambda i: (-1, POINTER_EIGENVALUES[i])
     else:
         weights = [p for _, p in model.branches]
+        outcome = lambda i: (i, model.pointer_value(i))
     cells = [i for i, p in enumerate(weights) if p >= BRANCH_PROB_FLOOR]
     total = sum(weights[i] for i in cells)
-    return [weights[i] / total for i in cells], cells
-
-
-def _cell_outcome(model: MSState | Gemenge, cell: int) -> tuple[int, float]:
-    """Branch index (-1 for a pure state) and recognized pointer value of a cell."""
-    if isinstance(model, MSState):
-        return -1, POINTER_EIGENVALUES[cell]
-    return cell, model.pointer_value(cell)
+    return [weights[i] / total for i in cells], [outcome(i) for i in cells]
 
 
 def _draw(model: MSState | Gemenge, rng_draw: float) -> tuple[int, InformationPattern]:
-    weights, cells = outcome_cells(model)
-    cell = np.searchsorted(np.cumsum(weights)[:-1], rng_draw, side="right")
-    branch, q = _cell_outcome(model, cells[cell])
+    weights, outcomes = outcome_cells(model)
+    branch, q = outcomes[np.searchsorted(np.cumsum(weights)[:-1], rng_draw, side="right")]
     return branch, InformationPattern((q,))
 
 
@@ -202,12 +198,6 @@ def _require_trials_within_cap(trials: int) -> None:
         raise CapacityError(f"trials {trials} exceeds the cap of {MAX_TRIALS}")
 
 
-def _outcome_table(model: MSState | Gemenge) -> tuple[list[float], list[tuple[int, float]]]:
-    """Cell weights and (branch, pointer value) per cell."""
-    weights, cells = outcome_cells(model)
-    return weights, [_cell_outcome(model, c) for c in cells]
-
-
 def run_trials(scenario: Scenario) -> tuple[OutcomeStream, FrequencyReport]:
     """Build the chain once, then sample `scenario.trials` outcomes as a stream.
 
@@ -215,7 +205,7 @@ def run_trials(scenario: Scenario) -> tuple[OutcomeStream, FrequencyReport]:
     report in memory independent of the trial count.
     """
     _require_trials_within_cap(scenario.trials)
-    weights, outcomes = _outcome_table(full_chain(scenario))
+    weights, outcomes = outcome_cells(full_chain(scenario))
     draws = trial_uniforms(scenario.seed, np.arange(scenario.trials))
     chosen = np.searchsorted(np.cumsum(weights)[:-1], draws, side="right")
     branches = np.array([b for b, _ in outcomes], dtype=np.int64)[chosen]
@@ -234,7 +224,7 @@ def born_report(model: MSState | Gemenge, scenario: Scenario) -> FrequencyReport
     j's count is tail[j] - tail[j + 1], with tail[0] = trials and tail[n] = 0.
     """
     _require_trials_within_cap(scenario.trials)
-    weights, outcomes = _outcome_table(model)
+    weights, outcomes = outcome_cells(model)
     edges = np.cumsum(weights)[:-1]
     tail = np.zeros(len(weights) + 1, dtype=np.int64)
     tail[0] = scenario.trials

@@ -1,0 +1,93 @@
+"""Print one `label sha256` line per report of a fixed set of seeded configs.
+
+Run it from the root of a checkout, with the `mschain` to hash first on the
+import path:
+
+    PYTHONPATH=src python3 tests/report_hashes.py > hashes.txt
+
+Every build prints the same labels in the same order, so two builds can be
+compared line by line: a line that differs names a report whose bytes
+changed. The 1,152 configs come from one fixed seed and cover every command
+in both output formats with both input kinds; a weight of 0, 1e-12, 1e-6,
+1 - 1e-6, 1 or a random value on either amplitude; real and complex relative
+phases; `n_env` 0 to 3; and 1, 17, `CHUNK` + 1 or a random number of trials
+up to 3 * `CHUNK` + 17. A config that the command line would reject hashes
+its error instead of a report.
+
+It needs the standard library and `mschain` only. Its name does not match
+`test_*.py`, so pytest does not collect it.
+"""
+
+import cmath
+import hashlib
+import math
+import random
+
+from mschain.cli import COMMANDS, FORMATS, config_from_dict, execute, render_report
+from mschain.errors import CapacityError, ConfigError, ValidationError
+from mschain.sampling import CHUNK
+
+SEED = 2026
+WEIGHTS = ("0", "1e-12", "1e-6", "1-1e-6", "1", "random")
+N_ENV = 4
+# command x input kind x weight x phase x weighted amplitude x n_env
+N_CONFIGS = len(COMMANDS) * 2 * len(WEIGHTS) * 2 * 2 * N_ENV
+
+
+def _weight(name: str, rng: random.Random) -> float:
+    if name == "random":
+        return rng.random()
+    if name == "1-1e-6":
+        return 1.0 - 1e-6
+    return float(name)
+
+
+def configs(rng: random.Random):
+    """(label, config) for every seeded config, in a fixed order."""
+    for i in range(N_CONFIGS):
+        command = COMMANDS[i % len(COMMANDS)]
+        k = i // len(COMMANDS)
+        kind = ("pure", "gemenge")[k % 2]
+        weight_name = WEIGHTS[k // 2 % len(WEIGHTS)]
+        k //= 2 * len(WEIGHTS)
+        phase_kind = ("real", "complex")[k % 2]
+        weighted = ("a1", "a2")[k // 2 % 2]
+        n_env = k // 4 % N_ENV
+        weight = _weight(weight_name, rng)
+        if phase_kind == "real":
+            phase = rng.choice((0.0, math.pi))
+        else:
+            phase = rng.uniform(0.0, 2.0 * math.pi)
+        big = math.sqrt(1.0 - weight) * cmath.exp(1j * phase)
+        amps = [complex(math.sqrt(weight)), big]
+        if weighted == "a2":
+            amps.reverse()
+        trials = rng.choice((1, 17, CHUNK + 1, rng.randint(2, 3 * CHUNK + 17)))
+        config = {
+            "a1": [amps[0].real, amps[0].imag],
+            "a2": [amps[1].real, amps[1].imag],
+            "input_kind": kind,
+            "n_env": n_env,
+            "env_overlap": rng.choice((0.0, 1.0, rng.random())),
+            "seed": rng.getrandbits(64),
+            "trials": trials,
+        }
+        label = (f"{i:04d}/{command}/{kind}/{weighted}={weight_name}/{phase_kind}"
+                 f"/n_env={n_env}/trials={trials}")
+        yield label, command, config
+
+
+def main() -> None:
+    for label, command, config in configs(random.Random(SEED)):
+        try:
+            report = execute(config_from_dict(config, override_command=command))
+            texts = {fmt: render_report(report, fmt) for fmt in FORMATS}
+        except (ConfigError, ValidationError, CapacityError) as exc:
+            texts = {fmt: f"{type(exc).__name__}: {exc}" for fmt in FORMATS}
+        for fmt in FORMATS:
+            digest = hashlib.sha256(texts[fmt].encode("utf-8")).hexdigest()
+            print(f"{label}/{fmt} {digest}")
+
+
+if __name__ == "__main__":
+    main()

@@ -12,6 +12,8 @@ import pytest
 
 from mschain import errors
 from mschain.chain import (
+    BASIS_1,
+    BASIS_2,
     Gemenge,
     MSState,
     Scenario,
@@ -169,3 +171,27 @@ def test_nonfinite_entry_is_rejected(label, bad):
 @pytest.mark.parametrize("label", sorted(WRONG_SHAPE))
 def test_wrong_shape_is_rejected(label):
     _raises_exactly(*WRONG_SHAPE[label])
+
+
+NAN = float("nan")
+# label -> (call, message): a NaN scalar field or branch weight, which every
+# comparison let through while they were written as `x > tol`
+NAN_SCALAR = {
+    "Scenario/a1": (lambda: Scenario(NAN, 1.0),
+                    "amplitudes not normalized: |a1|^2+|a2|^2 deviates from 1 by nan"),
+    "Scenario/a2": (lambda: Scenario(1.0, complex(0.0, NAN)),
+                    "amplitudes not normalized: |a1|^2+|a2|^2 deviates from 1 by nan"),
+    "Scenario/n_env": (lambda: Scenario(1.0, 0.0, n_env=NAN), "n_env must be nonnegative"),
+    "Scenario/trials": (lambda: Scenario(1.0, 0.0, trials=NAN),
+                        "trials must be a positive integer"),
+    "Gemenge": (lambda: Gemenge(((BASIS_1, NAN),)), "branch probabilities sum to nan, not 1"),
+    "make_gemenge/one": (lambda: make_gemenge([(BASIS_1, NAN)]),
+                         "branch probabilities sum to nan, not 1"),
+    "make_gemenge/two": (lambda: make_gemenge([(BASIS_1, 0.5), (BASIS_2, NAN)]),
+                         "branch probabilities sum to nan, not 1"),
+}
+
+
+@pytest.mark.parametrize("label", sorted(NAN_SCALAR))
+def test_nan_scalar_is_rejected(label):
+    _raises_exactly(NAN_SCALAR[label][0], V, NAN_SCALAR[label][1])

@@ -132,6 +132,36 @@ class TestExecute:
         assert rows["born.outcome[0.5].frequency"].passed
         assert rows["born.p_value"].passed
 
+    def test_born_flag_is_the_z_band(self):
+        # the flag reads the z of the report itself, so it is |z| < born_sigma
+        # exactly, also at born_sigma = |z| and at the next float above it
+        for seed in range(40):
+            fields = dict(a1=0.3 ** 0.5, a2=0.7 ** 0.5, seed=seed, trials=1000)
+            stats = [row for row in run("born", **fields).rows if row.label.endswith(".z")]
+            for stat in stats:
+                z = abs(stat.value)
+                for sigma in (z, float(np.nextafter(z, np.inf))):
+                    rows = rows_by_label(run("born", **fields, tolerances={"born_sigma": sigma}))
+                    flag = rows[stat.label.replace(".z", ".frequency")].passed
+                    assert flag is (z < sigma), (seed, stat.label, sigma)
+
+    def test_interference_rows_at_the_branch_floor(self):
+        # |a1|^2 = 1e-12 exactly: the gemenge keeps both branches
+        a2 = (1.0 - 1e-12) ** 0.5
+        report = run("overlap", a1=1e-6, a2=a2)
+        rows = rows_by_label(report)
+        assert config_from_dict(dict(a1=1e-6, a2=a2), "overlap").scenario.probabilities[0] == 1e-12
+        for part in ("overlap_min", "overlap_sqrt", "purity_information_bits"):
+            assert f"overlap.interference_full.{part}" in rows
+        assert rows["overlap.interference_full.overlap_min"].passed
+        assert not any("interference overlap skipped" in note for note in report.notes)
+
+    def test_interference_rows_skipped_below_the_branch_floor(self):
+        report = run("overlap", a1=9.99999999999e-7, a2=(1.0 - 1e-12) ** 0.5)
+        assert not any(row.label.startswith("overlap.interference_full")
+                       for row in report.rows)
+        assert any("interference overlap skipped" in note for note in report.notes)
+
     def test_chain_restriction_flags(self):
         report = run("chain", a1=0.6, a2=0.8)
         rows = rows_by_label(report)

@@ -283,6 +283,13 @@ class TestEmbedOperator:
         with pytest.raises(UsageError):
             embed_operator(PAULI_Z, layout, "B")
 
+    def test_one_factor_result_does_not_alias_the_input(self):
+        op = PAULI_X.copy()
+        full = embed_operator(op, TensorLayout((("O", 2),)), "O")
+        assert np.array_equal(full, PAULI_X)
+        full[0, 1] = 5.0
+        assert np.array_equal(op, PAULI_X)
+
     def test_capacity_checked_before_building_any_piece(self):
         # 2**13 = 8192 dims: the lifted operator alone would take 1 GiB
         layout = TensorLayout(tuple((f"F{k}", 2) for k in range(13)))

@@ -88,10 +88,24 @@ class TestOverlaps:
         assert overlap_bc(w, w) == pytest.approx(1.0, abs=1e-12)
 
     def test_disjoint_supports(self):
-        w1 = EigenDistribution(((0.0, 1.0),))
-        w2 = EigenDistribution(((1.0, 1.0),))
+        w1 = EigenDistribution(((0.0, 1.0), (1.0, 0.0)))
+        w2 = EigenDistribution(((0.0, 0.0), (1.0, 1.0)))
         assert overlap_tv(w1, w2) == 0.0
         assert overlap_bc(w1, w2) == 0.0
+
+    @pytest.mark.parametrize("overlap", [overlap_tv, overlap_bc])
+    @pytest.mark.parametrize("other", [
+        ((1.0, 1.0),),  # another value
+        ((0.0, 0.5), (1.0 + 1e-15, 0.5)),  # a value one rounding apart
+        ((0.0, 0.5), (1.0, 0.5), (2.0, 0.0)),  # a value more
+    ])
+    def test_distributions_over_different_spectra_rejected(self, overlap, other):
+        # an overlap pairs the two distributions of one observable slot by slot
+        w1 = EigenDistribution(((0.0, 0.5), (1.0, 0.5)))
+        with pytest.raises(UsageError, match="eigenvalues differ"):
+            overlap(w1, EigenDistribution(other))
+        with pytest.raises(UsageError, match="eigenvalues differ"):
+            overlap(EigenDistribution(other), w1)
 
     def test_symmetric_spin_case(self):
         sx = transverse_spin(0.0)
@@ -353,7 +367,7 @@ class TestBornProbabilities:
 
     def test_eigenstate(self):
         ms = full_chain(Scenario(1.0, 0.0, "pure"))
-        assert outcome_cells(ms) == ([1.0], [0])
+        assert outcome_cells(ms) == ([1.0], [(-1, 0.5)])
 
     @pytest.mark.parametrize("phi", np.linspace(0, 2 * np.pi, 7))
     def test_phase_independent(self, phi):
@@ -366,8 +380,8 @@ class TestBornProbabilities:
             a = rng.normal(size=2) + 1j * rng.normal(size=2)
             a /= np.linalg.norm(a)
             ms = full_chain(Scenario(a[0], a[1], "pure"))
-            (p1, p2), cells = outcome_cells(ms)
-            assert cells == [0, 1]
+            (p1, p2), outcomes = outcome_cells(ms)
+            assert outcomes == [(-1, 0.5), (-1, -0.5)]
             rho = statistical_restriction(ms)
             assert p1 == pytest.approx(float(rho[0, 0].real), abs=1e-12)
             assert p2 == pytest.approx(float(rho[1, 1].real), abs=1e-12)

@@ -260,14 +260,15 @@ class TestBornReport:
     def test_draws_past_the_last_edge_clipped_into_the_last_cell(self, monkeypatch):
         # weights short of 1 put the last edge at 0.5, so half the draws need the clip
         model = full_chain(Scenario(SYM, SYM, "gemenge"))
-        monkeypatch.setattr(sampling, "outcome_cells", lambda model: ([0.25, 0.25], [0, 1]))
+        monkeypatch.setattr(sampling, "outcome_cells",
+                            lambda model: ([0.25, 0.25], [(0, 0.5), (1, -0.5)]))
         stream = self._counted_like_the_stream(monkeypatch, model, CHUNK + 1)
         u = trial_uniforms(SEED, np.arange(CHUNK + 1))
         assert np.array_equal(stream.branches, (u >= 0.25).astype(np.int64))
 
     def test_cells_below_the_floor_dropped_and_renormalized(self):
         ms = full_chain(Scenario(np.sqrt(1e-13), np.sqrt(1.0 - 1e-13), "pure"))
-        assert outcome_cells(ms) == ([1.0], [1])
+        assert outcome_cells(ms) == ([1.0], [(-1, -0.5)])
 
     @pytest.mark.parametrize("sample", ["born_report", "run_trials"])
     def test_trials_above_the_cap_rejected_without_drawing(self, monkeypatch, sample):
