@@ -14,7 +14,7 @@ import functools
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -116,6 +116,31 @@ def scenario_digest(scenario: Scenario) -> str:
     return hashlib.sha256(text.encode("ascii")).hexdigest()[:16]
 
 
+@dataclass(frozen=True, eq=False)
+class BornTable:
+    """A chain model's kept outcome cells: Born weights, inner edges (every
+    cumulative weight but the last; a draw's cell is the number of edges at or
+    below it) and each cell's (branch index, recognized pointer value).
+
+    Built on first use and kept, assuming nothing writes into the model's
+    arrays after construction; a failed build caches nothing and raises again.
+    """
+
+    weights: tuple[float, ...]
+    edges: np.ndarray
+    outcomes: tuple[tuple[int, float], ...]
+
+
+def _born_table(weights: list[float], outcome) -> BornTable:
+    """Drop the cells below BRANCH_PROB_FLOOR, which no draw can reach, and renormalize."""
+    cells = [i for i, p in enumerate(weights) if p >= BRANCH_PROB_FLOOR]
+    total = sum(weights[i] for i in cells)
+    kept = tuple(weights[i] / total for i in cells)
+    edges = np.cumsum(kept)[:-1]
+    edges.flags.writeable = False
+    return BornTable(kept, edges, tuple(outcome(i) for i in cells))
+
+
 @dataclass(frozen=True)
 class MSState:
     """A pure state of the composite chain together with its factor layout."""
@@ -167,6 +192,13 @@ class MSState:
         m = self.vector.reshape(dims).transpose(positions + rest).reshape(d_keep, -1)
         return m @ m.conj().T
 
+    @functools.cached_property
+    def born_table(self) -> BornTable:
+        """The two pointer cells, weighted |a1|^2 and 1 - |a1|^2, with branch index -1."""
+        a1, _ = pointer_branch_amplitudes(self)
+        weights = [abs(a1) ** 2, 1.0 - abs(a1) ** 2]
+        return _born_table(weights, lambda i: (-1, POINTER_EIGENVALUES[i]))
+
 
 @dataclass(frozen=True)
 class Gemenge:
@@ -174,13 +206,12 @@ class Gemenge:
 
     Unlike its density matrix, a gemenge remembers which pure states occur
     with which preparation probabilities. Branch states are MSState values or
-    bare state vectors.
+    bare state vectors. Its `born_table` records the pointer value that each
+    branch's observer reads.
     """
 
     branches: tuple[tuple[object, float], ...]
     notes: tuple[str, ...] = ()
-    # branch index -> observer pointer value, filled on first use by pointer_value
-    _pointer_values: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # each check is written so that a NaN fails it
@@ -199,15 +230,11 @@ class Gemenge:
             raise ValidationError("gemenge branches carry inconsistent layouts")
         return next(iter(layouts))
 
-    def pointer_value(self, index: int) -> float:
-        """Observer pointer eigenvalue recognized in branch `index`.
-
-        A branch's value does not depend on the draw that picks it, so each
-        branch is factorized once per gemenge, on first use, and kept.
-        """
-        if index not in self._pointer_values:
-            self._pointer_values[index] = _branch_pointer_value(self.branches[index][0])
-        return self._pointer_values[index]
+    @functools.cached_property
+    def born_table(self) -> BornTable:
+        """One cell per branch, weighted by its probability; kept branches factorize here."""
+        weights = [p for _, p in self.branches]
+        return _born_table(weights, lambda i: (i, _branch_pointer_value(self.branches[i][0])))
 
     def density(self) -> np.ndarray:
         out = None
@@ -429,8 +456,9 @@ def decohere(state: MSState, n_env: int, eps: float) -> DecoherenceResult:
 
     Each element ends in one of two states whose mutual overlap is `eps`,
     keyed on the observer factor's pointer index. The reduced chain state then
-    has its pointer-off-diagonal elements suppressed by eps**n_env, which is
-    returned alongside the explicit partial trace over the environment.
+    has its pointer-off-diagonal elements suppressed by the two environment
+    product states' overlap (eps**n_env), which is returned, as measured,
+    alongside the explicit partial trace over the environment.
     """
     if not 0.0 <= eps <= 1.0:
         raise ValidationError("environment overlap eps must lie in [0, 1]")
@@ -442,7 +470,6 @@ def decohere(state: MSState, n_env: int, eps: float) -> DecoherenceResult:
         raise CapacityError(
             f"decohered dimension {state.dim} * 2**{n_env} exceeds the maximum {MAX_DIM}")
 
-    factor = float(eps) ** n_env if n_env > 0 else 1.0
     env_states = (
         np.array([1.0, 0.0], dtype=complex),
         np.array([eps, math.sqrt(max(0.0, 1.0 - eps * eps))], dtype=complex),
@@ -461,7 +488,8 @@ def decohere(state: MSState, n_env: int, eps: float) -> DecoherenceResult:
     for j in range(n_env):
         new_layout = new_layout.extended(f"E{j + 1}", 2)
     enlarged = MSState._built(new_vec, new_layout)
-    return DecoherenceResult(enlarged, factor, enlarged.reduced(state.layout.labels))
+    overlap = float(np.vdot(tags[0], tags[1]).real)
+    return DecoherenceResult(enlarged, overlap, enlarged.reduced(state.layout.labels))
 
 
 def _premeasure_generator() -> np.ndarray:

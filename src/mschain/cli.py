@@ -348,8 +348,8 @@ def _discriminate_rows(run: _Run) -> tuple[list[ReportRow], list[str]]:
     return rows, notes
 
 
-def _overlap_pair_rows(label: str, w_pure, w_mixed, expected_tv=None,
-                       match_tol: float = 1e-9) -> list[ReportRow]:
+def _overlap_pair_rows(label: str, w_pure, w_mixed, expected_tv,
+                       match_tol: float) -> list[ReportRow]:
     k_tv = overlap_tv(w_pure, w_mixed)
     k_bc = overlap_bc(w_pure, w_mixed)
     rows = [
@@ -452,16 +452,17 @@ def _decohere_rows(run: _Run) -> tuple[list[ReportRow], list[str]]:
     ms = run.pure
     # reference pointer coherence <S1D1O1|rho|S2D2O2> of the undecohered state
     cross = complex(ms.vector[0] * ms.vector[7].conjugate())
+    coherent = abs(cross) > 1e-12
     for n in range(scenario.n_env + 1):
         result = decohere(ms, n, eps)
         law = float(eps) ** n if n > 0 else 1.0
         rows.append(ReportRow(f"decohere.coherence_factor[{n}]", result.coherence_factor,
                               law, bool(abs(result.coherence_factor - law) < match_tol)))
-        if abs(cross) > 1e-12:
+        if coherent:
             measured = complex(result.reduced_ms[0, 7]) / cross
             rows.append(ReportRow(f"decohere.offdiag_scale[{n}]", float(measured.real),
                                   law, bool(abs(measured - law) < match_tol)))
-    if abs(cross) <= 1e-12:
+    if not coherent:
         notes.append("off-diagonal scaling rows skipped: the chain state has no "
                      "pointer coherence to suppress")
     return rows, notes

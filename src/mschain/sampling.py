@@ -6,11 +6,11 @@ are therefore bit-identical for a given scenario and seed no matter how the
 trials are scheduled, and per-trial draws can be generated in any order or in
 parallel without shared generator state.
 
-One Born rule serves every draw: `outcome_cells` is the one table of a
-model's outcome cells, each with its weight and what it records, and a
-draw's cell is the number of inner edges (every cumulative weight but the
-last) at or below it, so single events, `run_trials` streams and
-`born_report` counts agree draw for draw. Draws being order-free,
+One Born rule serves every draw: a chain model's `born_table`, built on its
+first draw and kept, holds its outcome cells with their weights and what each
+records, and a draw's cell is the number of the table's inner edges at or
+below it, so single events, `run_trials` streams and `born_report` counts
+agree draw for draw. Draws being order-free,
 `born_report` counts `CHUNK` trials at a time, in memory that does not grow
 with the trial count: one in-place SplitMix64 kernel, shared with
 `trial_uniforms`, fills reused buffers, and each cell's count is read off a
@@ -25,16 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import chi2 as chi2_dist
 
-from .chain import (
-    BRANCH_PROB_FLOOR,
-    Gemenge,
-    MSState,
-    POINTER_EIGENVALUES,
-    Scenario,
-    full_chain,
-    pointer_branch_amplitudes,
-    scenario_digest,
-)
+from .chain import BornTable, Gemenge, MSState, Scenario, full_chain, scenario_digest
 from .errors import CapacityError, ValidationError
 
 # SplitMix64: golden-ratio increment and the two finalizer multipliers.
@@ -151,31 +142,9 @@ class StreamComparison:
     verdict: str  # "indistinguishable" | "distinct"
 
 
-def outcome_cells(model: MSState | Gemenge) -> tuple[list[float], list[tuple[int, float]]]:
-    """Born weights of a chain model's outcome cells, and what each cell records.
-
-    A pure chain state has two cells, its pointer branches, weighted |a1|^2
-    and 1 - |a1|^2; a gemenge has one cell per branch, weighted by its
-    probability. Cells below BRANCH_PROB_FLOOR are unreachable: they are
-    dropped and the rest renormalized. Returns the kept weights and each kept
-    cell's (branch index, recognized pointer value); the branch index is -1
-    for a pure state.
-    """
-    if isinstance(model, MSState):
-        a1, _ = pointer_branch_amplitudes(model)
-        weights = [abs(a1) ** 2, 1.0 - abs(a1) ** 2]
-        outcome = lambda i: (-1, POINTER_EIGENVALUES[i])
-    else:
-        weights = [p for _, p in model.branches]
-        outcome = lambda i: (i, model.pointer_value(i))
-    cells = [i for i, p in enumerate(weights) if p >= BRANCH_PROB_FLOOR]
-    total = sum(weights[i] for i in cells)
-    return [weights[i] / total for i in cells], [outcome(i) for i in cells]
-
-
 def _draw(model: MSState | Gemenge, rng_draw: float) -> tuple[int, InformationPattern]:
-    weights, outcomes = outcome_cells(model)
-    branch, q = outcomes[np.searchsorted(np.cumsum(weights)[:-1], rng_draw, side="right")]
+    table = model.born_table
+    branch, q = table.outcomes[np.searchsorted(table.edges, rng_draw, side="right")]
     return branch, InformationPattern((q,))
 
 
@@ -205,46 +174,46 @@ def run_trials(scenario: Scenario) -> tuple[OutcomeStream, FrequencyReport]:
     report in memory independent of the trial count.
     """
     _require_trials_within_cap(scenario.trials)
-    weights, outcomes = outcome_cells(full_chain(scenario))
+    table = full_chain(scenario).born_table
     draws = trial_uniforms(scenario.seed, np.arange(scenario.trials))
-    chosen = np.searchsorted(np.cumsum(weights)[:-1], draws, side="right")
-    branches = np.array([b for b, _ in outcomes], dtype=np.int64)[chosen]
-    q_values = np.array([q for _, q in outcomes])[chosen]
+    chosen = np.searchsorted(table.edges, draws, side="right")
+    branches = np.array([b for b, _ in table.outcomes], dtype=np.int64)[chosen]
+    q_values = np.array([q for _, q in table.outcomes])[chosen]
     stream = OutcomeStream(scenario.seed, q_values, branches, scenario_digest(scenario))
-    counts = np.bincount(chosen, minlength=len(weights))
-    return stream, _frequency_report(weights, outcomes, counts, scenario.trials)
+    counts = np.bincount(chosen, minlength=len(table.weights))
+    return stream, _frequency_report(table, counts, scenario.trials)
 
 
 def born_report(model: MSState | Gemenge, scenario: Scenario) -> FrequencyReport:
     """The frequency report of `run_trials` on the chain `model` of `scenario`.
 
-    Counted CHUNK trials at a time, and no draw is labelled with its cell: a
-    draw lands in cell j or above (0 < j < n) exactly when it is at or above
-    the inner edge edges[j - 1], so each chunk adds those tail counts and cell
-    j's count is tail[j] - tail[j + 1], with tail[0] = trials and tail[n] = 0.
+    Counted CHUNK trials at a time in min(CHUNK, trials)-long buffers, and no
+    draw is labelled with its cell: a draw lands in cell j or above (0 < j < n)
+    exactly when it is at or above the inner edge edges[j - 1], so each chunk
+    adds those tail counts and cell j's count is tail[j] - tail[j + 1], with
+    tail[0] = trials and tail[n] = 0.
     """
     _require_trials_within_cap(scenario.trials)
-    weights, outcomes = outcome_cells(model)
-    edges = np.cumsum(weights)[:-1]
-    tail = np.zeros(len(weights) + 1, dtype=np.int64)
+    table = model.born_table
+    tail = np.zeros(len(table.weights) + 1, dtype=np.int64)
     tail[0] = scenario.trials
-    counters = np.arange(1, CHUNK + 1, dtype=np.uint64)
-    z, scratch, u = np.empty(CHUNK, np.uint64), np.empty(CHUNK, np.uint64), np.empty(CHUNK)
+    buffer = min(CHUNK, scenario.trials)
+    counters = np.arange(1, buffer + 1, dtype=np.uint64)
+    z, scratch, u = np.empty(buffer, np.uint64), np.empty(buffer, np.uint64), np.empty(buffer)
     for start in range(0, scenario.trials, CHUNK):
         size = min(CHUNK, scenario.trials - start)
         np.add(counters[:size], _U64(start), out=z[:size])
         draws = _splitmix_uniforms(scenario.seed, z[:size], scratch[:size], u[:size])
-        for j, edge in enumerate(edges, start=1):
+        for j, edge in enumerate(table.edges, start=1):
             tail[j] += np.count_nonzero(draws >= edge)
-    return _frequency_report(weights, outcomes, tail[:-1] - tail[1:], scenario.trials)
+    return _frequency_report(table, tail[:-1] - tail[1:], scenario.trials)
 
 
-def _frequency_report(weights: list[float], outcomes: list[tuple[int, float]],
-                      counts: np.ndarray, trials: int) -> FrequencyReport:
+def _frequency_report(table: BornTable, counts: np.ndarray, trials: int) -> FrequencyReport:
     """Per pointer value counts, frequencies and z-scores from per-cell counts."""
     expected: dict[float, float] = {}
     observed: dict[float, int] = {}
-    for p, (_, q), n in zip(weights, outcomes, counts):
+    for p, (_, q), n in zip(table.weights, table.outcomes, counts):
         expected[q] = expected.get(q, 0.0) + p
         observed[q] = observed.get(q, 0) + int(n)
     stats = []

@@ -14,6 +14,11 @@ phases; `n_env` 0 to 3; and 1, 17, `CHUNK` + 1 or a random number of trials
 up to 3 * `CHUNK` + 17. A config that the command line would reject hashes
 its error instead of a report.
 
+Each `born` config also prints one `draws/<label> sha256` line: the hash of
+the 64 (branch, pointer value) pairs that the single-event draws
+(`stochastic_restriction` for pure input, `sample_gemenge` for a gemenge)
+give for `trial_uniform(seed, k)`, k < 64, on the config's `full_chain`.
+
 It needs the standard library and `mschain` only. Its name does not match
 `test_*.py`, so pytest does not collect it.
 """
@@ -23,11 +28,13 @@ import hashlib
 import math
 import random
 
+from mschain.chain import full_chain
 from mschain.cli import COMMANDS, FORMATS, config_from_dict, execute, render_report
 from mschain.errors import CapacityError, ConfigError, ValidationError
-from mschain.sampling import CHUNK
+from mschain.sampling import CHUNK, sample_gemenge, stochastic_restriction, trial_uniform
 
 SEED = 2026
+SCALAR_DRAWS = 64
 WEIGHTS = ("0", "1e-12", "1e-6", "1-1e-6", "1", "random")
 N_ENV = 4
 # command x input kind x weight x phase x weighted amplitude x n_env
@@ -77,6 +84,28 @@ def configs(rng: random.Random):
         yield label, command, config
 
 
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def scalar_draws(config: dict, command: str) -> str:
+    """The config's single-event (branch, pointer value) pairs as text, or its error."""
+    try:
+        scenario = config_from_dict(config, override_command=command).scenario
+        model = full_chain(scenario)
+        pairs = []
+        for k in range(SCALAR_DRAWS):
+            u = trial_uniform(scenario.seed, k)
+            if scenario.input_kind == "pure":
+                pairs.append((-1, stochastic_restriction(model, u).values[0]))
+            else:
+                branch, pattern = sample_gemenge(model, u)
+                pairs.append((branch, pattern.values[0]))
+        return repr(pairs)
+    except (ConfigError, ValidationError, CapacityError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
 def main() -> None:
     for label, command, config in configs(random.Random(SEED)):
         try:
@@ -85,8 +114,9 @@ def main() -> None:
         except (ConfigError, ValidationError, CapacityError) as exc:
             texts = {fmt: f"{type(exc).__name__}: {exc}" for fmt in FORMATS}
         for fmt in FORMATS:
-            digest = hashlib.sha256(texts[fmt].encode("utf-8")).hexdigest()
-            print(f"{label}/{fmt} {digest}")
+            print(f"{label}/{fmt} {_sha256(texts[fmt])}")
+        if command == "born":
+            print(f"draws/{label} {_sha256(scalar_draws(config, command))}")
 
 
 if __name__ == "__main__":

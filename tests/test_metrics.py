@@ -33,7 +33,6 @@ from mschain.metrics import (
     purity_report,
     transverse_spin,
 )
-from mschain.sampling import outcome_cells
 
 SYM = 2**-0.5
 
@@ -359,20 +358,22 @@ class TestPhaseGridIdentity:
 
 
 class TestBornProbabilities:
-    """The Born weights of a pure chain state, as `outcome_cells` weighs its pointer cells."""
+    """The Born weights of a pure chain state, as its `born_table` weighs its pointer cells."""
 
     def test_symmetric(self):
         ms = full_chain(Scenario(SYM, SYM, "pure"))
-        assert outcome_cells(ms)[0] == pytest.approx([0.5, 0.5], abs=1e-12)
+        assert ms.born_table.weights == pytest.approx((0.5, 0.5), abs=1e-12)
 
     def test_eigenstate(self):
         ms = full_chain(Scenario(1.0, 0.0, "pure"))
-        assert outcome_cells(ms) == ([1.0], [(-1, 0.5)])
+        table = ms.born_table
+        assert (table.weights, table.outcomes) == ((1.0,), ((-1, 0.5),))
+        assert table.edges.size == 0
 
     @pytest.mark.parametrize("phi", np.linspace(0, 2 * np.pi, 7))
     def test_phase_independent(self, phi):
         ms = full_chain(Scenario(np.sqrt(0.3), np.sqrt(0.7) * np.exp(1j * phi), "pure"))
-        assert outcome_cells(ms)[0] == pytest.approx([0.3, 0.7], abs=1e-12)
+        assert ms.born_table.weights == pytest.approx((0.3, 0.7), abs=1e-12)
 
     def test_matches_restriction_diagonal(self):
         rng = np.random.default_rng(61)
@@ -380,8 +381,8 @@ class TestBornProbabilities:
             a = rng.normal(size=2) + 1j * rng.normal(size=2)
             a /= np.linalg.norm(a)
             ms = full_chain(Scenario(a[0], a[1], "pure"))
-            (p1, p2), outcomes = outcome_cells(ms)
-            assert outcomes == [(-1, 0.5), (-1, -0.5)]
+            (p1, p2), outcomes = ms.born_table.weights, ms.born_table.outcomes
+            assert outcomes == ((-1, 0.5), (-1, -0.5))
             rho = statistical_restriction(ms)
             assert p1 == pytest.approx(float(rho[0, 0].real), abs=1e-12)
             assert p2 == pytest.approx(float(rho[1, 1].real), abs=1e-12)
@@ -393,5 +394,6 @@ class TestBornProbabilities:
         vec = np.zeros(8, dtype=complex)
         vec[1] = 1.0
         state = MSState(vec, TensorLayout((("S", 2), ("D", 2), ("O", 2))))
-        with pytest.raises(DecompositionError):
-            outcome_cells(state)
+        for _ in range(2):  # a failed build caches nothing
+            with pytest.raises(DecompositionError):
+                state.born_table

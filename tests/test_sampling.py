@@ -1,8 +1,19 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from mschain import chain, sampling
-from mschain.chain import BASIS_1, BASIS_2, Gemenge, MSState, Scenario, full_chain, make_gemenge
+from mschain.chain import (
+    BASIS_1,
+    BASIS_2,
+    BornTable,
+    Gemenge,
+    MSState,
+    Scenario,
+    full_chain,
+    make_gemenge,
+)
 from mschain.errors import CapacityError, PreconditionError, UsageError, ValidationError
 from mschain.sampling import (
     CHUNK,
@@ -11,7 +22,6 @@ from mschain.sampling import (
     OutcomeStream,
     born_report,
     compare_streams,
-    outcome_cells,
     run_trials,
     sample_gemenge,
     stochastic_restriction,
@@ -75,9 +85,26 @@ class TestStochasticRestriction:
 
     def test_draw_on_an_edge_goes_to_the_next_cell(self):
         ms = full_chain(Scenario(0.6, 0.8, "pure"))
-        edge = np.cumsum(outcome_cells(ms)[0])[0]
+        edge = ms.born_table.edges[0]
         assert stochastic_restriction(ms, float(np.nextafter(edge, 0.0))).values == (0.5,)
         assert stochastic_restriction(ms, float(edge)).values == (-0.5,)
+
+    def test_pointer_amplitudes_read_once_per_state(self, monkeypatch):
+        ms = full_chain(Scenario(np.sqrt(0.3), np.sqrt(0.7), "pure"))
+        amplitudes = chain.pointer_branch_amplitudes
+        read = []
+
+        def counting(state):
+            read.append(state)
+            return amplitudes(state)
+
+        for module in (chain, sampling):  # every package namespace that binds it
+            if hasattr(module, "pointer_branch_amplitudes"):
+                monkeypatch.setattr(module, "pointer_branch_amplitudes", counting)
+        draws = trial_uniforms(3, np.arange(64))
+        drawn = {stochastic_restriction(ms, float(u)).values for u in draws}
+        assert drawn == {(0.5,), (-0.5,)}
+        assert len(read) <= 1
 
     def test_binomial_envelope_large_sample(self):
         # the threshold rule applied to a large batch of counter draws
@@ -132,8 +159,9 @@ class TestSampleGemenge:
     def test_entangled_branch_rejected(self):
         entangled = full_chain(Scenario(SYM, SYM, "pure"))
         w = Gemenge(((entangled, 1.0),))
-        with pytest.raises(PreconditionError):
-            sample_gemenge(w, 0.5)
+        for _ in range(2):  # a failed build caches nothing
+            with pytest.raises(PreconditionError):
+                sample_gemenge(w, 0.5)
 
     def test_bare_vector_branch_rejected(self):
         w = Gemenge(((np.array([1.0, 0.0], dtype=complex), 1.0),))
@@ -247,7 +275,7 @@ class TestBornReport:
     def test_draw_on_a_cell_edge_counted_in_the_upper_cell(self, monkeypatch, trials):
         u5 = trial_uniform(SEED, 5)
         model = make_gemenge([(chain_product(BASIS_1), u5), (chain_product(BASIS_2), 1.0 - u5)])
-        assert np.cumsum(outcome_cells(model)[0])[0] == u5  # draw 5 sits on the edge
+        assert model.born_table.edges[0] == u5  # draw 5 sits on the edge
         stream = self._counted_like_the_stream(monkeypatch, model, trials)
         assert stream.branches[5] == 1
 
@@ -258,17 +286,30 @@ class TestBornReport:
         self._counted_like_the_stream(monkeypatch, model, trials)
 
     def test_draws_past_the_last_edge_clipped_into_the_last_cell(self, monkeypatch):
-        # weights short of 1 put the last edge at 0.5, so half the draws need the clip
+        # weights short of 1 end the last cell at 0.5, so half the draws land past it
         model = full_chain(Scenario(SYM, SYM, "gemenge"))
-        monkeypatch.setattr(sampling, "outcome_cells",
-                            lambda model: ([0.25, 0.25], [(0, 0.5), (1, -0.5)]))
+        table = BornTable((0.25, 0.25), np.array([0.25]), ((0, 0.5), (1, -0.5)))
+        monkeypatch.setitem(model.__dict__, "born_table", table)
         stream = self._counted_like_the_stream(monkeypatch, model, CHUNK + 1)
         u = trial_uniforms(SEED, np.arange(CHUNK + 1))
         assert np.array_equal(stream.branches, (u >= 0.25).astype(np.int64))
 
     def test_cells_below_the_floor_dropped_and_renormalized(self):
         ms = full_chain(Scenario(np.sqrt(1e-13), np.sqrt(1.0 - 1e-13), "pure"))
-        assert outcome_cells(ms) == ([1.0], [(-1, -0.5)])
+        assert (ms.born_table.weights, ms.born_table.outcomes) == ((1.0,), ((-1, -0.5),))
+
+    @pytest.mark.parametrize("trials", [1, 17])
+    @pytest.mark.parametrize("kind", ["pure", "gemenge"])
+    def test_short_run_memory_sized_to_the_run(self, kind, trials):
+        scenario = Scenario(SYM, SYM, kind, seed=SEED, trials=trials)
+        model = full_chain(scenario)
+        tracemalloc.start()
+        try:
+            born_report(model, scenario)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
     @pytest.mark.parametrize("sample", ["born_report", "run_trials"])
     def test_trials_above_the_cap_rejected_without_drawing(self, monkeypatch, sample):
