@@ -12,17 +12,15 @@ __version__ = "0.1.0"
 
 from .chain import (
     Gemenge,
-    HamiltonianSpec,
     MSState,
     Scenario,
     decohere,
     full_chain,
-    gemenge_restriction,
-    hamiltonian_premeasure_crosscheck,
     make_gemenge,
     object_detector_state,
     pointer_branch_amplitudes,
     premeasure,
+    premeasure_hamiltonian_fidelity,
     prepare_gemenge,
     prepare_object_state,
     scenario_digest,
@@ -40,7 +38,6 @@ from .discriminate import (
     combine_observable,
     numeric_feasibility_oracle,
     recognition_problem,
-    restriction_eigenstate_lift_check,
     superposition_discrimination_problem,
     verify_certificate,
 )

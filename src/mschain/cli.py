@@ -31,6 +31,7 @@ from .chain import (
     decohere,
     full_chain,
     object_detector_state,
+    premeasure_hamiltonian_fidelity,
     prepare_gemenge,
     prepare_object_state,
     scenario_digest,
@@ -153,8 +154,12 @@ def _parse_tolerance(value, name: str) -> float:
     return tol
 
 
-def _json_object(text: str | bytes) -> dict:
-    """Parse config text; bytes must be UTF-8."""
+def parse_config(text: str | bytes, override_command: str | None = None,
+                 overrides: dict | None = None) -> RunConfig:
+    """Validate a JSON config and apply the documented defaults.
+
+    Fields in `overrides` replace the config's own. Bytes must be UTF-8.
+    """
     try:
         data = json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
     except UnicodeDecodeError as exc:
@@ -164,12 +169,7 @@ def _json_object(text: str | bytes) -> dict:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
-    return data
-
-
-def parse_config(text: str | bytes, override_command: str | None = None) -> RunConfig:
-    """Validate a JSON config and apply the documented defaults."""
-    return config_from_dict(_json_object(text), override_command)
+    return config_from_dict({**data, **(overrides or {})}, override_command)
 
 
 def config_from_dict(data: dict, override_command: str | None = None) -> RunConfig:
@@ -241,13 +241,15 @@ class _Fixed(NamedTuple):
     interference: ITObservable
     recognition: FeasibilityResult
     spin_x: HermitianObservable
+    hamiltonian_fidelity: float
 
 
 @functools.cache
 def _fixed() -> _Fixed:
     """The report parts that no scenario changes, built once per process."""
-    return _Fixed(build_pointer_algebra("D"), build_it_observable(),
-                  check_eigen_discrimination(recognition_problem()), transverse_spin(0.0))
+    return _Fixed(build_pointer_algebra(), build_it_observable(),
+                  check_eigen_discrimination(recognition_problem()), transverse_spin(0.0),
+                  premeasure_hamiltonian_fidelity())
 
 
 class _Run:
@@ -299,6 +301,9 @@ def _chain_rows(run: _Run) -> tuple[list[ReportRow], list[str]]:
         else:
             rows.append(ReportRow(f"chain.restriction[O{i}][O{j}].re", float(val.real)))
         rows.append(ReportRow(f"chain.restriction[O{i}][O{j}].im", float(val.imag)))
+    fidelity = _fixed().hamiltonian_fidelity
+    rows.append(ReportRow("chain.premeasure.hamiltonian_fidelity", fidelity, 1.0,
+                          bool(abs(fidelity - 1.0) < match_tol)))
     return rows, notes
 
 
@@ -318,7 +323,7 @@ def _discriminate_rows(run: _Run) -> tuple[list[ReportRow], list[str]]:
 
     problem = _superposition_problem(run.pure)
     result = check_eigen_discrimination(problem)
-    expected = "INFEASIBLE" if abs(scenario.a1 * scenario.a2) > 1e-12 else None
+    expected = "INFEASIBLE" if scenario.a1 * scenario.a2 != 0 else None
     rows.append(ReportRow("discriminate.verdict", result.verdict, expected,
                           None if expected is None else result.verdict == expected))
     if result.certificate:
@@ -556,24 +561,20 @@ def render_report(report: Report, output_format: str = "structured-text") -> str
         return _emit_value(report_to_dict(report), 0) + "\n"
     if output_format == "csv":
         if report.command == "born":
-            lines = [("outcome", "count", "frequency", "expected", "z")]
+            fields = ("count", "frequency", "expected", "z")
+            lines = [("outcome", *fields)]
+            # every outcome has a count, a frequency (with its expected value) and a z row
             by_tag: dict[str, dict[str, object]] = {}
             for row in report.rows:
                 if row.label.startswith("born.outcome["):
                     tag, field = row.label.rsplit(".", 1)
-                    by_tag.setdefault(tag, {"expected": row.expected})[field] = row.value
+                    entry = by_tag.setdefault(tag, {})
+                    entry[field] = row.value
                     if field == "frequency":
-                        by_tag[tag]["expected"] = row.expected
+                        entry["expected"] = row.expected
             for tag in sorted(by_tag, reverse=True):
-                entry = by_tag[tag]
                 outcome = tag[len("born.outcome["):-1]
-                lines.append((
-                    outcome,
-                    _fmt(entry.get("count", 0)),
-                    _fmt(entry.get("frequency", 0.0)),
-                    _fmt(entry.get("expected", 0.0)),
-                    _fmt(entry.get("z", 0.0)),
-                ))
+                lines.append((outcome, *(_fmt(by_tag[tag][f]) for f in fields)))
         else:
             lines = [("label", "value", "expected", "status")]
             for row in report.rows:
@@ -627,12 +628,9 @@ def main(argv=None) -> int:
                 text = handle.read()
         else:
             text = "{}"
-        data = _json_object(text)
-        for key, value in (("seed", args.seed), ("trials", args.trials),
-                           ("output_path", args.out), ("output_format", args.output_format)):
-            if value is not None:
-                data[key] = value
-        config = config_from_dict(data, override_command=args.command)
+        flags = (("seed", args.seed), ("trials", args.trials),
+                 ("output_path", args.out), ("output_format", args.output_format))
+        config = parse_config(text, args.command, {k: v for k, v in flags if v is not None})
         report = execute(config)
         text = emit_report(report, config.output_format, config.output_path)
         if config.output_path is None:

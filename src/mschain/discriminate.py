@@ -27,11 +27,7 @@ import numpy as np
 
 from .chain import BASIS_1, BASIS_2, MSState, Scenario, full_chain
 from .errors import ValidationError
-from .linalg import (
-    HermitianObservable,
-    embed_operator,
-    validate_state_vector,
-)
+from .linalg import HermitianObservable, validate_state_vector
 
 OVERLAP_TOL = 1e-10
 WITNESS_TOL = 1e-9
@@ -44,7 +40,6 @@ class PointerAlgebra:
     q: HermitianObservable
     qx: HermitianObservable
     qy: HermitianObservable
-    scope: str
 
 
 @dataclass(frozen=True)
@@ -134,7 +129,7 @@ class FeasibilityResult:
         return self.verdict == "FEASIBLE"
 
 
-def build_pointer_algebra(scope: str) -> PointerAlgebra:
+def build_pointer_algebra() -> PointerAlgebra:
     """Half-Pauli pointer triple in the pointer basis of a two-dim factor."""
     b1, b2 = BASIS_1, BASIS_2
     p11 = np.outer(b1, b1.conj())
@@ -144,18 +139,13 @@ def build_pointer_algebra(scope: str) -> PointerAlgebra:
     q = (p11 - p22) / 2.0
     qx = (p12 + p21) / 2.0
     qy = (-1j * p12 + 1j * p21) / 2.0
-    return PointerAlgebra(
-        HermitianObservable(q, scope),
-        HermitianObservable(qx, scope),
-        HermitianObservable(qy, scope),
-        scope,
-    )
+    return PointerAlgebra(HermitianObservable(q), HermitianObservable(qx), HermitianObservable(qy))
 
 
 def combine_observable(alg: PointerAlgebra, spec: ObservableSpec) -> HermitianObservable:
     """Unit combination d0*q + d1*qx + d2*qy; eigenvalues are +-1/2."""
     matrix = spec.d0 * alg.q.matrix + spec.d1 * alg.qx.matrix + spec.d2 * alg.qy.matrix
-    return HermitianObservable(matrix, alg.scope)
+    return HermitianObservable(matrix)
 
 
 def _null_space(columns: np.ndarray, rel_tol: float) -> np.ndarray:
@@ -409,29 +399,6 @@ def build_it_observable() -> ITObservable:
     matrix[0, 7] = 1.0
     matrix[7, 0] = 1.0
     return ITObservable(HermitianObservable(matrix))
-
-
-def restriction_eigenstate_lift_check(full_state: MSState, o_obs: HermitianObservable) -> bool:
-    """Check one instance of the eigenstate lift implication.
-
-    If the observer restriction of the state is (a pure state and) an
-    eigenstate of the observer observable, the full state must be an
-    eigenstate of the embedded observable. Returns True when the implication
-    holds, including vacuously when the restriction is not an eigenstate.
-    """
-    tol = 1e-9
-    rho_o = full_state.reduced(("O",))
-    purity = float(np.real(np.trace(rho_o @ rho_o)))
-    if purity <= 1.0 - tol:
-        return True
-    _, vecs = np.linalg.eigh(rho_o)
-    chi = vecs[:, -1]
-    lam = float(np.real(np.vdot(chi, o_obs.matrix @ chi)))
-    if np.linalg.norm(o_obs.matrix @ chi - lam * chi) > tol:
-        return True
-    embedded = embed_operator(o_obs.matrix, full_state.layout, "O")
-    residual = np.linalg.norm(embedded @ full_state.vector - lam * full_state.vector)
-    return bool(residual <= tol)
 
 
 @functools.cache

@@ -236,15 +236,10 @@ def embed_operator(op: np.ndarray, layout: TensorLayout, label: str) -> np.ndarr
 
 
 class HermitianObservable:
-    """A self-adjoint operator with a lazily cached spectral decomposition.
+    """A self-adjoint operator with a lazily cached spectral decomposition."""
 
-    `scope` optionally names the tensor factor the operator acts on, the label
-    `embed_operator` lifts it by into a composite space.
-    """
-
-    def __init__(self, matrix, scope: str | None = None):
+    def __init__(self, matrix):
         self.matrix = require_hermitian(matrix)
-        self.scope = scope
         self._spectral: SpectralDecomposition | None = None
         self._blocks: tuple[tuple[float, np.ndarray, np.ndarray], ...] | None = None
 
@@ -271,7 +266,7 @@ class HermitianObservable:
         return self._blocks
 
     def __repr__(self):
-        return f"HermitianObservable(dim={self.dim}, scope={self.scope!r})"
+        return f"HermitianObservable(dim={self.dim})"
 
 
 # Pauli matrices; all pointer/spin operators in the package are these over 2.

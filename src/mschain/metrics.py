@@ -132,7 +132,7 @@ def purity_information(k_tv: float) -> float:
 def transverse_spin(gamma: float) -> HermitianObservable:
     """The phase-tuned transverse spin observable cos(gamma) Sx + sin(gamma) Sy."""
     matrix = np.cos(gamma) * PAULI_X / 2.0 + np.sin(gamma) * PAULI_Y / 2.0
-    return HermitianObservable(matrix, "S")
+    return HermitianObservable(matrix)
 
 
 def purity_report(rho) -> PurityReport:

@@ -134,7 +134,7 @@ def test_criterion_4_detector_blindness():
     a1, a2 = np.sqrt(0.3), np.sqrt(0.7) * np.exp(0.7j)
     rho_d_pure = object_detector_state(a1, a2).reduced(("D",))
     rho_d_mix = np.diag([abs(a1) ** 2, abs(a2) ** 2]).astype(complex)
-    alg = build_pointer_algebra("D")
+    alg = build_pointer_algebra()
 
     rng = np.random.default_rng(2026)
     specs = [ObservableSpec(*(d / np.linalg.norm(d))) for d in rng.normal(size=(50, 3))]

@@ -8,8 +8,8 @@ from mschain.chain import (
     BASIS_1,
     BASIS_2,
     Gemenge,
-    HamiltonianSpec,
     MSState,
+    PREMEASURE_GENERATOR,
     PREMEASURE_UNITARY,
     READY_STATE,
     Scenario,
@@ -17,12 +17,11 @@ from mschain.chain import (
     decohere,
     factorize_branch,
     full_chain,
-    gemenge_restriction,
-    hamiltonian_premeasure_crosscheck,
     make_gemenge,
     object_detector_state,
     pointer_branch_amplitudes,
     premeasure,
+    premeasure_hamiltonian_fidelity,
     prepare_gemenge,
     prepare_object_state,
     scenario_digest,
@@ -36,7 +35,7 @@ from mschain.errors import (
     UsageError,
     ValidationError,
 )
-from mschain.linalg import TensorLayout
+from mschain.linalg import TensorLayout, unitary_exp
 
 SYM = 2**-0.5
 
@@ -108,6 +107,14 @@ class TestPremeasure:
         with pytest.raises(PreconditionError):
             premeasure(state, "S", "D")
 
+    @pytest.mark.parametrize("dims", [(2, 3), (3, 2)])
+    def test_non_qubit_factor_is_a_usage_error(self, dims):
+        vec = np.zeros(dims[0] * dims[1], dtype=complex)
+        vec[0] = 1.0
+        state = MSState(vec, TensorLayout((("S", dims[0]), ("D", dims[1]))))
+        with pytest.raises(UsageError, match="two-dimensional"):
+            premeasure(state, "S", "D")
+
 
 class TestFullChain:
     def test_symmetric_pure(self):
@@ -163,27 +170,6 @@ class TestRestrictions:
         state = MSState(np.kron(BASIS_1, BASIS_1), TensorLayout((("S", 2), ("D", 2))))
         with pytest.raises(UsageError):
             statistical_restriction(state)
-
-    def test_gemenge_restriction(self):
-        w = full_chain(Scenario(np.sqrt(0.3), np.sqrt(0.7), "gemenge"))
-        w_o = gemenge_restriction(w)
-        assert [p for _, p in w_o.branches] == pytest.approx([0.3, 0.7])
-        assert_allclose(w_o.branches[0][0], BASIS_1, atol=1e-12)
-        assert_allclose(w_o.branches[1][0], BASIS_2, atol=1e-12)
-
-    def test_restriction_consistency(self):
-        # density of the branchwise restriction equals the traced density
-        for a1, a2 in ((SYM, SYM), (np.sqrt(0.2), np.sqrt(0.8)), (0.6, 0.8)):
-            w = full_chain(Scenario(a1, a2, "gemenge"))
-            via_branches = gemenge_restriction(w).density()
-            via_trace = statistical_restriction(w.density(), w.layout)
-            assert np.max(np.abs(via_branches - via_trace)) < 1e-12
-
-    def test_entangled_branch_rejected(self):
-        ms = full_chain(Scenario(SYM, SYM, "pure"))
-        w = Gemenge(((ms, 1.0),))
-        with pytest.raises(PreconditionError):
-            gemenge_restriction(w)
 
     def test_restriction_phase_blind(self):
         # equal moduli, any relative phase: identical observer restriction
@@ -279,35 +265,19 @@ class TestDecohere:
 
 
 class TestHamiltonianCrosscheck:
+    def test_fidelity_is_one(self):
+        assert premeasure_hamiltonian_fidelity() == pytest.approx(1.0, abs=1e-12)
+
     def test_tuned_on_eigenstate(self):
-        spec = HamiltonianSpec(coupling=2.0, duration=0.5)
-        result = hamiltonian_premeasure_crosscheck(spec, sd_ready_state(1.0, 0.0))
-        assert result.tuned
-        assert result.fidelity_to_canonical > 1 - 1e-9
-        overlap = abs(np.vdot(result.state.vector, np.kron(BASIS_1, BASIS_1))) ** 2
+        evolved = unitary_exp(PREMEASURE_GENERATOR, 1.0) @ sd_ready_state(1.0, 0.0).vector
+        overlap = abs(np.vdot(evolved, np.kron(BASIS_1, BASIS_1))) ** 2
         assert overlap > 1 - 1e-9
 
-    def test_zero_coupling_is_identity(self):
-        spec = HamiltonianSpec(coupling=0.0, duration=1.0)
-        state = sd_ready_state(SYM, SYM)
-        result = hamiltonian_premeasure_crosscheck(spec, state)
-        assert not result.tuned
-        assert result.diagnostic is not None
-        assert_allclose(result.state.vector, state.vector, atol=1e-12)
-
     def test_tuned_matches_premeasure_on_superposition(self):
-        spec = HamiltonianSpec(coupling=1.0, duration=1.0)
         state = sd_ready_state(0.6, 0.8j)
-        result = hamiltonian_premeasure_crosscheck(spec, state)
+        evolved = unitary_exp(PREMEASURE_GENERATOR, 1.0) @ state.vector
         canonical = premeasure(state, "S", "D")
-        fid = abs(np.vdot(canonical.vector, result.state.vector)) ** 2
-        assert fid > 1 - 1e-9
-
-    def test_untuned_returns_diagnostic(self):
-        spec = HamiltonianSpec(coupling=1.0, duration=0.37)
-        result = hamiltonian_premeasure_crosscheck(spec, sd_ready_state(SYM, SYM))
-        assert not result.tuned
-        assert "not tuned" in result.diagnostic
+        assert abs(np.vdot(canonical.vector, evolved)) ** 2 > 1 - 1e-9
 
 
 class TestInvariants:
@@ -318,7 +288,7 @@ class TestInvariants:
         sd_pure = object_detector_state(a1, a2)
         rho_d_pure = sd_pure.reduced(("D",))
         rho_d_mixed = np.diag([abs(a1) ** 2, abs(a2) ** 2]).astype(complex)
-        alg = build_pointer_algebra("D")
+        alg = build_pointer_algebra()
         rng = np.random.default_rng(29)
         for _ in range(40):
             d = rng.normal(size=3)

@@ -22,6 +22,7 @@ from mschain.cli import (
     render_report,
 )
 from mschain.errors import ConfigError
+from mschain.linalg import PAULI_Y
 from mschain.sampling import MAX_TRIALS
 
 SYM = 2**-0.5
@@ -167,6 +168,38 @@ class TestExecute:
         rows = rows_by_label(report)
         assert rows["chain.restriction[O1][O1].re"].value == pytest.approx(0.36, abs=1e-12)
         assert rows["chain.restriction[O1][O1].re"].passed
+
+    @pytest.mark.parametrize("command", ["chain", "all"])
+    def test_chain_reports_the_hamiltonian_check(self, command):
+        row = rows_by_label(run(command, trials=1000))["chain.premeasure.hamiltonian_fidelity"]
+        assert row.value == pytest.approx(1.0, abs=1e-12)
+        assert (row.expected, row.passed) == (1.0, True)
+
+    def test_wrong_generator_fails_the_chain_report(self, monkeypatch):
+        # pi/3 for pi/4 in the second control block: fidelity about 0.983
+        wrong = chain.PREMEASURE_GENERATOR.copy()
+        wrong[2:, 2:] = (np.pi / 3.0) * PAULI_Y
+        cli._fixed.cache_clear()
+        try:
+            with monkeypatch.context() as patch:
+                patch.setattr(chain, "PREMEASURE_GENERATOR", wrong)
+                report = run("chain")
+        finally:
+            cli._fixed.cache_clear()
+        label = "chain.premeasure.hamiltonian_fidelity"
+        rows = json.loads(render_report(report))["rows"]
+        assert [r["passed"] for r in rows if r["label"] == label] == [False]
+        lines = render_report(report, "csv").splitlines()
+        statuses = [line.rsplit(",", 1)[1] for line in lines if line.startswith(label + ",")]
+        assert statuses == ["fail"]
+
+    @pytest.mark.parametrize("a1", [1e-12, 1e-13, 1e-100, 5e-324])
+    def test_discriminate_verdict_checked_at_tiny_amplitude(self, a1):
+        # the no-go holds at every nonzero amplitude, so the verdict keeps its flag
+        rows = rows_by_label(run("discriminate", a1=a1, a2=(1.0 - a1 * a1) ** 0.5))
+        assert rows["discriminate.verdict"].value == "INFEASIBLE"
+        assert rows["discriminate.verdict"].passed is True
+        assert rows["discriminate.oracle.agrees"].passed
 
     def test_all_concatenates(self):
         report = run("all", trials=1000)

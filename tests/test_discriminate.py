@@ -16,7 +16,6 @@ from mschain.discriminate import (
     combine_observable,
     numeric_feasibility_oracle,
     recognition_problem,
-    restriction_eigenstate_lift_check,
     superposition_discrimination_problem,
     verify_certificate,
 )
@@ -28,20 +27,20 @@ SYM = 2**-0.5
 
 class TestPointerAlgebra:
     def test_half_pauli_matrices(self):
-        alg = build_pointer_algebra("O")
+        alg = build_pointer_algebra()
         assert_allclose(alg.q.matrix, PAULI_Z / 2)
         assert_allclose(alg.qx.matrix, PAULI_X / 2)
         assert_allclose(alg.qy.matrix, PAULI_Y / 2)
         assert_allclose(alg.q.spectral.eigenvalues, [0.5, -0.5])
 
     def test_commutation_relations(self):
-        alg = build_pointer_algebra("O")
+        alg = build_pointer_algebra()
         q, qx, qy = alg.q.matrix, alg.qx.matrix, alg.qy.matrix
         assert np.max(np.abs(q @ qx - qx @ q - 1j * qy)) < 1e-12
         assert np.max(np.abs(q @ qy - qy @ q + 1j * qx)) < 1e-12
 
     def test_conjugate_eigenvectors(self):
-        alg = build_pointer_algebra("O")
+        alg = build_pointer_algebra()
         spec = alg.qx.spectral
         plus = spec.vectors[:, 0]
         minus = spec.vectors[:, 1]
@@ -51,13 +50,13 @@ class TestPointerAlgebra:
 
 class TestCombineObservable:
     def test_axes(self):
-        alg = build_pointer_algebra("O")
+        alg = build_pointer_algebra()
         assert_allclose(combine_observable(alg, ObservableSpec(1, 0, 0)).matrix, alg.q.matrix)
         assert_allclose(combine_observable(alg, ObservableSpec(0, 1, 0)).matrix, alg.qx.matrix)
         assert_allclose(combine_observable(alg, ObservableSpec(0, 0, 1)).matrix, alg.qy.matrix)
 
     def test_diagonal_combination(self):
-        alg = build_pointer_algebra("O")
+        alg = build_pointer_algebra()
         obs = combine_observable(alg, ObservableSpec(SYM, SYM, 0.0))
         # oracle: diagonalize the explicit 2x2 matrix
         vals, vecs = np.linalg.eigh(obs.matrix)
@@ -71,7 +70,7 @@ class TestCombineObservable:
             ObservableSpec(1.0, 1.0, 0.0)
 
     def test_unit_eigenvalues_everywhere(self):
-        alg = build_pointer_algebra("O")
+        alg = build_pointer_algebra()
         rng = np.random.default_rng(37)
         for _ in range(30):
             d = rng.normal(size=3)
@@ -82,7 +81,7 @@ class TestCombineObservable:
     def test_completeness_round_trip(self):
         # every traceless unit-coefficient Hermitian 2x2 is reachable, and the
         # coefficients are recovered by the trace pairing
-        alg = build_pointer_algebra("O")
+        alg = build_pointer_algebra()
         rng = np.random.default_rng(41)
         paulis = (PAULI_Z / 2, PAULI_X / 2, PAULI_Y / 2)
         for _ in range(50):
@@ -319,20 +318,3 @@ class TestITObservable:
         psi_1 = full_chain(Scenario(1.0, 0.0, "pure")).vector
         psi_2 = full_chain(Scenario(0.0, 1.0, "pure")).vector
         assert_allclose(it.observable.matrix @ psi_1, psi_2, atol=1e-12)
-
-
-class TestLiftCheck:
-    def test_product_state_lifts(self):
-        ms = full_chain(Scenario(1.0, 0.0, "pure"))
-        alg = build_pointer_algebra("O")
-        assert restriction_eigenstate_lift_check(ms, alg.q)
-
-    def test_mixed_restriction_vacuous(self):
-        ms = full_chain(Scenario(SYM, SYM, "pure"))
-        alg = build_pointer_algebra("O")
-        assert restriction_eigenstate_lift_check(ms, alg.q)
-
-    def test_non_eigenstate_restriction_vacuous(self):
-        ms = full_chain(Scenario(0.0, 1.0, "pure"))
-        alg = build_pointer_algebra("O")
-        assert restriction_eigenstate_lift_check(ms, alg.qx)

@@ -1,8 +1,10 @@
-"""Every name a package module imports is used in that module, and every
-private name a module defines is used somewhere in the package.
+"""Every name a package module imports is used in that module, every
+private name a module defines is used somewhere in the package, and every
+public function or class has a user: package code outside its own
+definition, an acceptance criterion or the benchmark.
 
 A stdlib `ast` walk, so it runs wherever the tests run. `__init__.py` is
-exempt from both checks: its imports are the package's re-exports.
+exempt from all three checks: its imports are the package's re-exports.
 """
 
 import ast
@@ -70,3 +72,25 @@ def test_every_private_name_is_referenced(path):
     referenced = set().union(*(_references(tree) for tree in TREES.values()))
     dead = sorted(_module_private_names(TREES[path.name]) - referenced)
     assert not dead, f"{path.name} defines private names no package module uses: {dead}"
+
+
+ROOT = PACKAGE.parent.parent
+# the callers outside the package that keep a public name alive
+OUTSIDE_USERS = [ROOT / "tests" / "test_acceptance.py", *sorted((ROOT / "perfbench").glob("*.py"))]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_every_public_name_has_a_user(path):
+    # a public function or class that no command, criterion or benchmark reaches
+    outside = [ast.parse(p.read_text(encoding="utf-8")) for p in OUTSIDE_USERS]
+    outside += [TREES[p.name] for p in MODULES if p != path]
+    referenced = set().union(*(_references(tree) for tree in outside))
+    tree = TREES[path.name]
+    unused = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            elsewhere = set().union(*(_references(other) for other in tree.body
+                                      if other is not node))
+            if node.name not in referenced | elsewhere:
+                unused.append(node.name)
+    assert not unused, f"{path.name} defines public names nothing outside them uses: {unused}"

@@ -305,6 +305,6 @@ class TestEmbedOperator:
 
 class TestHermitianObservable:
     def test_spectral_cached(self):
-        obs = HermitianObservable(PAULI_Y, scope="O")
+        obs = HermitianObservable(PAULI_Y)
         assert obs.spectral is obs.spectral
         assert_allclose(obs.spectral.eigenvalues, [1.0, -1.0])

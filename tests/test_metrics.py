@@ -136,7 +136,7 @@ class TestOverlaps:
         assert overlap_tv(w_pure, w_mix) == pytest.approx(1 - abs(a1) * abs(a2), abs=1e-12)
 
     def test_pointer_eigenstates_fully_distinguishable(self):
-        alg = build_pointer_algebra("S")
+        alg = build_pointer_algebra()
         w1 = eigen_distribution(BASIS_1, alg.q)
         w2 = eigen_distribution(BASIS_2, alg.q)
         assert overlap_tv(w1, w2) == pytest.approx(0.0, abs=1e-12)
@@ -146,7 +146,7 @@ class TestOverlaps:
         a1, a2 = np.sqrt(0.3), np.sqrt(0.7) * np.exp(1.1j)
         rho_d_pure = object_detector_state(a1, a2).reduced(("D",))
         rho_d_mix = np.diag([abs(a1) ** 2, abs(a2) ** 2]).astype(complex)
-        alg = build_pointer_algebra("D")
+        alg = build_pointer_algebra()
         observables = [alg.q, alg.qx, alg.qy]
         for gamma in np.linspace(0, 2 * np.pi, 36, endpoint=False):
             obs = combine_observable(alg, ObservableSpec(
