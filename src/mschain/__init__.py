@@ -16,7 +16,6 @@ from .chain import (
     Scenario,
     decohere,
     full_chain,
-    make_gemenge,
     object_detector_state,
     pointer_branch_amplitudes,
     premeasure,

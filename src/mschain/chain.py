@@ -35,7 +35,6 @@ from .linalg import (
     _kept_positions,
     _kron,
     _require_unit_norm,
-    as_complex_array,
     partial_trace,
     pure_density,
     unitary_exp,
@@ -65,6 +64,8 @@ PREMEASURE_GENERATOR[2:, 2:] = (math.pi / 4.0) * PAULI_Y
 
 READY_FIDELITY_TOL = 1e-10
 BRANCH_PROB_FLOOR = 1e-12
+
+_OBJECT_LAYOUT = TensorLayout((("S", 2),))
 
 
 @dataclass(frozen=True)
@@ -207,33 +208,31 @@ class MSState:
 
 @dataclass(frozen=True)
 class Gemenge:
-    """Explicit probabilistic mixture of pure states.
+    """Explicit probabilistic mixture of MSState branches over one layout.
 
     Unlike its density matrix, a gemenge remembers which pure states occur
-    with which preparation probabilities. Branch states are MSState values or
-    bare state vectors. Its `born_table` records the pointer value that each
-    branch's observer reads.
+    with which preparation probabilities. Its `born_table` records the
+    pointer value that each branch's observer reads.
     """
 
-    branches: tuple[tuple[object, float], ...]
+    branches: tuple[tuple[MSState, float], ...]
     notes: tuple[str, ...] = ()
 
     def __post_init__(self):
+        if not all(isinstance(state, MSState) for state, _ in self.branches):
+            raise ValidationError("gemenge branches must be MSState values")
+        if len({state.layout for state, _ in self.branches}) > 1:
+            raise ValidationError("gemenge branches carry inconsistent layouts")
         # each check is written so that a NaN fails it
         total = sum(p for _, p in self.branches)
-        if not abs(total - 1.0) <= 1e-10:
+        if not abs(total - 1.0) <= NORM_TOL:
             raise ValidationError(f"branch probabilities sum to {total!r}, not 1")
         if not all(p > 0 for _, p in self.branches):
             raise ValidationError("branch probabilities must be positive")
 
     @property
-    def layout(self) -> TensorLayout | None:
-        layouts = {b.layout for b, _ in self.branches if isinstance(b, MSState)}
-        if not layouts:
-            return None
-        if len(layouts) > 1:
-            raise ValidationError("gemenge branches carry inconsistent layouts")
-        return next(iter(layouts))
+    def layout(self) -> TensorLayout:
+        return self.branches[0][0].layout
 
     @functools.cached_property
     def born_table(self) -> BornTable:
@@ -244,15 +243,12 @@ class Gemenge:
     def density(self) -> np.ndarray:
         out = None
         for state, p in self.branches:
-            vec = state.vector if isinstance(state, MSState) else state  # pure_density checks it
-            term = p * pure_density(vec)
+            term = p * pure_density(state.vector)
             out = term if out is None else out + term
         return out
 
 
-def _branch_pointer_value(state) -> float:
-    if not isinstance(state, MSState):
-        raise UsageError("gemenge sampling needs branches with factor layouts")
+def _branch_pointer_value(state: MSState) -> float:
     factors = factorize_branch(state)
     if "O" not in factors:
         raise UsageError("branch layout has no observer factor")
@@ -262,35 +258,6 @@ def _branch_pointer_value(state) -> float:
     raise UsageError("branch observer state is not a pointer basis state")
 
 
-def _branch_vector(state) -> np.ndarray:
-    return state.vector if isinstance(state, MSState) else as_complex_array(state)
-
-
-def make_gemenge(branches, notes=()) -> Gemenge:
-    """Build a gemenge, merging duplicate branches and dropping negligible ones."""
-    notes = list(notes)
-    kept: list[list] = []
-    for state, p in branches:
-        if p < BRANCH_PROB_FLOOR:
-            notes.append(f"dropped branch with probability {p:.3e} below floor")
-            continue
-        vec = _branch_vector(state)
-        for entry in kept:
-            other = _branch_vector(entry[0])
-            if other.shape == vec.shape and abs(np.vdot(other, vec)) ** 2 >= 1.0 - 1e-12:
-                entry[1] += p
-                notes.append("merged two branches with coinciding states")
-                break
-        else:
-            kept.append([state, p])
-    if not kept:
-        raise ValidationError("gemenge has no branch above the probability floor")
-    total = sum(p for _, p in kept)
-    if abs(total - 1.0) > 1e-10:
-        notes.append(f"renormalized branch probabilities by {total!r}")
-    return Gemenge(tuple((s, p / total) for s, p in kept), tuple(notes))
-
-
 def prepare_object_state(a1: complex, a2: complex) -> np.ndarray:
     """Two-component superposition of the object system's measured eigenstates."""
     vec = np.array([a1, a2], dtype=complex)
@@ -298,20 +265,27 @@ def prepare_object_state(a1: complex, a2: complex) -> np.ndarray:
 
 
 def prepare_gemenge(a1: complex, a2: complex) -> Gemenge:
-    """Mixture of the object eigenstates with the squared-modulus probabilities."""
+    """Mixture of the object eigenstates with the squared-modulus probabilities.
+
+    A branch below BRANCH_PROB_FLOOR is dropped with a note; this is the one
+    floor a gemenge's branches pass.
+    """
     validate_state_vector(np.array([a1, a2], dtype=complex))
-    p1, p2 = abs(a1) ** 2, abs(a2) ** 2
     notes = []
     branches = []
-    if p1 >= BRANCH_PROB_FLOOR:
-        branches.append((BASIS_1.copy(), p1))
-    else:
-        notes.append("first amplitude vanishes; gemenge degenerates to a single pure state")
-    if p2 >= BRANCH_PROB_FLOOR:
-        branches.append((BASIS_2.copy(), p2))
-    else:
-        notes.append("second amplitude vanishes; gemenge degenerates to a single pure state")
-    return make_gemenge(branches, notes)
+    for basis, p, which in ((BASIS_1, abs(a1) ** 2, "first"),
+                            (BASIS_2, abs(a2) ** 2, "second")):
+        if p >= BRANCH_PROB_FLOOR:
+            branches.append((MSState._built(basis.copy(), _OBJECT_LAYOUT), p))
+        else:
+            notes.append(f"{which} amplitude vanishes; gemenge degenerates to a single pure state")
+    return _normalized(branches, notes)
+
+
+def _normalized(branches, notes) -> Gemenge:
+    """The gemenge of these branches with their weights divided by their sum."""
+    total = sum(p for _, p in branches)
+    return Gemenge(tuple((state, p / total) for state, p in branches), tuple(notes))
 
 
 def _attach(state: MSState, label: str, factor: np.ndarray) -> MSState:
@@ -350,38 +324,38 @@ def full_chain(scenario: Scenario):
     the gemenge of product chain states with the preparation probabilities.
     """
     if scenario.input_kind == "pure":
-        return _chain_from_object_state(prepare_object_state(scenario.a1, scenario.a2))
+        return _chain_from_object_state(_object_ms(scenario.a1, scenario.a2))
     w = prepare_gemenge(scenario.a1, scenario.a2)
-    branches = [(_chain_from_object_state(vec), p) for vec, p in w.branches]
-    return make_gemenge(branches, w.notes)
+    # prepare_gemenge's floor is the only one: every prepared branch is chained
+    return _normalized([(_chain_from_object_state(state), p) for state, p in w.branches], w.notes)
+
+
+def _object_ms(a1: complex, a2: complex) -> MSState:
+    return MSState._built(prepare_object_state(a1, a2), _OBJECT_LAYOUT)
+
+
+def _detect(state: MSState) -> MSState:
+    """The S->D step: attach the ready detector and premeasure the object with it."""
+    return premeasure(_attach(state, "D", READY_STATE), "S", "D")
 
 
 def object_detector_state(a1: complex, a2: complex) -> MSState:
     """The entangled object-detector state after the first premeasurement."""
-    ms = MSState._built(prepare_object_state(a1, a2), TensorLayout((("S", 2),)))
-    ms = _attach(ms, "D", READY_STATE)
-    return premeasure(ms, "S", "D")
+    return _detect(_object_ms(a1, a2))
 
 
-def _chain_from_object_state(object_vec: np.ndarray) -> MSState:
-    ms = MSState._built(object_vec, TensorLayout((("S", 2),)))
-    ms = _attach(ms, "D", READY_STATE)
-    ms = premeasure(ms, "S", "D")
-    ms = _attach(ms, "O", READY_STATE)
-    ms = premeasure(ms, "D", "O")
-    return ms
+def _chain_from_object_state(state: MSState) -> MSState:
+    """The S->D step, then the D->O step, from a state over the `S` layout."""
+    return premeasure(_attach(_detect(state), "O", READY_STATE), "D", "O")
 
 
-def statistical_restriction(state, layout: TensorLayout | None = None) -> np.ndarray:
-    """Reduced density matrix of the observer factor.
-
-    Accepts an MSState, or a density matrix plus the layout describing it.
-    """
-    if isinstance(state, MSState):
-        return state.reduced(("O",))
-    if layout is None:
-        raise UsageError("a bare density matrix needs an explicit layout")
-    return partial_trace(as_complex_array(state), layout, ("O",))
+def statistical_restriction(model) -> np.ndarray:
+    """Reduced density matrix of the observer factor of an MSState or a Gemenge."""
+    if isinstance(model, MSState):
+        return model.reduced(("O",))
+    if isinstance(model, Gemenge):
+        return partial_trace(model.density(), model.layout, ("O",))
+    raise UsageError(f"the restriction needs an MSState or a Gemenge, not {type(model).__name__}")
 
 
 def factorize_branch(state: MSState) -> dict[str, np.ndarray]:

@@ -283,12 +283,11 @@ def _chain_rows(run: _Run) -> tuple[list[ReportRow], list[str]]:
         for k, amp in enumerate(model.vector):
             rows.append(ReportRow(f"chain.amplitude[{_BASIS_NAMES_8[k]}].re", float(amp.real)))
             rows.append(ReportRow(f"chain.amplitude[{_BASIS_NAMES_8[k]}].im", float(amp.imag)))
-        restriction = statistical_restriction(model)
     else:
         for i, (branch, p) in enumerate(model.branches):
             rows.append(ReportRow(f"chain.branch[{i}].probability", float(p)))
-        restriction = statistical_restriction(model.density(), model.layout)
         notes.extend(model.notes)
+    restriction = statistical_restriction(model)
     p1, p2 = scenario.probabilities
     expect = {("1", "1"): p1, ("2", "2"): p2, ("1", "2"): None, ("2", "1"): None}
     for (i, j), exp in expect.items():

@@ -240,30 +240,24 @@ class HermitianObservable:
 
     def __init__(self, matrix):
         self.matrix = require_hermitian(matrix)
-        self._spectral: SpectralDecomposition | None = None
-        self._blocks: tuple[tuple[float, np.ndarray, np.ndarray], ...] | None = None
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    @property
+    @functools.cached_property
     def spectral(self) -> SpectralDecomposition:
-        if self._spectral is None:
-            self._spectral = eig_hermitian(self.matrix)
-        return self._spectral
+        return eig_hermitian(self.matrix)
 
-    @property
+    @functools.cached_property
     def blocks(self) -> tuple[tuple[float, np.ndarray, np.ndarray], ...]:
         """(value, eigenvector block, its conjugate transpose) per eigenvalue group."""
-        if self._blocks is None:
-            spec = self.spectral
-            blocks = []
-            for value, idx in spec.groups:
-                block = spec.vectors[:, list(idx)]
-                blocks.append((value, block, block.conj().T))
-            self._blocks = tuple(blocks)
-        return self._blocks
+        spec = self.spectral
+        blocks = []
+        for value, idx in spec.groups:
+            block = spec.vectors[:, list(idx)]
+            blocks.append((value, block, block.conj().T))
+        return tuple(blocks)
 
     def __repr__(self):
         return f"HermitianObservable(dim={self.dim})"

@@ -12,13 +12,10 @@ import pytest
 
 from mschain import errors
 from mschain.chain import (
-    BASIS_1,
-    BASIS_2,
     Gemenge,
     MSState,
     Scenario,
     full_chain,
-    make_gemenge,
     statistical_restriction,
 )
 from mschain.discriminate import DiscriminationProblem
@@ -77,15 +74,15 @@ NONFINITE = {
     "pure_density": lambda v2, r2, v8, r8: pure_density(v2),
     "require_hermitian": lambda v2, r2, v8, r8: require_hermitian(r2),
     "MSState": lambda v2, r2, v8, r8: MSState(v8, LAYOUT),
-    "statistical_restriction": lambda v2, r2, v8, r8: statistical_restriction(r8, LAYOUT),
+    # a foreign array reaches the restriction and a gemenge only inside an MSState
+    "statistical_restriction": lambda v2, r2, v8, r8: statistical_restriction(MSState(v8, LAYOUT)),
     "HermitianObservable": lambda v2, r2, v8, r8: HermitianObservable(r2),
     "eig_hermitian": lambda v2, r2, v8, r8: eig_hermitian(r2),
     "unitary_exp": lambda v2, r2, v8, r8: unitary_exp(r2, 1.0),
     "embed_operator": lambda v2, r2, v8, r8: embed_operator(r2, LAYOUT, "D"),
     "DiscriminationProblem": lambda v2, r2, v8, r8: DiscriminationProblem(
         2, (V2, v2), ((0,), (1,))),
-    "make_gemenge": lambda v2, r2, v8, r8: make_gemenge([(V2, 0.5), (v2, 0.5)]),
-    "Gemenge.density": lambda v2, r2, v8, r8: Gemenge(((v2, 1.0),)).density(),
+    "Gemenge.density": lambda v2, r2, v8, r8: Gemenge(((MSState(v8, LAYOUT), 1.0),)).density(),
 }
 
 RHO3 = np.eye(3, dtype=complex) / 3
@@ -138,10 +135,11 @@ WRONG_SHAPE = {
                        V, "vector dim 2 does not match layout dim 8"),
     "MSState/matrix": (lambda: MSState(RHO8, LAYOUT),
                        V, "state vector must be a nonempty 1-d array"),
-    "statistical_restriction/size": (lambda: statistical_restriction(RHO3, LAYOUT),
-                                     U, "density shape (3, 3) does not match layout dim 8"),
-    "statistical_restriction/no-layout": (lambda: statistical_restriction(RHO8),
-                                          U, "a bare density matrix needs an explicit layout"),
+    # a bare density carries no layout; it raised "a bare density matrix needs an explicit
+    # layout" while the restriction also took a density plus a layout
+    "statistical_restriction/no-layout": (lambda: statistical_restriction(RHO8), U,
+                                          "the restriction needs an MSState or a Gemenge, "
+                                          "not ndarray"),
     "HermitianObservable/rectangular": (lambda: HermitianObservable(np.ones((2, 3))),
                                         V, "operator must be a square matrix"),
     "HermitianObservable/vector": (lambda: HermitianObservable(V2),
@@ -184,11 +182,7 @@ NAN_SCALAR = {
     "Scenario/n_env": (lambda: Scenario(1.0, 0.0, n_env=NAN), "n_env must be nonnegative"),
     "Scenario/trials": (lambda: Scenario(1.0, 0.0, trials=NAN),
                         "trials must be a positive integer"),
-    "Gemenge": (lambda: Gemenge(((BASIS_1, NAN),)), "branch probabilities sum to nan, not 1"),
-    "make_gemenge/one": (lambda: make_gemenge([(BASIS_1, NAN)]),
-                         "branch probabilities sum to nan, not 1"),
-    "make_gemenge/two": (lambda: make_gemenge([(BASIS_1, 0.5), (BASIS_2, NAN)]),
-                         "branch probabilities sum to nan, not 1"),
+    "Gemenge": (lambda: Gemenge(((_chain(), NAN),)), "branch probabilities sum to nan, not 1"),
 }
 
 

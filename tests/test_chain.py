@@ -17,7 +17,6 @@ from mschain.chain import (
     decohere,
     factorize_branch,
     full_chain,
-    make_gemenge,
     object_detector_state,
     pointer_branch_amplitudes,
     premeasure,
@@ -35,7 +34,7 @@ from mschain.errors import (
     UsageError,
     ValidationError,
 )
-from mschain.linalg import TensorLayout, unitary_exp
+from mschain.linalg import TensorLayout, partial_trace, unitary_exp
 
 SYM = 2**-0.5
 
@@ -63,8 +62,8 @@ class TestPrepare:
     def test_gemenge_symmetric(self):
         w = prepare_gemenge(SYM, SYM)
         assert [p for _, p in w.branches] == pytest.approx([0.5, 0.5])
-        assert_allclose(w.branches[0][0], BASIS_1)
-        assert_allclose(w.branches[1][0], BASIS_2)
+        assert_allclose(w.branches[0][0].vector, BASIS_1)
+        assert_allclose(w.branches[1][0].vector, BASIS_2)
 
     def test_gemenge_degenerate_amplitude(self):
         w = prepare_gemenge(1.0, 0.0)
@@ -163,8 +162,14 @@ class TestRestrictions:
 
     def test_gemenge_density_restriction(self):
         w = full_chain(Scenario(np.sqrt(0.3), np.sqrt(0.7), "gemenge"))
-        rho = statistical_restriction(w.density(), w.layout)
+        rho = statistical_restriction(w)
         assert_allclose(rho, np.diag([0.3, 0.7]), atol=1e-12)
+
+    def test_gemenge_restriction_is_the_partial_trace_of_its_density(self):
+        w = full_chain(Scenario(0.6, 0.8, "gemenge"))
+        rho = statistical_restriction(w)
+        assert np.array_equal(rho, partial_trace(w.density(), w.layout, ("O",)))
+        assert_allclose(rho, np.diag([0.36, 0.64]), atol=1e-12)
 
     def test_missing_observer_factor(self):
         state = MSState(np.kron(BASIS_1, BASIS_1), TensorLayout((("S", 2), ("D", 2))))
@@ -329,19 +334,32 @@ class TestInvariants:
 
 class TestGemengeType:
     def test_probability_sum_enforced(self):
+        w = full_chain(Scenario(SYM, SYM, "gemenge"))
         with pytest.raises(ValidationError):
-            Gemenge(((BASIS_1, 0.5), (BASIS_2, 0.4)))
-
-    def test_merge_coinciding_branches(self):
-        w = make_gemenge(((BASIS_1, 0.25), (BASIS_1, 0.25), (BASIS_2, 0.5)))
-        assert len(w.branches) == 2
-        assert w.branches[0][1] == pytest.approx(0.5)
+            Gemenge(((w.branches[0][0], 0.5), (w.branches[1][0], 0.4)))
 
     def test_drop_negligible_branch(self):
-        w = make_gemenge(((BASIS_1, 1.0 - 1e-13), (BASIS_2, 1e-13)))
+        # prepare_gemenge's floor is the one place a branch is dropped
+        w = prepare_gemenge(np.sqrt(1.0 - 1e-13), np.sqrt(1e-13))
         assert len(w.branches) == 1
         assert w.branches[0][1] == pytest.approx(1.0)
-        assert any("dropped" in note for note in w.notes)
+        assert any("vanishes" in note for note in w.notes)
+
+    def test_mixed_layouts_rejected(self):
+        sdo = full_chain(Scenario(1.0, 0.0, "pure"))
+        sd = object_detector_state(0.0, 1.0)
+        with pytest.raises(ValidationError, match="layouts"):
+            Gemenge(((sdo, 0.5), (sd, 0.5)))
+
+    def test_floor_edge_branch_kept_through_the_chain(self):
+        # p1 clears the floor, p1 / (1 + 5e-11) does not: a second floor after
+        # chaining would drop the branch that prepare_gemenge kept
+        p1 = 1.000000000001e-12
+        scenario = Scenario(np.sqrt(p1), np.sqrt(1.0 + 5e-11 - p1), "gemenge")
+        assert len(prepare_gemenge(scenario.a1, scenario.a2).branches) == 2
+        w = full_chain(scenario)
+        assert len(w.branches) == 2
+        assert w.notes == ()
 
 
 class TestScenario:

@@ -12,9 +12,8 @@ from mschain.chain import (
     MSState,
     Scenario,
     full_chain,
-    make_gemenge,
 )
-from mschain.errors import CapacityError, PreconditionError, UsageError, ValidationError
+from mschain.errors import CapacityError, PreconditionError, ValidationError
 from mschain.sampling import (
     CHUNK,
     MAX_TRIALS,
@@ -164,9 +163,8 @@ class TestSampleGemenge:
                 sample_gemenge(w, 0.5)
 
     def test_bare_vector_branch_rejected(self):
-        w = Gemenge(((np.array([1.0, 0.0], dtype=complex), 1.0),))
-        with pytest.raises(UsageError):
-            sample_gemenge(w, 0.5)
+        with pytest.raises(ValidationError):
+            Gemenge(((np.array([1.0, 0.0], dtype=complex), 1.0),))
 
 
 class TestRunTrials:
@@ -274,15 +272,15 @@ class TestBornReport:
     @pytest.mark.parametrize("trials", [6, CHUNK + 1])
     def test_draw_on_a_cell_edge_counted_in_the_upper_cell(self, monkeypatch, trials):
         u5 = trial_uniform(SEED, 5)
-        model = make_gemenge([(chain_product(BASIS_1), u5), (chain_product(BASIS_2), 1.0 - u5)])
+        model = Gemenge(((chain_product(BASIS_1), u5), (chain_product(BASIS_2), 1.0 - u5)))
         assert model.born_table.edges[0] == u5  # draw 5 sits on the edge
         stream = self._counted_like_the_stream(monkeypatch, model, trials)
         assert stream.branches[5] == 1
 
     @pytest.mark.parametrize("trials", [1, CHUNK - 1, CHUNK, CHUNK + 1])
     def test_three_branch_gemenge(self, monkeypatch, trials):
-        model = make_gemenge([(chain_product(BASIS_1), 0.2), (chain_product(BASIS_2), 0.5),
-                              (chain_product(BASIS_1, BASIS_2), 0.3)])
+        model = Gemenge(((chain_product(BASIS_1), 0.2), (chain_product(BASIS_2), 0.5),
+                         (chain_product(BASIS_1, BASIS_2), 0.3)))
         self._counted_like_the_stream(monkeypatch, model, trials)
 
     def test_draws_past_the_last_edge_clipped_into_the_last_cell(self, monkeypatch):
