@@ -12,6 +12,7 @@ __version__ = "0.1.0"
 
 from .chain import (
     Gemenge,
+    InformationPattern,
     MSState,
     Scenario,
     decohere,
@@ -72,7 +73,6 @@ from .metrics import (
 )
 from .sampling import (
     FrequencyReport,
-    InformationPattern,
     OutcomeStream,
     StreamComparison,
     born_report,

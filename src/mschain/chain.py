@@ -14,7 +14,7 @@ import functools
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -122,11 +122,26 @@ def scenario_digest(scenario: Scenario) -> str:
     return hashlib.sha256(text.encode("ascii")).hexdigest()[:16]
 
 
+@dataclass(frozen=True)
+class InformationPattern:
+    """The real parameters an information system assigns to one recognized outcome."""
+
+    values: tuple[float, ...]
+
+    def __post_init__(self):
+        if not self.values:
+            raise ValidationError("information pattern must be nonempty")
+        if not all(np.isfinite(v) for v in self.values):
+            raise ValidationError("information pattern entries must be finite")
+
+
 @dataclass(frozen=True, eq=False)
 class BornTable:
     """A chain model's kept outcome cells: Born weights, inner edges (every
     cumulative weight but the last; a draw's cell is the number of edges at or
-    below it) and each cell's (branch index, recognized pointer value).
+    below it) and each cell's (branch index, recognized pointer value), with
+    the pointer value's `InformationPattern` in `patterns`, built and checked
+    once with the table and shared by every draw of that cell.
 
     Built on first use and kept, assuming nothing writes into the model's
     arrays after construction; a failed build caches nothing and raises again.
@@ -135,6 +150,11 @@ class BornTable:
     weights: tuple[float, ...]
     edges: np.ndarray
     outcomes: tuple[tuple[int, float], ...]
+    patterns: tuple[InformationPattern, ...] = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "patterns",
+                           tuple(InformationPattern((q,)) for _, q in self.outcomes))
 
 
 def _born_table(weights: list[float], outcome) -> BornTable:

@@ -12,20 +12,32 @@ records, and a draw's cell is the number of the table's inner edges at or
 below it, so single events, `run_trials` streams and `born_report` counts
 agree draw for draw. Draws being order-free,
 `born_report` counts `CHUNK` trials at a time, in memory that does not grow
-with the trial count: one in-place SplitMix64 kernel, shared with
-`trial_uniforms`, fills reused buffers, and each cell's count is read off a
-chunk as the number of draws at or above its edge, so no draw is ever
-labelled with its cell.
+with the trial count: one in-place SplitMix64 finalizer, shared with
+`trial_uniforms`, fills reused buffers with the 64-bit outputs, and each
+cell's count is read off a chunk as the number of outputs at or above the
+integer limit of its edge, which are exactly the draws at or above the edge,
+so no draw is ever turned into a float or labelled with its cell.
+`trial_uniform` computes the same draw on Python ints.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import chi2 as chi2_dist
 
-from .chain import BornTable, Gemenge, MSState, Scenario, full_chain, scenario_digest
+from .chain import (
+    BornTable,
+    Gemenge,
+    InformationPattern,
+    MSState,
+    Scenario,
+    full_chain,
+    scenario_digest,
+)
 from .errors import CapacityError, ValidationError
 
 # SplitMix64: golden-ratio increment and the two finalizer multipliers.
@@ -33,33 +45,44 @@ SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
 SPLITMIX_MULT_1 = 0xBF58476D1CE4E5B9
 SPLITMIX_MULT_2 = 0x94D049BB133111EB
 _U64 = np.uint64
+_MASK = 2**64 - 1
 
 # Trials per counting step of `born_report`; its memory is O(CHUNK).
 CHUNK = 2**16
-# Largest trial count a run may ask for: about 8 s of chunked counting
-# (0.8 s CPU per 10**8 trials on a 2-vCPU Xeon).
+# Largest trial count a run may ask for: about 5 s of chunked counting
+# (0.46 s CPU per 10**8 trials on a 2-vCPU Xeon).
 MAX_TRIALS = 10**9
 
 
-def _splitmix_uniforms(seed: int, z: np.ndarray, scratch: np.ndarray,
-                       out: np.ndarray | None = None):
-    """SplitMix64 uniforms of the counters `z` (trial index k + 1), in place.
+def _splitmix_finalize(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """The SplitMix64 finalizer of the counter words `z`, in place.
 
     Overwrites `z` and `scratch` (same shape and dtype uint64) and returns
-    the top 53 bits of each output scaled into [0, 1), written to `out` when
-    given. Working in place lets `born_report` reuse one set of buffers for
-    every chunk.
+    `z`. Working in place lets `born_report` reuse one set of buffers for
+    every chunk. `_splitmix64` is its scalar form.
     """
     # array arithmetic on uint64 wraps mod 2**64 silently, as SplitMix64 needs
-    z *= _U64(SPLITMIX_GAMMA)
-    z += _U64(seed % 2**64)
     z ^= np.right_shift(z, _U64(30), out=scratch)
     z *= _U64(SPLITMIX_MULT_1)
     z ^= np.right_shift(z, _U64(27), out=scratch)
     z *= _U64(SPLITMIX_MULT_2)
     z ^= np.right_shift(z, _U64(31), out=scratch)
-    z >>= _U64(11)
-    return np.multiply(z, 2.0**-53, out=out)
+    return z
+
+
+def _splitmix64(seed: int, index: int) -> int:
+    """Output `index` of the SplitMix64 stream seeded with `seed`, on Python ints.
+
+    The scalar form of `_splitmix_finalize` on the counter word
+    seed + (index+1)*gamma mod 2**64. Like the array form, it accepts the
+    indices 0 <= index < 2**64 and raises OverflowError on any other.
+    """
+    if not 0 <= index < 2**64:
+        raise OverflowError(f"trial index {index} out of bounds for uint64")
+    z = (seed + (index + 1) * SPLITMIX_GAMMA) & _MASK
+    z = ((z ^ (z >> 30)) * SPLITMIX_MULT_1) & _MASK
+    z = ((z ^ (z >> 27)) * SPLITMIX_MULT_2) & _MASK
+    return z ^ (z >> 31)
 
 
 def trial_uniforms(seed: int, indices) -> np.ndarray:
@@ -72,24 +95,16 @@ def trial_uniforms(seed: int, indices) -> np.ndarray:
     """
     z = np.array(indices, dtype=np.uint64)
     z += _U64(1)
-    return _splitmix_uniforms(seed, z, np.empty_like(z))
+    z *= _U64(SPLITMIX_GAMMA)
+    z += _U64(seed % 2**64)
+    _splitmix_finalize(z, np.empty_like(z))
+    z >>= _U64(11)
+    return np.multiply(z, 2.0**-53)
 
 
 def trial_uniform(seed: int, index: int) -> float:
-    return float(trial_uniforms(seed, [index])[0])
-
-
-@dataclass(frozen=True)
-class InformationPattern:
-    """The real parameters an information system assigns to one recognized outcome."""
-
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        if not self.values:
-            raise ValidationError("information pattern must be nonempty")
-        if not all(np.isfinite(v) for v in self.values):
-            raise ValidationError("information pattern entries must be finite")
+    """`trial_uniforms(seed, [index])[0]`, computed on Python ints."""
+    return (_splitmix64(operator.index(seed), operator.index(index)) >> 11) * 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -144,8 +159,8 @@ class StreamComparison:
 
 def _draw(model: MSState | Gemenge, rng_draw: float) -> tuple[int, InformationPattern]:
     table = model.born_table
-    branch, q = table.outcomes[np.searchsorted(table.edges, rng_draw, side="right")]
-    return branch, InformationPattern((q,))
+    cell = np.searchsorted(table.edges, rng_draw, side="right")
+    return table.outcomes[cell][0], table.patterns[cell]
 
 
 def stochastic_restriction(state: MSState, rng_draw: float) -> InformationPattern:
@@ -184,28 +199,48 @@ def run_trials(scenario: Scenario) -> tuple[OutcomeStream, FrequencyReport]:
     return stream, _frequency_report(table, counts, scenario.trials)
 
 
+def _draw_limit(edge: float) -> int:
+    """The least SplitMix64 output whose draw is at or above `edge`.
+
+    A draw is u = (z >> 11) * 2**-53, and u >= edge exactly when
+    z >= ceil(edge * 2**53) << 11 (scaling by 2**53 is exact). The edge is
+    first clipped into [0, 1], which no draw's side of it changes: an edge at
+    or below 0 gives 0, which every output reaches, and one at or above 1
+    gives 2**64, which none does.
+    """
+    return math.ceil(min(max(edge, 0.0), 1.0) * 2.0**53) << 11
+
+
 def born_report(model: MSState | Gemenge, scenario: Scenario) -> FrequencyReport:
     """The frequency report of `run_trials` on the chain `model` of `scenario`.
 
     Counted CHUNK trials at a time in min(CHUNK, trials)-long buffers, and no
     draw is labelled with its cell: a draw lands in cell j or above (0 < j < n)
-    exactly when it is at or above the inner edge edges[j - 1], so each chunk
-    adds those tail counts and cell j's count is tail[j] - tail[j + 1], with
-    tail[0] = trials and tail[n] = 0.
+    exactly when it is at or above the inner edge edges[j - 1], which is
+    exactly when its SplitMix64 output is at or above that edge's
+    `_draw_limit`. Each chunk adds those tail counts on the integer outputs,
+    never forming a float draw, and cell j's count is tail[j] - tail[j + 1],
+    with tail[0] = trials and tail[n] = 0.
     """
     _require_trials_within_cap(scenario.trials)
     table = model.born_table
     tail = np.zeros(len(table.weights) + 1, dtype=np.int64)
     tail[0] = scenario.trials
+    # an edge at or above 1 has the limit 2**64, and its tail count stays 0
+    limits = [(j, _U64(limit)) for j, limit in enumerate(map(_draw_limit, table.edges), start=1)
+              if limit < 2**64]
     buffer = min(CHUNK, scenario.trials)
-    counters = np.arange(1, buffer + 1, dtype=np.uint64)
-    z, scratch, u = np.empty(buffer, np.uint64), np.empty(buffer, np.uint64), np.empty(buffer)
+    # counter word of trial start + i is (i + 1) * gamma + start * gamma + seed
+    steps = np.arange(1, buffer + 1, dtype=np.uint64)
+    steps *= _U64(SPLITMIX_GAMMA)
+    z, scratch = np.empty(buffer, np.uint64), np.empty(buffer, np.uint64)
+    at_or_above = np.empty(buffer, dtype=bool)
     for start in range(0, scenario.trials, CHUNK):
         size = min(CHUNK, scenario.trials - start)
-        np.add(counters[:size], _U64(start), out=z[:size])
-        draws = _splitmix_uniforms(scenario.seed, z[:size], scratch[:size], u[:size])
-        for j, edge in enumerate(table.edges, start=1):
-            tail[j] += np.count_nonzero(draws >= edge)
+        offset = _U64((start * SPLITMIX_GAMMA + scenario.seed) & _MASK)
+        outputs = _splitmix_finalize(np.add(steps[:size], offset, out=z[:size]), scratch[:size])
+        for j, limit in limits:
+            tail[j] += np.count_nonzero(np.greater_equal(outputs, limit, out=at_or_above[:size]))
     return _frequency_report(table, tail[:-1] - tail[1:], scenario.trials)
 
 

@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mschain import chain, sampling
 from mschain.chain import (
@@ -17,6 +19,7 @@ from mschain.errors import CapacityError, PreconditionError, ValidationError
 from mschain.sampling import (
     CHUNK,
     MAX_TRIALS,
+    SPLITMIX_GAMMA,
     InformationPattern,
     OutcomeStream,
     born_report,
@@ -40,21 +43,50 @@ def chain_product(object_state, observer_state=None):
     return MSState(np.kron(np.kron(object_state, object_state), o), ms.layout)
 
 
-def splitmix64_reference(seed: int, k: int) -> int:
-    """Pure-Python SplitMix64: output k of the stream seeded with `seed`."""
-    z = (seed + (k + 1) * 0x9E3779B97F4A7C15) & MASK
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK
-    z = z ^ (z >> 31)
-    return z
+@st.composite
+def counting_cases(draw):
+    """(seed, trials, sorted edges) around CHUNK, with edges on, and one ulp
+    either side of, a draw of the run as well as anywhere in [0, 1]."""
+    seed = draw(st.one_of(st.just(MASK), st.just(0), st.integers(0, MASK)))
+    trials = draw(st.sampled_from([1, 17, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3]))
+    u = trial_uniform(seed, draw(st.integers(0, trials - 1)))
+    near = [u, float(np.nextafter(u, 0.0)), float(np.nextafter(u, 1.0))]
+    special = [0.0, 5e-324, 1e-12, 2**-53, 0.5, 1.0 - 2**-53, 1.0]
+    edges = draw(st.lists(st.one_of(st.floats(0.0, 1.0), st.sampled_from(near + special)),
+                          min_size=1, max_size=4))
+    return seed, trials, sorted(edges)
 
 
 class TestCounterRng:
+    SEEDS = (0, 1, 42, 2**63, MASK)
+    INDICES = (0, CHUNK - 1, CHUNK, 2**63, MASK)
+
     def test_matches_reference_implementation(self):
-        for seed in (0, 1, 42, 2**63, MASK):
-            got = trial_uniforms(seed, np.arange(16))
-            expected = [(splitmix64_reference(seed, k) >> 11) * 2.0**-53 for k in range(16)]
-            assert np.array_equal(got, np.array(expected))
+        # the scalar form on Python ints is the reference for the array kernel
+        for seed in self.SEEDS:
+            outputs = [sampling._splitmix64(seed, k) for k in self.INDICES]
+            z = (np.array(self.INDICES, dtype=np.uint64) + np.uint64(1)) * np.uint64(SPLITMIX_GAMMA)
+            z += np.uint64(seed)
+            assert sampling._splitmix_finalize(z, np.empty_like(z)).tolist() == outputs
+            expected = [(out >> 11) * 2.0**-53 for out in outputs]
+            assert trial_uniforms(seed, self.INDICES).tolist() == expected
+            assert [trial_uniform(seed, k) for k in self.INDICES] == expected
+
+    def test_known_answer(self):
+        # the first outputs of the SplitMix64 stream seeded with 0
+        assert [sampling._splitmix64(0, k) for k in range(3)] == [
+            0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+
+    @pytest.mark.parametrize("index", [-1, 2**64])
+    def test_index_outside_uint64_rejected_by_both_forms(self, index):
+        with pytest.raises(OverflowError):
+            trial_uniforms(SEED, [index])
+        with pytest.raises(OverflowError):
+            trial_uniform(SEED, index)
+
+    def test_non_integer_index_rejected_by_the_scalar_form(self):
+        with pytest.raises(TypeError):
+            trial_uniform(SEED, 3.0)
 
     def test_deterministic_and_order_free(self):
         forward = trial_uniforms(7, np.arange(100))
@@ -64,6 +96,7 @@ class TestCounterRng:
 
     def test_scalar_matches_vector(self):
         assert trial_uniform(9, 3) == trial_uniforms(9, [3])[0]
+        assert trial_uniform(9, np.int64(3)) == trial_uniforms(9, [3])[0]
 
     def test_range_and_spread(self):
         u = trial_uniforms(123, np.arange(10000))
@@ -87,6 +120,16 @@ class TestStochasticRestriction:
         edge = ms.born_table.edges[0]
         assert stochastic_restriction(ms, float(np.nextafter(edge, 0.0))).values == (0.5,)
         assert stochastic_restriction(ms, float(edge)).values == (-0.5,)
+
+    def test_draws_share_the_table_patterns(self):
+        ms = full_chain(Scenario(0.6, 0.8, "pure"))
+        first, second = ms.born_table.patterns
+        assert stochastic_restriction(ms, 0.1) is first
+        assert stochastic_restriction(ms, 0.9) is second
+        w = full_chain(Scenario(0.6, 0.8, "gemenge"))
+        index, pattern = sample_gemenge(w, 0.9)
+        assert (index, pattern) == (1, InformationPattern((-0.5,)))
+        assert pattern is w.born_table.patterns[1]
 
     def test_pointer_amplitudes_read_once_per_state(self, monkeypatch):
         ms = full_chain(Scenario(np.sqrt(0.3), np.sqrt(0.7), "pure"))
@@ -292,6 +335,61 @@ class TestBornReport:
         u = trial_uniforms(SEED, np.arange(CHUNK + 1))
         assert np.array_equal(stream.branches, (u >= 0.25).astype(np.int64))
 
+    @staticmethod
+    def _tail_counts(model, seed, trials):
+        """born_report's count of draws at or above each edge of `model`'s table, whose
+        cell j records pointer value -j so that the report lists the cells in order."""
+        report = born_report(model, Scenario(SYM, SYM, "gemenge", seed=seed, trials=trials))
+        counts = [s.count for s in report.stats]
+        return np.cumsum(counts[::-1])[::-1][1:].tolist()
+
+    @staticmethod
+    def _edge_table(edges):
+        n = len(edges) + 1
+        return BornTable((1.0 / n,) * n, np.array(edges, dtype=float),
+                         tuple((j, float(-j)) for j in range(n)))
+
+    @given(case=counting_cases())
+    @example(case=(MASK, CHUNK + 1, [0.0, 5e-324, 2**-53, 0.5, 1.0 - 2**-53, 1.0]))
+    @settings(max_examples=40, deadline=None)
+    def test_integer_count_equals_the_float_comparison(self, case):
+        seed, trials, edges = case
+        model = full_chain(Scenario(SYM, SYM, "gemenge"))
+        model.__dict__["born_table"] = self._edge_table(edges)  # a fresh model per example
+        u = trial_uniforms(seed, np.arange(trials))
+        assert self._tail_counts(model, seed, trials) == [
+            np.count_nonzero(u >= e) for e in edges]
+
+    @pytest.mark.parametrize("trials,exact", [(6, False), (CHUNK + 1, False), (CHUNK + 1, True)])
+    def test_edge_one_ulp_either_side_of_a_draw(self, monkeypatch, trials, exact):
+        # an exact draw's SplitMix64 output has its 11 dropped bits zero, so the
+        # output equals the integer limit of an edge on the draw
+        k = next(k for k in range(trials)
+                 if (sampling._splitmix64(SEED, k) & 0x7FF == 0) == exact)
+        uk = trial_uniform(SEED, k)
+        edges = [float(np.nextafter(uk, 0.0)), uk, float(np.nextafter(uk, 1.0))]
+        model = full_chain(Scenario(SYM, SYM, "gemenge"))
+        monkeypatch.setitem(model.__dict__, "born_table", self._edge_table(edges))
+        u = trial_uniforms(SEED, np.arange(trials))
+        tails = self._tail_counts(model, SEED, trials)
+        assert tails == [np.count_nonzero(u >= e) for e in edges]
+        # draw k is counted at the edge one ulp below it and at its own, not one ulp above
+        assert tails[0] == tails[1] == tails[2] + 1
+
+    @pytest.mark.parametrize("edge,counted", [
+        (0.0, "all"), (5e-324, "positive"), (2**-53, "positive"), (1.0 - 2**-53, "top"),
+        (1.0, "none"), (2.0, "none"), (float("inf"), "none"),
+    ])
+    def test_extreme_edges(self, monkeypatch, edge, counted):
+        model = full_chain(Scenario(SYM, SYM, "gemenge"))
+        monkeypatch.setitem(model.__dict__, "born_table", self._edge_table([edge]))
+        trials = CHUNK + 1
+        u = trial_uniforms(SEED, np.arange(trials))
+        expected = {"all": trials, "positive": np.count_nonzero(u > 0.0),
+                    "top": np.count_nonzero(u == 1.0 - 2**-53), "none": 0}[counted]
+        assert self._tail_counts(model, SEED, trials) == [expected] == [
+            np.count_nonzero(u >= edge)]
+
     def test_cells_below_the_floor_dropped_and_renormalized(self):
         ms = full_chain(Scenario(np.sqrt(1e-13), np.sqrt(1.0 - 1e-13), "pure"))
         assert (ms.born_table.weights, ms.born_table.outcomes) == ((1.0,), ((-1, -0.5),))
@@ -317,8 +415,8 @@ class TestBornReport:
         def fail(*args):
             raise AssertionError("built a chain or drew a uniform for a rejected trial count")
 
-        # every uniform comes from the one SplitMix64 kernel
-        monkeypatch.setattr(sampling, "_splitmix_uniforms", fail)
+        # every uniform and every counted output comes from the one SplitMix64 kernel
+        monkeypatch.setattr(sampling, "_splitmix_finalize", fail)
         monkeypatch.setattr(sampling, "full_chain", fail)
         with pytest.raises(CapacityError, match="trials"):
             if sample == "born_report":
