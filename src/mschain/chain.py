@@ -396,7 +396,7 @@ def factorize_branch(state: MSState) -> dict[str, np.ndarray]:
         factors[label] = principal / phase
     product = factors[state.layout.labels[0]]
     for label in state.layout.labels[1:]:
-        product = np.kron(product, factors[label])
+        product = _kron(product, factors[label])
     fidelity = abs(np.vdot(product, state.vector)) ** 2
     if fidelity <= 1.0 - 1e-10:
         raise PreconditionError(
@@ -420,6 +420,11 @@ def decohere(state: MSState, n_env: int, eps: float) -> DecoherenceResult:
     has its pointer-off-diagonal elements suppressed by the two environment
     product states' overlap (eps**n_env), which is returned, as measured,
     alongside the explicit partial trace over the environment.
+
+    The enlarged state is formed explicitly: each of the two 2**n_env tags is
+    a chain of `_kron` outer products, each chain basis state is tensored with
+    the tag of its pointer index, and the environment is traced out of the
+    result. The layout gains the factors E1..En in one step.
     """
     if not 0.0 <= eps <= 1.0:
         raise ValidationError("environment overlap eps must lie in [0, 1]")
@@ -436,7 +441,7 @@ def decohere(state: MSState, n_env: int, eps: float) -> DecoherenceResult:
         np.array([eps, math.sqrt(max(0.0, 1.0 - eps * eps))], dtype=complex),
     )
     # tags[o] is the environment's product state when the observer reads o
-    tags = np.array([functools.reduce(np.kron, (env,) * n_env, np.ones(1, dtype=complex))
+    tags = np.array([functools.reduce(_kron, (env,) * n_env, np.ones(1, dtype=complex))
                      for env in env_states])
 
     o_pos = state.layout.position("O")
@@ -445,10 +450,8 @@ def decohere(state: MSState, n_env: int, eps: float) -> DecoherenceResult:
     o_index = (np.arange(state.dim) // stride) % dims[o_pos]
     new_vec = (state.vector[:, None] * tags[o_index]).reshape(-1)
 
-    new_layout = state.layout
-    for j in range(n_env):
-        new_layout = new_layout.extended(f"E{j + 1}", 2)
-    enlarged = MSState._built(new_vec, new_layout)
+    env_factors = tuple((f"E{j + 1}", 2) for j in range(n_env))
+    enlarged = MSState._built(new_vec, TensorLayout(state.layout.factors + env_factors))
     overlap = float(np.vdot(tags[0], tags[1]).real)
     return DecoherenceResult(enlarged, overlap, enlarged.reduced(state.layout.labels))
 

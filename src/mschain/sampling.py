@@ -52,6 +52,10 @@ CHUNK = 2**16
 # Largest trial count a run may ask for: about 5 s of chunked counting
 # (0.46 s CPU per 10**8 trials on a 2-vCPU Xeon).
 MAX_TRIALS = 10**9
+# Largest stream `run_trials` may hold. A stream peaks at about 32 B per trial
+# (the draws, the cell indices and the two stream arrays; tracemalloc reads
+# 32.0 MB at 10**6 trials), so this cap bounds it near 320 MB.
+MAX_STREAM_TRIALS = 10**7
 
 
 def _splitmix_finalize(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
@@ -177,18 +181,19 @@ def sample_gemenge(w: Gemenge, rng_draw: float) -> tuple[int, InformationPattern
     return _draw(w, rng_draw)
 
 
-def _require_trials_within_cap(trials: int) -> None:
-    if trials > MAX_TRIALS:
-        raise CapacityError(f"trials {trials} exceeds the cap of {MAX_TRIALS}")
+def _require_trials_within_cap(trials: int, cap: int) -> None:
+    if trials > cap:
+        raise CapacityError(f"trials {trials} exceeds the cap of {cap}")
 
 
 def run_trials(scenario: Scenario) -> tuple[OutcomeStream, FrequencyReport]:
     """Build the chain once, then sample `scenario.trials` outcomes as a stream.
 
-    The stream holds every trial in memory; `born_report` gives the same
-    report in memory independent of the trial count.
+    The stream holds every trial in memory, so its length is capped at
+    MAX_STREAM_TRIALS; `born_report` gives the same report in memory
+    independent of the trial count, up to MAX_TRIALS.
     """
-    _require_trials_within_cap(scenario.trials)
+    _require_trials_within_cap(scenario.trials, MAX_STREAM_TRIALS)
     table = full_chain(scenario).born_table
     draws = trial_uniforms(scenario.seed, np.arange(scenario.trials))
     chosen = np.searchsorted(table.edges, draws, side="right")
@@ -222,13 +227,15 @@ def born_report(model: MSState | Gemenge, scenario: Scenario) -> FrequencyReport
     never forming a float draw, and cell j's count is tail[j] - tail[j + 1],
     with tail[0] = trials and tail[n] = 0.
     """
-    _require_trials_within_cap(scenario.trials)
+    _require_trials_within_cap(scenario.trials, MAX_TRIALS)
     table = model.born_table
     tail = np.zeros(len(table.weights) + 1, dtype=np.int64)
     tail[0] = scenario.trials
     # an edge at or above 1 has the limit 2**64, and its tail count stays 0
     limits = [(j, _U64(limit)) for j, limit in enumerate(map(_draw_limit, table.edges), start=1)
               if limit < 2**64]
+    if not limits:  # every draw lands in cell 0, so none needs computing
+        return _frequency_report(table, tail[:-1] - tail[1:], scenario.trials)
     buffer = min(CHUNK, scenario.trials)
     # counter word of trial start + i is (i + 1) * gamma + start * gamma + seed
     steps = np.arange(1, buffer + 1, dtype=np.uint64)

@@ -1,9 +1,12 @@
+import functools
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from mschain import chain
 from mschain.chain import (
     BASIS_1,
     BASIS_2,
@@ -34,7 +37,7 @@ from mschain.errors import (
     UsageError,
     ValidationError,
 )
-from mschain.linalg import TensorLayout, partial_trace, unitary_exp
+from mschain.linalg import TensorLayout, _kron, partial_trace, unitary_exp
 
 SYM = 2**-0.5
 
@@ -122,6 +125,35 @@ class TestFullChain:
         expected[0] = expected[7] = SYM
         assert_allclose(ms.vector, expected, atol=1e-12)
         assert ms.layout.labels == ("S", "D", "O")
+
+    @pytest.mark.parametrize("entangled", [False, True])
+    def test_product_check_bit_identical_to_np_kron(self, monkeypatch, entangled):
+        if entangled:
+            ms = full_chain(Scenario(0.6, 0.8j, "pure"))
+        else:
+            parts = (prepare_object_state(0.6, 0.8j), READY_STATE, READY_STATE)
+            ms = MSState(functools.reduce(np.kron, parts), TensorLayout((("S", 2), ("D", 2), ("O", 2))))
+        products = []
+
+        def spy(aa, bb):
+            products.append((aa, bb, _kron(aa, bb)))
+            return products[-1][2]
+
+        monkeypatch.setattr(chain, "_kron", spy)
+        if entangled:
+            with pytest.raises(PreconditionError) as info:
+                factorize_branch(ms)
+        else:
+            found = list(factorize_branch(ms).values())
+        factors = (products[0][0], products[0][1], products[1][1])
+        if not entangled:
+            assert all(np.array_equal(a, b) for a, b in zip(found, factors, strict=True))
+        # the checked product, and the fidelity an entangled state reports, are np.kron's
+        reference = functools.reduce(np.kron, factors)
+        assert len(products) == 2 and np.array_equal(products[1][2], reference)
+        if entangled:
+            fidelity = abs(np.vdot(reference, ms.vector)) ** 2
+            assert f"(product fidelity {fidelity!r})" in str(info.value)
 
     def test_eigenstate_gives_product(self):
         ms = full_chain(Scenario(1.0, 0.0, "pure"))
@@ -222,6 +254,28 @@ class TestDecohere:
         expected[0, 7] *= eps**n_env
         expected[7, 0] *= eps**n_env
         assert np.max(np.abs(result.reduced_ms - expected)) < 1e-12
+
+    @pytest.mark.parametrize("n_env", range(10))
+    def test_bit_identical_to_the_np_kron_construction(self, n_env):
+        # tags from np.kron's general-rank products, the layout one factor at a time
+        ms = full_chain(Scenario(np.sqrt(0.3), np.sqrt(0.7) * np.exp(2j), "pure"))
+        layout = ms.layout
+        for j in range(n_env):
+            layout = layout.extended(f"E{j + 1}", 2)
+        for eps in (0.0, 0.5, 0.9, 1.0):
+            env_states = (np.array([1.0, 0.0], dtype=complex),
+                          np.array([eps, math.sqrt(max(0.0, 1.0 - eps * eps))], dtype=complex))
+            tags = np.array([functools.reduce(np.kron, (env,) * n_env, np.ones(1, dtype=complex))
+                             for env in env_states])
+            vector = (ms.vector[:, None] * tags[np.arange(8) % 2]).reshape(-1)
+            m = vector.reshape(8, -1)  # S, D, O lead the layout
+            result = decohere(ms, n_env, eps)
+            assert np.array_equal(result.state.vector, vector)
+            assert np.array_equal(result.reduced_ms, m @ m.conj().T)
+            assert result.coherence_factor == float(np.vdot(tags[0], tags[1]).real)
+            assert result.state.layout == layout
+            assert result.state.layout.labels == ("S", "D", "O") + tuple(
+                f"E{j + 1}" for j in range(n_env))
 
     def test_memory_at_the_cap_stays_vector_sized(self):
         # the dense |psi><psi| at 4096 dims alone would take 256 MiB

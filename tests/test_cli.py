@@ -353,6 +353,16 @@ class TestMain:
         assert out.err.startswith("capacity error:") and "trials" in out.err
         assert "Traceback" not in out.err and out.out == ""
 
+    def test_born_on_one_cell_at_the_cap_draws_nothing(self, monkeypatch):
+        # a pointer product state: every trial reads 0.5 without a SplitMix64 output
+        def fail(*args):
+            raise AssertionError("drew a uniform for a one-cell Born table")
+
+        monkeypatch.setattr(sampling, "_splitmix_finalize", fail)
+        rows = rows_by_label(run("born", a1=1.0, a2=0.0, trials=MAX_TRIALS))
+        assert rows["born.trials"].value == MAX_TRIALS
+        assert rows["born.outcome[0.5].count"].value == MAX_TRIALS
+
     def test_born_memory_does_not_grow_with_trials(self):
         config = config_from_dict({"trials": 10**6}, override_command="born")
         tracemalloc.start()

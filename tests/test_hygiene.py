@@ -1,10 +1,11 @@
 """Every name a package module imports is used in that module, every
 private name a module defines is used somewhere in the package, and every
 public function or class has a user: package code outside its own
-definition, an acceptance criterion or the benchmark.
+definition, an acceptance criterion or the benchmark. And `np.kron` is
+called only inside `linalg._kron`, the package's one tensor-product kernel.
 
 A stdlib `ast` walk, so it runs wherever the tests run. `__init__.py` is
-exempt from all three checks: its imports are the package's re-exports.
+exempt from the first three checks: its imports are the package's re-exports.
 """
 
 import ast
@@ -94,3 +95,23 @@ def test_every_public_name_has_a_user(path):
             if node.name not in referenced | elsewhere:
                 unused.append(node.name)
     assert not unused, f"{path.name} defines public names nothing outside them uses: {unused}"
+
+
+def _kron_calls(tree: ast.AST) -> list[int]:
+    """Line numbers of the `np.kron` / `numpy.kron` references under `tree`."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "kron"
+            and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_np_kron_only_inside_linalg_kron(path):
+    # one tensor-product kernel: `_kron`'s vector path skips np.kron's general-rank set-up
+    tree = TREES[path.name]
+    allowed = set()
+    if path.name == "linalg.py":
+        kernel = next(node for node in tree.body
+                      if isinstance(node, ast.FunctionDef) and node.name == "_kron")
+        allowed = set(_kron_calls(kernel))
+    stray = sorted(set(_kron_calls(tree)) - allowed)
+    assert not stray, f"{path.name} calls np.kron outside linalg._kron at lines {stray}"

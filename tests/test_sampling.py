@@ -18,6 +18,7 @@ from mschain.chain import (
 from mschain.errors import CapacityError, PreconditionError, ValidationError
 from mschain.sampling import (
     CHUNK,
+    MAX_STREAM_TRIALS,
     MAX_TRIALS,
     SPLITMIX_GAMMA,
     InformationPattern,
@@ -394,6 +395,24 @@ class TestBornReport:
         ms = full_chain(Scenario(np.sqrt(1e-13), np.sqrt(1.0 - 1e-13), "pure"))
         assert (ms.born_table.weights, ms.born_table.outcomes) == ((1.0,), ((-1, -0.5),))
 
+    @pytest.mark.parametrize("a1,a2,edges", [
+        (0.0, 1.0, None), (np.sqrt(1e-13), np.sqrt(1.0 - 1e-13), None),
+        (SYM, SYM, [1.0]), (SYM, SYM, [1.0, float("inf")]),
+    ])
+    def test_no_reachable_edge_counted_without_drawing(self, monkeypatch, a1, a2, edges):
+        # one cell, or edges no draw reaches: every trial lands in cell 0
+        model = full_chain(Scenario(a1, a2, "gemenge"))
+        if edges is not None:
+            monkeypatch.setitem(model.__dict__, "born_table", self._edge_table(edges))
+
+        def fail(*args):
+            raise AssertionError("drew a uniform for a table no draw can split")
+
+        monkeypatch.setattr(sampling, "_splitmix_finalize", fail)
+        report = born_report(model, Scenario(a1, a2, "gemenge", seed=SEED, trials=MAX_TRIALS))
+        assert report.stats[0].count == MAX_TRIALS
+        assert sum(s.count for s in report.stats[1:]) == 0
+
     @pytest.mark.parametrize("trials", [1, 17])
     @pytest.mark.parametrize("kind", ["pure", "gemenge"])
     def test_short_run_memory_sized_to_the_run(self, kind, trials):
@@ -407,9 +426,13 @@ class TestBornReport:
             tracemalloc.stop()
         assert peak < 64 * 1024
 
-    @pytest.mark.parametrize("sample", ["born_report", "run_trials"])
-    def test_trials_above_the_cap_rejected_without_drawing(self, monkeypatch, sample):
-        scenario = Scenario(SYM, SYM, "pure", trials=MAX_TRIALS + 1)
+    # run_trials holds its stream, so its cap is the lower MAX_STREAM_TRIALS
+    @pytest.mark.parametrize("sample,trials", [
+        pytest.param("born_report", MAX_TRIALS + 1, id="born_report"),
+        pytest.param("run_trials", MAX_STREAM_TRIALS + 1, id="run_trials"),
+    ])
+    def test_trials_above_the_cap_rejected_without_drawing(self, monkeypatch, sample, trials):
+        scenario = Scenario(SYM, SYM, "pure", trials=trials)
         model = full_chain(scenario)  # born_report counts on a chain its caller built
 
         def fail(*args):
@@ -418,7 +441,7 @@ class TestBornReport:
         # every uniform and every counted output comes from the one SplitMix64 kernel
         monkeypatch.setattr(sampling, "_splitmix_finalize", fail)
         monkeypatch.setattr(sampling, "full_chain", fail)
-        with pytest.raises(CapacityError, match="trials"):
+        with pytest.raises(CapacityError, match=f"trials {trials} exceeds"):
             if sample == "born_report":
                 born_report(model, scenario)
             else:
