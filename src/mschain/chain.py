@@ -225,6 +225,24 @@ class MSState:
         weights = [abs(a1) ** 2, 1.0 - abs(a1) ** 2]
         return _born_table(weights, lambda i: (-1, POINTER_EIGENVALUES[i]))
 
+    @functools.cached_property
+    def pointer_value(self) -> float:
+        """The pointer eigenvalue that this product state's observer reads.
+
+        Found once per state from `factorize_branch`, so a chain state the
+        package keeps, such as a gemenge's branch, is factorized once per
+        process. Raises UsageError when the layout has no observer factor or
+        the observer is in no pointer basis state, and PreconditionError when
+        the state is entangled; a failed call caches nothing.
+        """
+        factors = factorize_branch(self)
+        if "O" not in factors:
+            raise UsageError("branch layout has no observer factor")
+        for q, weight in zip(POINTER_EIGENVALUES, np.abs(factors["O"]) ** 2):
+            if weight > 1.0 - 1e-10:
+                return q
+        raise UsageError("branch observer state is not a pointer basis state")
+
 
 @dataclass(frozen=True)
 class Gemenge:
@@ -256,9 +274,11 @@ class Gemenge:
 
     @functools.cached_property
     def born_table(self) -> BornTable:
-        """One cell per branch, weighted by its probability; kept branches factorize here."""
+        """One cell per branch, weighted by its probability, recording the
+        `pointer_value` of each kept branch's state; the branches of a chained
+        gemenge are process constants, so each is factorized once per process."""
         weights = [p for _, p in self.branches]
-        return _born_table(weights, lambda i: (i, _branch_pointer_value(self.branches[i][0])))
+        return _born_table(weights, lambda i: (i, self.branches[i][0].pointer_value))
 
     def density(self) -> np.ndarray:
         out = None
@@ -268,16 +288,6 @@ class Gemenge:
         return out
 
 
-def _branch_pointer_value(state: MSState) -> float:
-    factors = factorize_branch(state)
-    if "O" not in factors:
-        raise UsageError("branch layout has no observer factor")
-    for q, weight in zip(POINTER_EIGENVALUES, np.abs(factors["O"]) ** 2):
-        if weight > 1.0 - 1e-10:
-            return q
-    raise UsageError("branch observer state is not a pointer basis state")
-
-
 def prepare_object_state(a1: complex, a2: complex) -> np.ndarray:
     """Two-component superposition of the object system's measured eigenstates."""
     vec = np.array([a1, a2], dtype=complex)
@@ -285,25 +295,27 @@ def prepare_object_state(a1: complex, a2: complex) -> np.ndarray:
 
 
 def prepare_gemenge(a1: complex, a2: complex) -> Gemenge:
-    """Mixture of the object eigenstates with the squared-modulus probabilities.
+    """Mixture of the object eigenstates with the squared-modulus probabilities."""
+    return _gemenge(a1, a2, tuple(MSState._built(basis.copy(), _OBJECT_LAYOUT)
+                                  for basis in (BASIS_1, BASIS_2)))
 
-    A branch below BRANCH_PROB_FLOOR is dropped with a note; this is the one
-    floor a gemenge's branches pass.
+
+def _gemenge(a1: complex, a2: complex, states: tuple[MSState, MSState]) -> Gemenge:
+    """The mixture of `states[k]`, the state standing for object basis state
+    k + 1, with probability |a_(k+1)|^2.
+
+    A branch below BRANCH_PROB_FLOOR is dropped with a note, the one floor a
+    gemenge's branches pass, and the kept weights are divided by their sum.
     """
     validate_state_vector(np.array([a1, a2], dtype=complex))
     notes = []
     branches = []
-    for basis, p, which in ((BASIS_1, abs(a1) ** 2, "first"),
-                            (BASIS_2, abs(a2) ** 2, "second")):
+    for state, p, which in ((states[0], abs(a1) ** 2, "first"),
+                            (states[1], abs(a2) ** 2, "second")):
         if p >= BRANCH_PROB_FLOOR:
-            branches.append((MSState._built(basis.copy(), _OBJECT_LAYOUT), p))
+            branches.append((state, p))
         else:
             notes.append(f"{which} amplitude vanishes; gemenge degenerates to a single pure state")
-    return _normalized(branches, notes)
-
-
-def _normalized(branches, notes) -> Gemenge:
-    """The gemenge of these branches with their weights divided by their sum."""
     total = sum(p for _, p in branches)
     return Gemenge(tuple((state, p / total) for state, p in branches), tuple(notes))
 
@@ -318,7 +330,10 @@ def premeasure(state: MSState, control: str, apparatus: str) -> MSState:
     """Entangle the apparatus pointer with the control factor's basis states.
 
     The apparatus must sit in its symmetric ready state; the unitary is only
-    the tuned evolution from there.
+    the tuned evolution from there. The state's tensor is transposed so that
+    the control and apparatus axes lead, in that order, with the other axes
+    after them in layout order; the unitary acts on those two, and the
+    inverse transpose restores the layout.
     """
     layout = state.layout
     c = layout.position(control)
@@ -331,23 +346,28 @@ def premeasure(state: MSState, control: str, apparatus: str) -> MSState:
         raise PreconditionError(
             f"apparatus {apparatus!r} is not in the ready state (fidelity {fidelity!r})"
         )
-    moved = np.moveaxis(state.vector.reshape(layout.dims), (c, a), (0, 1))
+    perm = [c, a] + [i for i in range(len(layout.dims)) if i not in (c, a)]
+    moved = state.vector.reshape(layout.dims).transpose(perm)
     block = PREMEASURE_UNITARY @ moved.reshape(4, -1)
-    tensor = np.moveaxis(block.reshape(moved.shape), (0, 1), (c, a))
+    tensor = block.reshape(moved.shape).transpose(sorted(range(len(perm)), key=perm.__getitem__))
     return MSState._built(tensor.reshape(-1), layout)
 
 
 def full_chain(scenario: Scenario):
     """Run the whole chain: object state in, final composite state out.
 
-    Pure input yields the entangled three-factor state; gemenge input yields
-    the gemenge of product chain states with the preparation probabilities.
+    Pure input yields the entangled three-factor state. Gemenge input yields
+    the gemenge of the two object basis states' chains, which do not depend
+    on the amplitudes: each branch that `prepare_gemenge`'s floor keeps is the
+    process constant of `_basis_chains`, and only the weights are computed.
     """
     if scenario.input_kind == "pure":
         return _chain_from_object_state(_object_ms(scenario.a1, scenario.a2))
-    w = prepare_gemenge(scenario.a1, scenario.a2)
-    # prepare_gemenge's floor is the only one: every prepared branch is chained
-    return _normalized([(_chain_from_object_state(state), p) for state, p in w.branches], w.notes)
+    w = _gemenge(scenario.a1, scenario.a2, _basis_chains())
+    # the renormalized weights are divided by their sum once more: that sum can
+    # miss 1 by an ulp, and the purity information near overlap 1 shows the last bit
+    total = sum(p for _, p in w.branches)
+    return Gemenge(tuple((state, p / total) for state, p in w.branches), w.notes)
 
 
 def _object_ms(a1: complex, a2: complex) -> MSState:
@@ -367,6 +387,18 @@ def object_detector_state(a1: complex, a2: complex) -> MSState:
 def _chain_from_object_state(state: MSState) -> MSState:
     """The S->D step, then the D->O step, from a state over the `S` layout."""
     return premeasure(_attach(_detect(state), "O", READY_STATE), "D", "O")
+
+
+@functools.cache
+def _basis_chains() -> tuple[MSState, MSState]:
+    """The chains of BASIS_1 and BASIS_2, the two branch products, built once per
+    process with read-only vectors: every chained gemenge and every no-go
+    problem shares them, and each one's `pointer_value` is found once."""
+    chains = tuple(_chain_from_object_state(MSState._built(basis.copy(), _OBJECT_LAYOUT))
+                   for basis in (BASIS_1, BASIS_2))
+    for state in chains:
+        state.vector.flags.writeable = False
+    return chains
 
 
 def statistical_restriction(model) -> np.ndarray:
@@ -425,9 +457,16 @@ def decohere(state: MSState, n_env: int, eps: float) -> DecoherenceResult:
     a chain of `_kron` outer products, each chain basis state is tensored with
     the tag of its pointer index, and the environment is traced out of the
     result. The layout gains the factors E1..En in one step.
+
+    Raises ValidationError, before anything is built, when eps lies outside
+    [0, 1] or n_env is not a nonnegative integer (a float, even 2.0, and a
+    bool are rejected), and CapacityError past MAX_DIM.
     """
     if not 0.0 <= eps <= 1.0:
         raise ValidationError("environment overlap eps must lie in [0, 1]")
+    # a float, even 2.0, or a bool is not an element count
+    if isinstance(n_env, bool) or not isinstance(n_env, (int, np.integer)):
+        raise ValidationError(f"n_env must be an integer, got {n_env!r}")
     if n_env < 0:
         raise ValidationError("n_env must be nonnegative")
     # 2**n_env > MAX_DIM once n_env reaches MAX_DIM's bit length: decide that

@@ -18,6 +18,7 @@ import io
 import json
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 import numpy as np
@@ -507,57 +508,67 @@ def execute(config: RunConfig) -> Report:
 
 
 def _fmt(value) -> str:
+    """One scalar as JSON text; a string goes through `json.dumps`'s own ASCII encoder."""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, int):
         return str(value)
     if isinstance(value, float):
         if value != value or value in (float("inf"), float("-inf")):
-            return json.dumps(str(value))
+            return encode_basestring_ascii(str(value))
         if value == 0.0:
             value = 0.0  # collapse -0.0 so round trips stay byte-stable
         return f"{value:.12g}"
     if value is None:
         return "null"
     if isinstance(value, str):
-        return json.dumps(value)
+        return encode_basestring_ascii(value)
     raise TypeError(f"cannot serialize {type(value)}")
 
 
-def _emit_value(value, indent: int) -> str:
-    pad = "  " * indent
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = [f'{pad}  {json.dumps(k)}: {_emit_value(value[k], indent + 1)}'
-                 for k in sorted(value)]
-        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
+_ROW_TEXT = ('    {{\n      "expected": {},\n      "label": {},\n'
+             '      "passed": {},\n      "value": {}\n    }}')
+
+
+def _block(opening: str, items: list[str], pad: str, closing: str) -> str:
+    """A JSON array or object of pre-rendered `items`, each on its own line."""
+    if not items:
+        return opening + closing
+    return opening + "\n" + ",\n".join(items) + "\n" + pad + closing
+
+
+def _scenario_value(value) -> str:
     if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        items = [f"{pad}  {_emit_value(v, indent + 1)}" for v in value]
-        return "[\n" + ",\n".join(items) + f"\n{pad}]"
+        return _block("[", [f"      {_fmt(v)}" for v in value], "    ", "]")
     return _fmt(value)
 
 
-def report_to_dict(report: Report) -> dict:
-    return {
-        "command": report.command,
-        "digest": report.digest,
-        "notes": list(report.notes),
-        "rows": [
-            {"label": r.label, "value": r.value, "expected": r.expected, "passed": r.passed}
-            for r in report.rows
-        ],
-        "scenario": {k: v for k, v in report.scenario},
-        "version": report.version,
-    }
-
-
 def render_report(report: Report, output_format: str = "structured-text") -> str:
-    """Serialize a report; byte-stable for equal inputs."""
+    """Serialize a report; byte-stable for equal inputs.
+
+    Structured text is a JSON object with sorted keys and two-space indents,
+    written in one pass: each row from one fixed template of `_fmt` values,
+    so every string, label and key is ASCII-escaped as `json.dumps` escapes
+    it. Row values and the scenario's entries (scalars or flat lists of
+    them) are scalars to `_fmt`; `parse_report` inverts this rendering.
+    """
     if output_format == "structured-text":
-        return _emit_value(report_to_dict(report), 0) + "\n"
+        scenario = dict(report.scenario)
+        parts = [
+            "{",
+            f'  "command": {_fmt(report.command)},',
+            f'  "digest": {_fmt(report.digest)},',
+            '  "notes": ' + _block("[", [f"    {_fmt(n)}" for n in report.notes], "  ", "],"),
+            '  "rows": ' + _block("[", [
+                _ROW_TEXT.format(_fmt(r.expected), _fmt(r.label), _fmt(r.passed), _fmt(r.value))
+                for r in report.rows], "  ", "],"),
+            '  "scenario": ' + _block("{", [
+                f"    {encode_basestring_ascii(k)}: {_scenario_value(scenario[k])}"
+                for k in sorted(scenario)], "  ", "},"),
+            f'  "version": {_fmt(report.version)}',
+            "}\n",
+        ]
+        return "\n".join(parts)
     if output_format == "csv":
         if report.command == "born":
             fields = ("count", "frequency", "expected", "z")
@@ -603,8 +614,9 @@ def emit_report(report: Report, output_format: str, path: str | None) -> str:
     """Render and optionally write a report; returns the rendered text."""
     text = render_report(report, output_format)
     if path is not None:
-        with open(path, "w", encoding="ascii", newline="\n") as handle:
-            handle.write(text)
+        data = text.encode("ascii")  # before opening: a non-ASCII report writes no file
+        with open(path, "wb") as handle:
+            handle.write(data)
     return text
 
 

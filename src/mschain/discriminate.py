@@ -18,14 +18,13 @@ an independent numerical check of every verdict.
 
 from __future__ import annotations
 
-import functools
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
 
 import numpy as np
 
-from .chain import BASIS_1, BASIS_2, MSState, Scenario, full_chain
+from .chain import BASIS_1, BASIS_2, MSState, Scenario, _basis_chains, full_chain
 from .errors import ValidationError
 from .linalg import HermitianObservable, validate_state_vector
 
@@ -401,22 +400,13 @@ def build_it_observable() -> ITObservable:
     return ITObservable(HermitianObservable(matrix))
 
 
-@functools.cache
-def _branch_products() -> tuple[np.ndarray, np.ndarray]:
-    """The two branch-product chain vectors, built once and shared read-only."""
-    vectors = tuple(full_chain(Scenario(a1, a2, "pure")).vector
-                    for a1, a2 in ((1.0, 0.0), (0.0, 1.0)))
-    for vec in vectors:
-        vec.flags.writeable = False
-    return vectors
-
-
 def superposition_discrimination_problem(a1: complex, a2: complex) -> DiscriminationProblem:
     """The chain's no-go instance: superposition vs both branch products.
 
     All three final chain states are required to take pairwise distinct
     eigenvalues of one joint observable. The branch products do not depend on
-    the amplitudes; every problem shares one read-only copy of them.
+    the amplitudes; every problem shares one read-only copy of them, the
+    vectors of the branch states of every chained gemenge.
     """
     return _superposition_problem(full_chain(Scenario(a1, a2, "pure")))
 
@@ -425,7 +415,7 @@ def _superposition_problem(psi_ms: MSState) -> DiscriminationProblem:
     """The no-go instance of the pure chain state `psi_ms`, built by the caller."""
     return DiscriminationProblem(
         8,
-        (psi_ms.vector, *_branch_products()),
+        (psi_ms.vector, *(state.vector for state in _basis_chains())),
         ((0,), (1,), (2,)),
     )
 

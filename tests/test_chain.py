@@ -38,6 +38,7 @@ from mschain.errors import (
     ValidationError,
 )
 from mschain.linalg import TensorLayout, _kron, partial_trace, unitary_exp
+from mschain.sampling import sample_gemenge, trial_uniforms
 
 SYM = 2**-0.5
 
@@ -116,6 +117,32 @@ class TestPremeasure:
         state = MSState(vec, TensorLayout((("S", dims[0]), ("D", dims[1]))))
         with pytest.raises(UsageError, match="two-dimensional"):
             premeasure(state, "S", "D")
+
+
+def _moveaxis_premeasure(state: MSState, c: int, a: int) -> np.ndarray:
+    """The premeasurement product by `np.moveaxis`, kept as the reference."""
+    moved = np.moveaxis(state.vector.reshape(state.layout.dims), (c, a), (0, 1))
+    block = PREMEASURE_UNITARY @ moved.reshape(4, -1)
+    return np.moveaxis(block.reshape(moved.shape), (0, 1), (c, a)).reshape(-1)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_premeasure_bit_identical_to_moveaxis(n):
+    rng = np.random.default_rng(100 + n)
+    layout = TensorLayout(tuple((f"F{k}", 2) for k in range(n)))
+    for c in range(n):
+        for a in range(n):
+            if a == c:
+                continue
+            for _ in range(3):
+                rest = rng.normal(size=2 ** (n - 1)) + 1j * rng.normal(size=2 ** (n - 1))
+                rest /= np.linalg.norm(rest)
+                # the apparatus factor sits in the ready state at position a
+                tensor = np.multiply.outer(rest.reshape((2,) * (n - 1)), READY_STATE)
+                state = MSState(np.moveaxis(tensor, -1, a).reshape(-1), layout)
+                out = premeasure(state, f"F{c}", f"F{a}")
+                assert np.array_equal(out.vector, _moveaxis_premeasure(state, c, a))
+                assert out.layout == layout
 
 
 class TestFullChain:
@@ -322,6 +349,17 @@ class TestDecohere:
         with pytest.raises(ValidationError):
             decohere(ms, -1, 0.5)
 
+    @pytest.mark.parametrize("n_env", [2.0, 2.5, True])
+    def test_non_integer_n_env_rejected_before_building(self, monkeypatch, n_env):
+        ms = full_chain(Scenario(0.6, 0.8, "pure"))
+
+        def no_build(*args):
+            raise AssertionError("decohere built a tag for a rejected n_env")
+
+        monkeypatch.setattr(chain, "_kron", no_build)
+        with pytest.raises(ValidationError, match="n_env must be an integer"):
+            decohere(ms, n_env, 0.5)
+
 
 class TestHamiltonianCrosscheck:
     def test_fidelity_is_one(self):
@@ -414,6 +452,75 @@ class TestGemengeType:
         w = full_chain(scenario)
         assert len(w.branches) == 2
         assert w.notes == ()
+
+
+def _chained_reference(a1, a2) -> Gemenge:
+    """The gemenge chained here from `prepare_gemenge`'s branches, weights renormalized."""
+    w = prepare_gemenge(a1, a2)
+    total = sum(p for _, p in w.branches)
+    return Gemenge(tuple((chain._chain_from_object_state(state), p / total)
+                         for state, p in w.branches), w.notes)
+
+
+class TestBasisChains:
+    # at 0.061 the renormalized weights miss a sum of 1 by an ulp, so the
+    # second division moves their last bits
+    @pytest.mark.parametrize("weight", [0.0, 1e-13, 1e-12, 1e-6, 0.061, 0.3, 1.0 - 1e-6, 1.0])
+    def test_gemenge_bit_identical_to_chaining_its_branches(self, weight):
+        a1 = math.sqrt(weight)
+        a2 = math.sqrt(1.0 - weight) * complex(math.cos(0.7), math.sin(0.7))
+        got = full_chain(Scenario(a1, a2, "gemenge"))
+        ref = _chained_reference(a1, a2)
+        kept = sum(abs(a) ** 2 >= chain.BRANCH_PROB_FLOOR for a in (a1, a2))
+        assert len(got.branches) == len(ref.branches) == kept
+        assert got.notes == ref.notes
+        for (state, p), (ref_state, ref_p) in zip(got.branches, ref.branches, strict=True):
+            assert np.array_equal(state.vector, ref_state.vector)
+            assert state.layout == ref_state.layout
+            assert p == ref_p
+        assert np.array_equal(got.density(), ref.density())
+        assert np.array_equal(statistical_restriction(got), statistical_restriction(ref))
+        table, ref_table = got.born_table, ref.born_table
+        assert table.weights == ref_table.weights
+        assert np.array_equal(table.edges, ref_table.edges)
+        assert table.outcomes == ref_table.outcomes
+
+    def test_branch_vectors_are_read_only_constants(self):
+        w = full_chain(Scenario(SYM, SYM, "gemenge"))
+        later = full_chain(Scenario(0.6, 0.8j, "gemenge"))
+        for (state, _), (again, _) in zip(w.branches, later.branches, strict=True):
+            assert state is again
+            with pytest.raises(ValueError):
+                state.vector[0] = 5.0
+        with pytest.raises(ValueError):
+            w.branches[1][0].vector *= 2.0
+
+    def test_each_basis_chain_factorized_at_most_once(self, monkeypatch):
+        factorize_branch = chain.factorize_branch
+        factorized = []
+
+        def counting(state, *args):
+            factorized.append(state)
+            return factorize_branch(state, *args)
+
+        monkeypatch.setattr(chain, "factorize_branch", counting)
+        chain._basis_chains.cache_clear()
+        gemenges = [full_chain(Scenario(SYM, SYM, "gemenge")),
+                    full_chain(Scenario(np.sqrt(0.3), np.sqrt(0.7), "gemenge"))]
+        drawn = {sample_gemenge(gemenges[k % 2], float(u))
+                 for k, u in enumerate(trial_uniforms(3, np.arange(64)))}
+        assert {(index, pattern.values) for index, pattern in drawn} == {(0, (0.5,)), (1, (-0.5,))}
+        chains = chain._basis_chains()
+        assert len(factorized) == 2
+        assert all(any(state is basis for basis in chains) for state in factorized)
+        assert factorized[0] is not factorized[1]
+
+    def test_pointer_value_of_a_non_product_state(self):
+        entangled = full_chain(Scenario(SYM, SYM, "pure"))
+        for _ in range(2):  # a failed call caches nothing
+            with pytest.raises(PreconditionError):
+                entangled.pointer_value
+        assert full_chain(Scenario(0.0, 1.0, "pure")).pointer_value == -0.5
 
 
 class TestScenario:

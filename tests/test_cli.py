@@ -305,16 +305,100 @@ class TestEmission:
                    for line in lines)
 
     def test_emit_writes_file(self, tmp_path):
-        report = run("chain")
-        path = tmp_path / "report.json"
-        text = emit_report(report, "structured-text", str(path))
-        assert path.read_text() == text
+        report = run("all", trials=500)
+        for output_format in ("structured-text", "csv"):
+            path = tmp_path / f"report.{output_format}"
+            text = emit_report(report, output_format, str(path))
+            assert path.read_bytes() == text.encode("ascii")
+            assert text == render_report(report, output_format)
 
     def test_negative_zero_normalized(self):
         row = ReportRow("x.value", -0.0)
         report = Report("chain", "d", (), "0", (row,))
         text = render_report(report)
         assert render_report(parse_report(text)) == text
+
+
+def _reference_fmt(value) -> str:
+    """The scalar emitter that rendered structured text before the one-pass renderer."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
+        if value != value or value in (float("inf"), float("-inf")):
+            return json.dumps(str(value))
+        if value == 0.0:
+            value = 0.0
+        return f"{value:.12g}"
+    if value is None:
+        return "null"
+    if isinstance(value, str):
+        return json.dumps(value)
+    raise TypeError(f"cannot serialize {type(value)}")
+
+
+def _reference_emit(value, indent: int) -> str:
+    pad = "  " * indent
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [f'{pad}  {json.dumps(k)}: {_reference_emit(value[k], indent + 1)}'
+                 for k in sorted(value)]
+        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [f"{pad}  {_reference_emit(v, indent + 1)}" for v in value]
+        return "[\n" + ",\n".join(items) + f"\n{pad}]"
+    return _reference_fmt(value)
+
+
+def _reference_render(report: Report) -> str:
+    """Structured text by way of a dict and a generic recursive emitter."""
+    data = {
+        "command": report.command,
+        "digest": report.digest,
+        "notes": list(report.notes),
+        "rows": [
+            {"label": r.label, "value": r.value, "expected": r.expected, "passed": r.passed}
+            for r in report.rows
+        ],
+        "scenario": {k: v for k, v in report.scenario},
+        "version": report.version,
+    }
+    return _reference_emit(data, 0) + "\n"
+
+
+# quotes, backslashes, control characters, non-ASCII text and lone surrogates
+_TEXT = st.text(st.one_of(st.sampled_from('"\\\n\t\x00\x1f\x7f\u00e9\u2028\ud800\udfff\U0001f600'),
+                          st.characters(exclude_categories=())), max_size=12)
+_SCALAR = st.one_of(
+    st.none(), st.booleans(), st.integers(-2**200, 2**200),
+    st.sampled_from([-0.0, 0.0, float("nan"), float("inf"), float("-inf"), 1e300, 5e-324]),
+    st.floats(allow_nan=True, allow_infinity=True), _TEXT,
+)
+_REPORTS = st.builds(
+    Report,
+    command=_TEXT,
+    digest=_TEXT,
+    scenario=st.lists(st.tuples(_TEXT, st.one_of(_SCALAR, st.lists(_SCALAR, max_size=3))),
+                      max_size=4).map(tuple),
+    version=_TEXT,
+    rows=st.lists(st.builds(ReportRow, label=_TEXT, value=_SCALAR, expected=_SCALAR,
+                            passed=st.one_of(st.none(), st.booleans())),
+                  max_size=6).map(tuple),
+    notes=st.lists(_TEXT, max_size=3).map(tuple),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(report=_REPORTS)
+def test_render_matches_the_generic_emitter(report):
+    text = render_report(report)
+    assert text == _reference_render(report)
+    assert text.isascii()
+    assert render_report(parse_report(text)) == text
 
 
 class TestMain:

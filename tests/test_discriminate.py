@@ -152,6 +152,12 @@ class TestSolverBasics:
         for k, (a1, a2) in ((1, (1.0, 0.0)), (2, (0.0, 1.0))):
             assert np.array_equal(later.states[k], full_chain(Scenario(a1, a2, "pure")).vector)
 
+    def test_branch_products_are_the_gemenge_branch_vectors(self):
+        problem = superposition_discrimination_problem(0.6, 0.8)
+        w = full_chain(Scenario(SYM, SYM, "gemenge"))
+        assert problem.states[1] is w.branches[0][0].vector
+        assert problem.states[2] is w.branches[1][0].vector
+
     def test_degenerate_amplitudes_still_infeasible(self):
         # the superposition collapses onto one branch product; requiring it
         # distinct from that same state is hopeless
