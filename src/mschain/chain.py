@@ -68,6 +68,13 @@ BRANCH_PROB_FLOOR = 1e-12
 _OBJECT_LAYOUT = TensorLayout((("S", 2),))
 
 
+def _require_count(value, name: str) -> int:
+    """`value` as an int; a float, even 2.0, or a bool is not a count."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Complete description of one chain experiment."""
@@ -97,6 +104,10 @@ class Scenario:
             raise ValidationError("seed must be a 64-bit unsigned integer")
         if not self.trials >= 1:
             raise ValidationError("trials must be a positive integer")
+        # after the range checks, which a NaN fails with their own messages;
+        # an np.integer is kept as the int it stands for
+        for name in ("n_env", "seed", "trials"):
+            object.__setattr__(self, name, _require_count(getattr(self, name), name))
 
     @property
     def probabilities(self) -> tuple[float, float]:
@@ -444,19 +455,20 @@ class DecoherenceResult:
     reduced_ms: np.ndarray
 
 
-def decohere(state: MSState, n_env: int, eps: float) -> DecoherenceResult:
-    """Entangle the chain with n_env two-level environment elements.
+def decohere(state: MSState, n_env: int, eps: float) -> tuple[DecoherenceResult, ...]:
+    """Entangle the chain with n environment elements, for each n from 0 to n_env.
 
     Each element ends in one of two states whose mutual overlap is `eps`,
     keyed on the observer factor's pointer index. The reduced chain state then
     has its pointer-off-diagonal elements suppressed by the two environment
-    product states' overlap (eps**n_env), which is returned, as measured,
+    product states' overlap (eps**n), which is returned, as measured,
     alongside the explicit partial trace over the environment.
 
-    The enlarged state is formed explicitly: each of the two 2**n_env tags is
-    a chain of `_kron` outer products, each chain basis state is tensored with
-    the tag of its pointer index, and the environment is traced out of the
-    result. The layout gains the factors E1..En in one step.
+    Entry n of the result is the chain with n elements. The enlarged state is
+    formed explicitly: each of the two 2**n tags grows from the one before by
+    one `_kron` outer product, each chain basis state is tensored with the tag
+    of its pointer index, and the environment is traced out of the result. The
+    layout gains the factors E1..En in one step.
 
     Raises ValidationError, before anything is built, when eps lies outside
     [0, 1] or n_env is not a nonnegative integer (a float, even 2.0, and a
@@ -464,9 +476,7 @@ def decohere(state: MSState, n_env: int, eps: float) -> DecoherenceResult:
     """
     if not 0.0 <= eps <= 1.0:
         raise ValidationError("environment overlap eps must lie in [0, 1]")
-    # a float, even 2.0, or a bool is not an element count
-    if isinstance(n_env, bool) or not isinstance(n_env, (int, np.integer)):
-        raise ValidationError(f"n_env must be an integer, got {n_env!r}")
+    n_env = _require_count(n_env, "n_env")
     if n_env < 0:
         raise ValidationError("n_env must be nonnegative")
     # 2**n_env > MAX_DIM once n_env reaches MAX_DIM's bit length: decide that
@@ -479,20 +489,23 @@ def decohere(state: MSState, n_env: int, eps: float) -> DecoherenceResult:
         np.array([1.0, 0.0], dtype=complex),
         np.array([eps, math.sqrt(max(0.0, 1.0 - eps * eps))], dtype=complex),
     )
-    # tags[o] is the environment's product state when the observer reads o
-    tags = np.array([functools.reduce(_kron, (env,) * n_env, np.ones(1, dtype=complex))
-                     for env in env_states])
-
     o_pos = state.layout.position("O")
     dims = state.layout.dims
     stride = int(np.prod(dims[o_pos + 1:], dtype=int))
     o_index = (np.arange(state.dim) // stride) % dims[o_pos]
-    new_vec = (state.vector[:, None] * tags[o_index]).reshape(-1)
-
     env_factors = tuple((f"E{j + 1}", 2) for j in range(n_env))
-    enlarged = MSState._built(new_vec, TensorLayout(state.layout.factors + env_factors))
-    overlap = float(np.vdot(tags[0], tags[1]).real)
-    return DecoherenceResult(enlarged, overlap, enlarged.reduced(state.layout.labels))
+
+    # tags[o] is the environment's product state when the observer reads o
+    tags = (np.ones(1, dtype=complex),) * 2
+    results = []
+    for n in range(n_env + 1):
+        if n:
+            tags = tuple(_kron(tag, env) for tag, env in zip(tags, env_states))
+        new_vec = (state.vector[:, None] * np.array(tags)[o_index]).reshape(-1)
+        enlarged = MSState._built(new_vec, TensorLayout(state.layout.factors + env_factors[:n]))
+        overlap = float(np.vdot(tags[0], tags[1]).real)
+        results.append(DecoherenceResult(enlarged, overlap, enlarged.reduced(state.layout.labels)))
+    return tuple(results)
 
 
 def premeasure_hamiltonian_fidelity() -> float:

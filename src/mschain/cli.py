@@ -458,8 +458,7 @@ def _decohere_rows(run: _Run) -> tuple[list[ReportRow], list[str]]:
     # reference pointer coherence <S1D1O1|rho|S2D2O2> of the undecohered state
     cross = complex(ms.vector[0] * ms.vector[7].conjugate())
     coherent = abs(cross) > 1e-12
-    for n in range(scenario.n_env + 1):
-        result = decohere(ms, n, eps)
+    for n, result in enumerate(decohere(ms, scenario.n_env, eps)):
         law = float(eps) ** n if n > 0 else 1.0
         rows.append(ReportRow(f"decohere.coherence_factor[{n}]", result.coherence_factor,
                               law, bool(abs(result.coherence_factor - law) < match_tol)))
@@ -620,18 +619,21 @@ def emit_report(report: Report, output_format: str, path: str | None) -> str:
     return text
 
 
+# built once per process: parsing reads the parser and never changes it
+_PARSER = argparse.ArgumentParser(
+    prog="mschain",
+    description="measurement chain simulator and analysis toolkit",
+)
+_PARSER.add_argument("command", choices=COMMANDS)
+_PARSER.add_argument("--config", help="path to a JSON config file")
+_PARSER.add_argument("--seed", type=int)
+_PARSER.add_argument("--trials", type=int)
+_PARSER.add_argument("--out", help="output path (defaults to stdout)")
+_PARSER.add_argument("--format", choices=FORMATS, dest="output_format")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="mschain",
-        description="measurement chain simulator and analysis toolkit",
-    )
-    parser.add_argument("command", choices=COMMANDS)
-    parser.add_argument("--config", help="path to a JSON config file")
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--trials", type=int)
-    parser.add_argument("--out", help="output path (defaults to stdout)")
-    parser.add_argument("--format", choices=FORMATS, dest="output_format")
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
 
     try:
         if args.config is not None:

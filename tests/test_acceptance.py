@@ -224,7 +224,7 @@ def test_criterion_8_decoherence_law():
     rho0 = ms.density()
     for eps in (0.0, 0.25, 0.5, 0.75, 1.0):
         for n_env in range(7):
-            result = decohere(ms, n_env, eps)
+            result = decohere(ms, n_env, eps)[n_env]
             law = eps**n_env if n_env > 0 else 1.0
             if abs(result.coherence_factor - law) >= 1e-12:
                 failures.append(("factor", eps, n_env))
@@ -236,7 +236,7 @@ def test_criterion_8_decoherence_law():
         pointer = full_chain(Scenario(a1, a2, "pure"))
         for eps in (0.0, 0.25, 0.5, 0.75, 1.0):
             for n_env in range(7):
-                reduced = decohere(pointer, n_env, eps).reduced_ms
+                reduced = decohere(pointer, n_env, eps)[n_env].reduced_ms
                 fidelity = float(np.real(pointer.vector.conj() @ reduced @ pointer.vector))
                 if fidelity <= 1.0 - 1e-12:
                     failures.append(("pointer fixed point", a1, eps, n_env, fidelity))

@@ -248,19 +248,19 @@ class TestDecohere:
     def test_unit_overlap_changes_nothing(self):
         ms = full_chain(Scenario(SYM, SYM, "pure"))
         for n_env in (0, 1, 3):
-            result = decohere(ms, n_env, 1.0)
+            result = decohere(ms, n_env, 1.0)[n_env]
             assert result.coherence_factor == pytest.approx(1.0)
             assert np.max(np.abs(result.reduced_ms - ms.density())) < 1e-12
 
     def test_orthogonal_environment_diagonalizes(self):
         ms = full_chain(Scenario(np.sqrt(0.3), np.sqrt(0.7), "pure"))
         w = full_chain(Scenario(np.sqrt(0.3), np.sqrt(0.7), "gemenge"))
-        result = decohere(ms, 1, 0.0)
+        result = decohere(ms, 1, 0.0)[-1]
         assert np.max(np.abs(result.reduced_ms - w.density())) < 1e-12
 
     def test_product_overlap_law_cross_checked(self):
         ms = full_chain(Scenario(SYM, SYM, "pure"))
-        result = decohere(ms, 4, 0.5)
+        result = decohere(ms, 4, 0.5)[-1]
         assert result.coherence_factor == pytest.approx(0.0625)
         # oracle: the explicit partial trace must scale every pointer
         # off-diagonal element by the same product of per-element overlaps
@@ -274,7 +274,7 @@ class TestDecohere:
     @pytest.mark.parametrize("eps", [0.0, 0.5, 0.9])
     def test_product_overlap_law_up_to_the_cap(self, n_env, eps):
         ms = full_chain(Scenario(np.sqrt(0.3), np.sqrt(0.7) * np.exp(2j), "pure"))
-        result = decohere(ms, n_env, eps)
+        result = decohere(ms, n_env, eps)[n_env]
         assert result.state.dim == 8 * 2**n_env
         assert result.coherence_factor == pytest.approx(eps**n_env, abs=1e-15)
         expected = ms.density()
@@ -284,25 +284,40 @@ class TestDecohere:
 
     @pytest.mark.parametrize("n_env", range(10))
     def test_bit_identical_to_the_np_kron_construction(self, n_env):
-        # tags from np.kron's general-rank products, the layout one factor at a time
+        # every entry n of one call against tags from np.kron's general-rank
+        # products at its own n, the layout one factor at a time
         ms = full_chain(Scenario(np.sqrt(0.3), np.sqrt(0.7) * np.exp(2j), "pure"))
-        layout = ms.layout
-        for j in range(n_env):
-            layout = layout.extended(f"E{j + 1}", 2)
         for eps in (0.0, 0.5, 0.9, 1.0):
+            results = decohere(ms, n_env, eps)
+            assert len(results) == n_env + 1
             env_states = (np.array([1.0, 0.0], dtype=complex),
                           np.array([eps, math.sqrt(max(0.0, 1.0 - eps * eps))], dtype=complex))
-            tags = np.array([functools.reduce(np.kron, (env,) * n_env, np.ones(1, dtype=complex))
-                             for env in env_states])
-            vector = (ms.vector[:, None] * tags[np.arange(8) % 2]).reshape(-1)
-            m = vector.reshape(8, -1)  # S, D, O lead the layout
-            result = decohere(ms, n_env, eps)
-            assert np.array_equal(result.state.vector, vector)
-            assert np.array_equal(result.reduced_ms, m @ m.conj().T)
-            assert result.coherence_factor == float(np.vdot(tags[0], tags[1]).real)
-            assert result.state.layout == layout
-            assert result.state.layout.labels == ("S", "D", "O") + tuple(
-                f"E{j + 1}" for j in range(n_env))
+            layout = ms.layout
+            for n, result in enumerate(results):
+                if n:
+                    layout = layout.extended(f"E{n}", 2)
+                tags = np.array([functools.reduce(np.kron, (env,) * n, np.ones(1, dtype=complex))
+                                 for env in env_states])
+                vector = (ms.vector[:, None] * tags[np.arange(8) % 2]).reshape(-1)
+                m = vector.reshape(8, -1)  # S, D, O lead the layout
+                assert np.array_equal(result.state.vector, vector)
+                assert np.array_equal(result.reduced_ms, m @ m.conj().T)
+                assert result.coherence_factor == float(np.vdot(tags[0], tags[1]).real)
+                assert result.state.layout == layout
+                assert result.state.layout.labels == ("S", "D", "O") + tuple(
+                    f"E{j + 1}" for j in range(n))
+
+    def test_one_kron_per_tag_per_element(self, monkeypatch):
+        ms = full_chain(Scenario(SYM, SYM, "pure"))
+        calls = []
+
+        def counted(aa, bb):
+            calls.append(aa.shape[0])
+            return _kron(aa, bb)
+
+        monkeypatch.setattr(chain, "_kron", counted)
+        decohere(ms, 9, 0.5)
+        assert sorted(calls) == sorted(2 * [2**n for n in range(9)])
 
     def test_memory_at_the_cap_stays_vector_sized(self):
         # the dense |psi><psi| at 4096 dims alone would take 256 MiB
@@ -321,12 +336,12 @@ class TestDecohere:
             ms = full_chain(Scenario(a1, a2, "pure"))
             for eps in (0.0, 0.3, 0.9, 1.0):
                 for n_env in (0, 2, 5):
-                    result = decohere(ms, n_env, eps)
+                    result = decohere(ms, n_env, eps)[n_env]
                     assert np.max(np.abs(result.reduced_ms - ms.density())) < 1e-12
 
     def test_enlarged_state_layout(self):
         ms = full_chain(Scenario(SYM, SYM, "pure"))
-        result = decohere(ms, 3, 0.5)
+        result = decohere(ms, 3, 0.5)[-1]
         assert result.state.layout.labels == ("S", "D", "O", "E1", "E2", "E3")
         assert abs(np.linalg.norm(result.state.vector) - 1.0) < 1e-12
 

@@ -21,7 +21,7 @@ from mschain.cli import (
     parse_report,
     render_report,
 )
-from mschain.errors import ConfigError
+from mschain.errors import ConfigError, ValidationError
 from mschain.linalg import PAULI_Y
 from mschain.sampling import MAX_TRIALS
 
@@ -474,6 +474,61 @@ class TestMain:
         assert main(["all", "--config", str(cfg), "--out", str(out1)]) == 0
         assert main(["all", "--config", str(cfg), "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+
+class TestParserReuse:
+    """`main` parses with one parser per process; no call may leave a trace in it."""
+
+    ARGV = ["all", "--trials", "700", "--seed", "3"]
+
+    def test_two_calls_write_the_same_bytes(self, capsys):
+        assert main(self.ARGV) == 0
+        first = capsys.readouterr().out
+        assert main(self.ARGV) == 0
+        assert capsys.readouterr().out == first
+
+    @pytest.mark.parametrize("bad", [["fly"], ["chain", "--bogus"], ["born", "--seed", "x"],
+                                     ["chain", "--format", "xml"], []])
+    def test_an_argparse_error_between_calls_changes_nothing(self, capsys, bad):
+        assert main(self.ARGV) == 0
+        first = capsys.readouterr().out
+        with pytest.raises(SystemExit) as info:
+            main(bad)
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: mschain") and "error:" in err
+        # a call with other flags in between leaves no defaults behind either
+        assert main(["born", "--trials", "50", "--seed", "9", "--format", "csv"]) == 0
+        capsys.readouterr()
+        assert main(self.ARGV) == 0
+        assert capsys.readouterr().out == first
+
+    def test_help_exits_0(self, capsys):
+        texts = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as info:
+                main(["--help"])
+            assert info.value.code == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0].startswith("usage: mschain") and "--config CONFIG" in texts[0]
+        assert texts[0] == texts[1]
+
+
+@pytest.mark.parametrize("command", ["born", "decohere", "all"])
+@pytest.mark.parametrize("value", [2.0, 1.5, True], ids=["2.0", "1.5", "True"])
+@pytest.mark.parametrize("field", ["n_env", "seed", "trials"])
+def test_scenario_count_must_be_an_integer(field, value, command):
+    with pytest.raises(ValidationError, match=f"{field} must be an integer"):
+        execute(RunConfig(chain.Scenario(0.6, 0.8, **{field: value}), command))
+
+
+def test_scenario_counts_accept_numpy_integers():
+    counts = dict(n_env=2, seed=7, trials=900)
+    plain = chain.Scenario(0.6, 0.8, **counts)
+    numpy = chain.Scenario(0.6, 0.8, **{k: np.int64(v) for k, v in counts.items()})
+    assert all(type(getattr(numpy, k)) is int for k in counts)
+    assert render_report(execute(RunConfig(numpy, "all"))) == \
+        render_report(execute(RunConfig(plain, "all")))
 
 
 def run_main_with_config(tmp_path, capsys, command, text):
