@@ -14,6 +14,7 @@ import functools
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,6 +76,12 @@ def _require_count(value, name: str) -> int:
     return int(value)
 
 
+def _require_number(value, name: str, kind: type, what: str) -> None:
+    """Raise ValidationError unless `value` is an instance of the numbers ABC `kind` and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValidationError(f"{name} must be {what}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Complete description of one chain experiment."""
@@ -90,6 +97,13 @@ class Scenario:
     def __post_init__(self):
         if self.input_kind not in ("pure", "gemenge"):
             raise ValidationError(f"input_kind must be 'pure' or 'gemenge', got {self.input_kind!r}")
+        # a bool or a non-number would reach the checks below as a count of 1
+        # or a bare TypeError
+        for name in ("a1", "a2"):
+            _require_number(getattr(self, name), name, numbers.Complex, "a number")
+        for name in ("n_env", "seed", "trials"):
+            _require_number(getattr(self, name), name, numbers.Real, "an integer")
+        _require_number(self.env_overlap, "env_overlap", numbers.Real, "a real number")
         # each check is written so that a NaN fails it
         norm_sq = abs(self.a1) ** 2 + abs(self.a2) ** 2
         if not abs(norm_sq - 1.0) <= NORM_TOL:
@@ -148,18 +162,20 @@ class InformationPattern:
 
 @dataclass(frozen=True, eq=False)
 class BornTable:
-    """A chain model's kept outcome cells: Born weights, inner edges (every
-    cumulative weight but the last; a draw's cell is the number of edges at or
-    below it) and each cell's (branch index, recognized pointer value), with
-    the pointer value's `InformationPattern` in `patterns`, built and checked
-    once with the table and shared by every draw of that cell.
+    """A chain model's kept outcome cells: Born weights, inner edges (a tuple
+    of every cumulative weight but the last, as floats; a draw's cell is the
+    number of edges at or below it, which `bisect.bisect_right` finds for one
+    draw and `np.searchsorted` with side "right" for many) and each cell's
+    (branch index, recognized pointer value), with the pointer value's
+    `InformationPattern` in `patterns`, built and checked once with the table
+    and shared by every draw of that cell.
 
     Built on first use and kept, assuming nothing writes into the model's
     arrays after construction; a failed build caches nothing and raises again.
     """
 
     weights: tuple[float, ...]
-    edges: np.ndarray
+    edges: tuple[float, ...]
     outcomes: tuple[tuple[int, float], ...]
     patterns: tuple[InformationPattern, ...] = field(init=False)
 
@@ -173,8 +189,7 @@ def _born_table(weights: list[float], outcome) -> BornTable:
     cells = [i for i, p in enumerate(weights) if p >= BRANCH_PROB_FLOOR]
     total = sum(weights[i] for i in cells)
     kept = tuple(weights[i] / total for i in cells)
-    edges = np.cumsum(kept)[:-1]
-    edges.flags.writeable = False
+    edges = tuple(np.cumsum(kept)[:-1].tolist())
     return BornTable(kept, edges, tuple(outcome(i) for i in cells))
 
 

@@ -13,11 +13,15 @@ leaves orthogonal classes that an explicit projector sum discriminates
 (feasible, with the operator as witness).
 
 A brute-force least-squares oracle over an explicit eigenvalue grid provides
-an independent numerical check of every verdict.
+an independent numerical check of every verdict. It solves in the span of the
+states, where the minimum over Hermitian operators is the same as on the full
+space, with one projection shared by every grid assignment.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
@@ -312,24 +316,33 @@ def verify_certificate(problem: DiscriminationProblem, result: FeasibilityResult
     return True
 
 
+@functools.cache
+def _hermitian_basis(dim: int) -> np.ndarray:
+    """The dim * dim Hermitian basis matrices, stacked in the design matrix's parameter order."""
+    rows, cols = np.triu_indices(dim, 1)
+    basis = np.zeros((dim * dim, dim, dim), dtype=complex)
+    diag = np.arange(dim)
+    basis[diag, diag, diag] = 1.0
+    for offset, part in enumerate((1.0, 1.0j)):
+        col = dim + 2 * np.arange(len(rows)) + offset
+        basis[col, rows, cols] = part
+        basis[col, cols, rows] = np.conj(part)
+    basis.flags.writeable = False
+    return basis
+
+
 def _hermitian_design_matrix(states, dim: int) -> np.ndarray:
     """Real design matrix mapping Hermitian parameters to stacked G@phi values.
 
     Parameter order: the dim diagonal entries, then (real, imag) pairs for
     each upper-triangle entry in row-major order. Rows stack Re and Im of
     G@phi per state. Column (i, j, part) of state phi holds part * phi[j] in
-    row i and conj(part) * phi[i] in row j.
+    row i and conj(part) * phi[i] in row j: it is the basis matrix with part
+    at (i, j) and conj(part) at (j, i) applied to phi, and every entry of that
+    product is one entry of phi times 1, 1j or -1j, so it is exact.
     """
-    phi = np.array(states)
-    rows, cols = np.triu_indices(dim, 1)
-    values = np.zeros((len(states), dim, dim * dim), dtype=complex)
-    diag = np.arange(dim)
-    values[:, diag, diag] = phi
-    for offset, part in enumerate((1.0, 1.0j)):
-        col = dim + 2 * np.arange(len(rows)) + offset
-        values[:, rows, col] = part * phi[:, cols]
-        values[:, cols, col] = np.conj(part) * phi[:, rows]
-    return np.stack([values.real, values.imag], axis=1).reshape(-1, dim * dim)
+    values = _hermitian_basis(dim) @ np.transpose(states)  # (parameter, row, state)
+    return np.stack([values.real, values.imag]).transpose(3, 0, 2, 1).reshape(-1, dim * dim)
 
 
 def numeric_feasibility_oracle(problem: DiscriminationProblem, eigenvalue_grid):
@@ -337,9 +350,29 @@ def numeric_feasibility_oracle(problem: DiscriminationProblem, eigenvalue_grid):
 
     For each way of assigning grid values (distinct across groups, free for
     ungrouped states), minimize sum_k ||G phi_k - g_k phi_k||^2 over Hermitian
-    G and return the smallest residual with its assignment.
+    G and return the smallest residual with its assignment; on a tie the
+    first assignment in enumeration order wins.
+
+    The least squares runs in the span of the states. With the reduced QR
+    factorization [phi_1 ... phi_m] = Q R, Q has orthonormal columns whose
+    range holds every phi_k = Q c_k, where c_k is column k of R. For any
+    Hermitian G, with A = Q^dagger G Q,
+
+        sum_k ||G phi_k - g_k phi_k||^2
+            = sum_k ||A c_k - g_k c_k||^2 + sum_k ||(I - Q Q^dagger) G Q c_k||^2,
+
+    so no G does better than its compression A, and G = Q A Q^dagger reaches
+    it. The problem on the coordinates c_k therefore has the same minimum; a
+    dependent state only adds a direction to Q that changes nothing, so the
+    states need no rank cut. One SVD of the coordinates' design matrix gives
+    the projection onto the residual space, applied once to the matrix whose
+    column k holds c_k in block k; the residual of assignment g is the squared
+    norm of that projection times g.
     """
     grid = sorted(set(float(v) for v in eigenvalue_grid))
+    if not all(map(math.isfinite, grid)):
+        # argmin would return a NaN residual, and inf * 0 makes one
+        raise ValidationError(f"eigenvalue grid values must be finite, got {grid!r}")
     if len(grid) < 2:
         raise ValidationError("eigenvalue grid needs at least 2 distinct values")
     groups = problem.distinct_groups
@@ -347,38 +380,31 @@ def numeric_feasibility_oracle(problem: DiscriminationProblem, eigenvalue_grid):
         raise ValidationError(
             f"grid of {len(grid)} values cannot give {len(groups)} groups distinct eigenvalues"
         )
-    states = problem.states
-    m = len(states)
-    dim = problem.space_dim
-    grouped = {i for g in groups for i in g}
+    m = len(problem.states)
+    grouped = [i for g in groups for i in g]
     free = [i for i in range(m) if i not in grouped]
 
-    a = _hermitian_design_matrix(states, dim)
-    u, s, _ = np.linalg.svd(a, full_matrices=False)
+    _, r = np.linalg.qr(np.column_stack(problem.states))
+    coords = r.T  # row k: the coordinates c_k of state k
+    span_dim = coords.shape[1]
+    u, s, _ = np.linalg.svd(_hermitian_design_matrix(coords, span_dim), full_matrices=False)
     rank = int(np.sum(s > 1e-10 * (s[0] if s.size else 0.0)))
-    q = u[:, :rank]
+    u = u[:, :rank]
+    b = np.zeros((m, 2 * span_dim, m))
+    b[np.arange(m), :, np.arange(m)] = np.concatenate([coords.real, coords.imag], axis=1)
+    b = b.reshape(2 * span_dim * m, m)
+    e = b - u @ (u.T @ b)
 
-    best = np.inf
-    best_assignment = None
-    for group_vals in permutations(grid, len(groups)):
-        for free_vals in product(grid, repeat=len(free)):
-            g = np.zeros(m)
-            for gi, idxs in enumerate(groups):
-                for i in idxs:
-                    g[i] = group_vals[gi]
-            for fi, i in enumerate(free):
-                g[i] = free_vals[fi]
-            b = np.zeros(2 * dim * m)
-            for k, phi in enumerate(states):
-                target = g[k] * phi
-                b[2 * dim * k: 2 * dim * k + dim] = target.real
-                b[2 * dim * k + dim: 2 * dim * (k + 1)] = target.imag
-            r = b - q @ (q.T @ b)
-            residual = float(r @ r)
-            if residual < best:
-                best = residual
-                best_assignment = tuple(float(v) for v in g)
-    return best, best_assignment
+    # every assignment, group values outermost, in the order of the enumeration
+    slots = [gi for gi, members in enumerate(groups) for _ in members]
+    rows = [[group_vals[gi] for gi in slots] + list(free_vals)
+            for group_vals in permutations(grid, len(groups))
+            for free_vals in product(grid, repeat=len(free))]
+    g = np.empty((len(rows), m))
+    g[:, grouped + free] = rows
+    residuals = np.square(e @ g.T).sum(axis=0)
+    best = int(np.argmin(residuals))
+    return float(residuals[best]), tuple(float(v) for v in g[best])
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,9 @@ One Born rule serves every draw: a chain model's `born_table`, built on its
 first draw and kept, holds its outcome cells with their weights and what each
 records, and a draw's cell is the number of the table's inner edges at or
 below it, so single events, `run_trials` streams and `born_report` counts
-agree draw for draw. Draws being order-free,
+agree draw for draw. The edges are one tuple of floats: a single event
+bisects it, a stream `np.searchsorted`s it, and `born_report` turns each edge
+into the integer limit of its SplitMix64 outputs. Draws being order-free,
 `born_report` counts `CHUNK` trials at a time, in memory that does not grow
 with the trial count: one in-place SplitMix64 finalizer, shared with
 `trial_uniforms`, fills reused buffers with the 64-bit outputs, and each
@@ -22,6 +24,7 @@ so no draw is ever turned into a float or labelled with its cell.
 
 from __future__ import annotations
 
+import bisect
 import math
 import operator
 from dataclasses import dataclass
@@ -162,8 +165,13 @@ class StreamComparison:
 
 
 def _draw(model: MSState | Gemenge, rng_draw: float) -> tuple[int, InformationPattern]:
+    """The (branch, pattern) of the cell of `rng_draw`: the number of edges at or below it.
+
+    For float edges `bisect_right` gives `np.searchsorted(..., side="right")`'s
+    cell, and a NaN draw lands in the last cell under both.
+    """
     table = model.born_table
-    cell = np.searchsorted(table.edges, rng_draw, side="right")
+    cell = bisect.bisect_right(table.edges, rng_draw)
     return table.outcomes[cell][0], table.patterns[cell]
 
 

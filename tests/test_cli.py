@@ -522,6 +522,18 @@ def test_scenario_count_must_be_an_integer(field, value, command):
         execute(RunConfig(chain.Scenario(0.6, 0.8, **{field: value}), command))
 
 
+@pytest.mark.parametrize("command", ["born", "decohere", "all"])
+@pytest.mark.parametrize("field,value,kind", [
+    ("n_env", "2", "an integer"), ("seed", "1", "an integer"), ("trials", "5", "an integer"),
+    ("env_overlap", "0.5", "a real number"), ("env_overlap", None, "a real number"),
+    ("env_overlap", True, "a real number"), ("a1", "0.6", "a number"), ("a2", None, "a number"),
+], ids=["n_env-str", "seed-str", "trials-str", "env_overlap-str", "env_overlap-None",
+        "env_overlap-True", "a1-str", "a2-None"])
+def test_scenario_field_of_the_wrong_type(field, value, kind, command):
+    with pytest.raises(ValidationError, match=f"^{field} must be {kind}, got {value!r}$"):
+        execute(RunConfig(chain.Scenario(**{"a1": 0.6, "a2": 0.8, field: value}), command))
+
+
 def test_scenario_counts_accept_numpy_integers():
     counts = dict(n_env=2, seed=7, trials=900)
     plain = chain.Scenario(0.6, 0.8, **counts)

@@ -1,4 +1,5 @@
 import math
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -236,6 +237,13 @@ class TestOracle:
             numeric_feasibility_oracle(problem, (0.0, 1.0))
 
 
+@pytest.mark.parametrize("grid", [(0.0, math.nan, 1.0), (0.0, math.inf, 1.0),
+                                  (-math.inf, 0.0), (math.nan, math.nan)])
+def test_non_finite_grid_rejected(grid):
+    with pytest.raises(ValidationError, match="eigenvalue grid values must be finite"):
+        numeric_feasibility_oracle(recognition_problem(), grid)
+
+
 def loop_design_matrix(states, dim):
     """The column-by-column reference for the oracle's design matrix."""
     m = len(states)
@@ -259,6 +267,104 @@ def loop_design_matrix(states, dim):
                     a[2 * dim * k + dim: 2 * dim * (k + 1), col] = v.imag
                 col += 1
     return a
+
+
+def full_space_residual(problem):
+    """The least-squares residual of an assignment over Hermitian G on the full space."""
+    dim, states = problem.space_dim, problem.states
+    u, s, _ = np.linalg.svd(loop_design_matrix(states, dim), full_matrices=False)
+    q = u[:, :int(np.sum(s > 1e-10 * (s[0] if s.size else 0.0)))]
+
+    def residual(assignment):
+        b = np.zeros(2 * dim * len(states))
+        for k, phi in enumerate(states):
+            target = assignment[k] * phi
+            b[2 * dim * k: 2 * dim * k + dim] = target.real
+            b[2 * dim * k + dim: 2 * dim * (k + 1)] = target.imag
+        r = b - q @ (q.T @ b)
+        return float(r @ r)
+
+    return residual
+
+
+def full_space_oracle(problem, eigenvalue_grid):
+    """The reference oracle: the full-space least squares of every grid assignment, in a loop."""
+    grid = sorted(set(float(v) for v in eigenvalue_grid))
+    groups = problem.distinct_groups
+    m = len(problem.states)
+    grouped = {i for g in groups for i in g}
+    free = [i for i in range(m) if i not in grouped]
+    residual_of = full_space_residual(problem)
+    best, best_assignment = np.inf, None
+    for group_vals in permutations(grid, len(groups)):
+        for free_vals in product(grid, repeat=len(free)):
+            g = np.zeros(m)
+            for gi, idxs in enumerate(groups):
+                for i in idxs:
+                    g[i] = group_vals[gi]
+            for fi, i in enumerate(free):
+                g[i] = free_vals[fi]
+            residual = residual_of(g)
+            if residual < best:
+                best, best_assignment = residual, tuple(float(v) for v in g)
+    return best, best_assignment
+
+
+def _span_problems():
+    """Problems whose states are no basis of their span: more states than dims, repeats, dependence."""
+    plus = (BASIS_1 + BASIS_2) * SYM
+    e = np.eye(4, dtype=complex)
+    dep = (e[0] + 1j * e[1]) * SYM
+    psi = full_chain(Scenario(0.6, 0.8j, "pure")).vector
+    return {
+        "three_in_dim_2": DiscriminationProblem(2, (BASIS_1, BASIS_2, plus), ((0,), (1,), (2,))),
+        "three_in_dim_2_one_free": DiscriminationProblem(2, (BASIS_1, BASIS_2, plus), ((0,), (1,))),
+        "repeated": DiscriminationProblem(8, (psi, psi, full_chain(Scenario(1.0, 0.0)).vector),
+                                          ((0,), (1,), (2,))),
+        "repeated_same_group": DiscriminationProblem(8, (psi, psi), ((0, 1),)),
+        "dependent": DiscriminationProblem(4, (e[0], e[1], dep, e[2]), ((0,), (1,), (2,))),
+        "dependent_free": DiscriminationProblem(4, (e[0], e[1], dep, e[2]), ((0, 3), (2,))),
+    }
+
+
+class TestOracleInTheSpan:
+    """The oracle solves in the states' span; a full-space loop is the reference."""
+
+    GRID = (0.0, 1.0, 2.0)
+
+    @staticmethod
+    def _check(problem, grid):
+        residual, assignment = numeric_feasibility_oracle(problem, grid)
+        reference, _ = full_space_oracle(problem, grid)
+        assert residual >= 0.0
+        assert abs(residual - reference) <= 1e-12
+        assert abs(full_space_residual(problem)(assignment) - reference) <= 1e-12
+        return residual, reference
+
+    @pytest.mark.parametrize("phase", [1.0, np.exp(2.5j)], ids=["real", "complex"])
+    @pytest.mark.parametrize("weight", [0.0, 1e-12, 1e-6, 0.3, 0.5, 1.0 - 1e-6, 1.0])
+    def test_no_go_problem(self, weight, phase):
+        problem = superposition_discrimination_problem(
+            math.sqrt(weight), math.sqrt(1.0 - weight) * phase)
+        residual, _ = self._check(problem, self.GRID)
+        assert residual >= 0.05
+
+    def test_recognition_problem(self):
+        residual, _ = self._check(recognition_problem(), self.GRID)
+        assert residual < 1e-20
+
+    @pytest.mark.parametrize("grid", [(0.0, 1.0, 2.0, 3.0), (-1.5, 0.25, 2.0, 7.0)])
+    def test_random_problems(self, grid):
+        rng = np.random.default_rng(1717)
+        for _ in range(200):
+            problem, feasible = random_discrimination_problem(rng)
+            residual, reference = self._check(problem, grid)
+            assert (residual < 1e-6) == (reference < 1e-6) == feasible
+
+    @pytest.mark.parametrize("name", sorted(_span_problems()))
+    def test_states_outside_a_basis(self, name):
+        problem = _span_problems()[name]
+        self._check(problem, (0.0, 1.0, 2.0, 3.0))
 
 
 class TestDesignMatrix:

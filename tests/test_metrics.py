@@ -368,7 +368,7 @@ class TestBornProbabilities:
         ms = full_chain(Scenario(1.0, 0.0, "pure"))
         table = ms.born_table
         assert (table.weights, table.outcomes) == ((1.0,), ((-1, 0.5),))
-        assert table.edges.size == 0
+        assert len(table.edges) == 0
 
     @pytest.mark.parametrize("phi", np.linspace(0, 2 * np.pi, 7))
     def test_phase_independent(self, phi):

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -211,6 +212,46 @@ class TestSampleGemenge:
             Gemenge(((np.array([1.0, 0.0], dtype=complex), 1.0),))
 
 
+class TestDrawCell:
+    """`_draw` finds its cell by bisecting the table's edge tuple, as `np.searchsorted` does."""
+
+    TABLES = {
+        "pure": lambda: full_chain(Scenario(0.6, 0.8j, "pure")),
+        "pure_1e-6": lambda: full_chain(Scenario(np.sqrt(1e-6), np.sqrt(1.0 - 1e-6), "pure")),
+        "gemenge": lambda: full_chain(Scenario(np.sqrt(0.3), np.sqrt(0.7), "gemenge")),
+        "gemenge_1e-12": lambda: full_chain(
+            Scenario(np.sqrt(1e-12), np.sqrt(1.0 - 1e-12), "gemenge")),
+        "one_cell": lambda: full_chain(Scenario(1.0, 0.0, "pure")),
+        "one_cell_gemenge": lambda: full_chain(Scenario(0.0, 1.0, "gemenge")),
+        "four_cells": lambda: Gemenge(tuple(
+            (chain_product(BASIS_1 if j % 2 else BASIS_2), w)
+            for j, w in enumerate((0.1, 0.2, 0.3, 0.4)))),
+    }
+
+    @staticmethod
+    def _draws(edges):
+        near = [x for e in edges
+                for x in (math.nextafter(e, -math.inf), e, math.nextafter(e, math.inf))]
+        return near + [0.0, math.nextafter(1.0, 0.0), float("nan")]
+
+    @pytest.mark.parametrize("name", sorted(TABLES))
+    def test_cell_equals_searchsorted(self, name):
+        model = self.TABLES[name]()
+        table = model.born_table
+        assert type(table.edges) is tuple and all(type(e) is float for e in table.edges)
+        assert len(table.edges) == len(table.weights) - 1
+        for u in self._draws(table.edges):
+            cell = int(np.searchsorted(np.array(table.edges), u, side="right"))
+            branch, pattern = sampling._draw(model, u)
+            assert pattern is table.patterns[cell], (name, u, cell)
+            assert branch == table.outcomes[cell][0]
+
+    @pytest.mark.parametrize("name", ["pure", "gemenge", "four_cells"])
+    def test_edges_are_the_cumulative_weights(self, name):
+        table = self.TABLES[name]().born_table
+        assert np.array_equal(np.array(table.edges), np.cumsum(table.weights)[:-1])
+
+
 class TestRunTrials:
     def test_reproducible(self):
         scenario = Scenario(np.sqrt(0.3), np.sqrt(0.7), "pure", seed=99, trials=5000)
@@ -347,7 +388,7 @@ class TestBornReport:
     @staticmethod
     def _edge_table(edges):
         n = len(edges) + 1
-        return BornTable((1.0 / n,) * n, np.array(edges, dtype=float),
+        return BornTable((1.0 / n,) * n, tuple(float(e) for e in edges),
                          tuple((j, float(-j)) for j in range(n)))
 
     @given(case=counting_cases())
