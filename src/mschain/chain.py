@@ -35,6 +35,7 @@ from .linalg import (
     TensorLayout,
     _kept_positions,
     _kron,
+    _kron_rows,
     _require_unit_norm,
     partial_trace,
     pure_density,
@@ -480,15 +481,22 @@ def decohere(state: MSState, n_env: int, eps: float) -> tuple[DecoherenceResult,
     alongside the explicit partial trace over the environment.
 
     Entry n of the result is the chain with n elements. The enlarged state is
-    formed explicitly: each of the two 2**n tags grows from the one before by
-    one `_kron` outer product, each chain basis state is tensored with the tag
-    of its pointer index, and the environment is traced out of the result. The
-    layout gains the factors E1..En in one step.
+    formed explicitly: the two 2**n tags are the rows of one tag matrix, which
+    grows from the one before by one `_kron_rows` broadcast product per
+    element, and each chain basis state is tensored with the tag of its
+    pointer index. The chain factors lead the layout, which gains E_n from
+    entry n - 1's, so the amplitudes form a (dim, 2**n) matrix m and the trace
+    over E1..En is m @ m^dagger, the product `MSState.reduced` forms.
 
-    Raises ValidationError, before anything is built, when eps lies outside
-    [0, 1] or n_env is not a nonnegative integer (a float, even 2.0, and a
-    bool are rejected), and CapacityError past MAX_DIM.
+    Raises, before anything is built, UsageError when `state` is not an
+    MSState, ValidationError when eps is not a real number (a bool is
+    rejected) or lies outside [0, 1] or when n_env is not a nonnegative
+    integer (a float, even 2.0, and a bool are rejected), and CapacityError
+    past MAX_DIM.
     """
+    if not isinstance(state, MSState):
+        raise UsageError(f"decoherence needs an MSState, not {type(state).__name__}")
+    _require_number(eps, "environment overlap eps", numbers.Real, "a real number")
     if not 0.0 <= eps <= 1.0:
         raise ValidationError("environment overlap eps must lie in [0, 1]")
     n_env = _require_count(n_env, "n_env")
@@ -500,26 +508,25 @@ def decohere(state: MSState, n_env: int, eps: float) -> tuple[DecoherenceResult,
         raise CapacityError(
             f"decohered dimension {state.dim} * 2**{n_env} exceeds the maximum {MAX_DIM}")
 
-    env_states = (
-        np.array([1.0, 0.0], dtype=complex),
-        np.array([eps, math.sqrt(max(0.0, 1.0 - eps * eps))], dtype=complex),
-    )
+    # row o of env is the state an element takes when the observer reads o
+    env = np.array([[1.0, 0.0], [eps, math.sqrt(max(0.0, 1.0 - eps * eps))]], dtype=complex)
     o_pos = state.layout.position("O")
     dims = state.layout.dims
     stride = int(np.prod(dims[o_pos + 1:], dtype=int))
     o_index = (np.arange(state.dim) // stride) % dims[o_pos]
-    env_factors = tuple((f"E{j + 1}", 2) for j in range(n_env))
 
-    # tags[o] is the environment's product state when the observer reads o
-    tags = (np.ones(1, dtype=complex),) * 2
+    # row o of tags is the environment's product state when the observer reads o
+    tags = np.ones((2, 1), dtype=complex)
+    layout = state.layout
     results = []
     for n in range(n_env + 1):
         if n:
-            tags = tuple(_kron(tag, env) for tag, env in zip(tags, env_states))
-        new_vec = (state.vector[:, None] * np.array(tags)[o_index]).reshape(-1)
-        enlarged = MSState._built(new_vec, TensorLayout(state.layout.factors + env_factors[:n]))
+            tags = _kron_rows(tags, env)
+            layout = layout.extended(f"E{n}", 2)
+        m = state.vector[:, None] * tags[o_index]
+        enlarged = MSState._built(m.reshape(-1), layout)
         overlap = float(np.vdot(tags[0], tags[1]).real)
-        results.append(DecoherenceResult(enlarged, overlap, enlarged.reduced(state.layout.labels)))
+        results.append(DecoherenceResult(enlarged, overlap, m @ m.conj().T))
     return tuple(results)
 
 

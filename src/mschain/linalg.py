@@ -154,6 +154,19 @@ def _kron(aa: np.ndarray, bb: np.ndarray) -> np.ndarray:
     return np.kron(aa, bb)
 
 
+def _kron_rows(aa: np.ndarray, bb: np.ndarray) -> np.ndarray:
+    """Row-wise Kronecker product of two stacks of vectors: row i is `_kron(aa[i], bb[i])`.
+
+    One broadcast product forms every row's products in `_kron`'s order.
+    """
+    out_size = aa.shape[1] * bb.shape[1]
+    if out_size > MAX_DIM:
+        raise CapacityError(
+            f"tensor product dimension {out_size} exceeds the maximum {MAX_DIM}"
+        )
+    return (aa[:, :, None] * bb[:, None, :]).reshape(aa.shape[0], -1)
+
+
 def _kept_positions(layout: TensorLayout, keep) -> list[int]:
     keep = tuple(keep) if not isinstance(keep, str) else (keep,)
     if not keep:

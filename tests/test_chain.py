@@ -37,7 +37,7 @@ from mschain.errors import (
     UsageError,
     ValidationError,
 )
-from mschain.linalg import TensorLayout, _kron, partial_trace, unitary_exp
+from mschain.linalg import TensorLayout, _kron, _kron_rows, partial_trace, unitary_exp
 from mschain.sampling import sample_gemenge, trial_uniforms
 
 SYM = 2**-0.5
@@ -244,6 +244,20 @@ class TestRestrictions:
             assert np.max(np.abs(rho - base)) < 1e-12
 
 
+def _no_build(*args):
+    raise AssertionError("decohere built a tag for rejected arguments")
+
+
+@pytest.fixture
+def no_build(monkeypatch):
+    """A chain state, built before every tensor product is made to fail, so a
+    `decohere` check on it must come before the first tag."""
+    ms = full_chain(Scenario(0.6, 0.8, "pure"))
+    monkeypatch.setattr(chain, "_kron", _no_build)
+    monkeypatch.setattr(chain, "_kron_rows", _no_build)
+    return ms
+
+
 class TestDecohere:
     def test_unit_overlap_changes_nothing(self):
         ms = full_chain(Scenario(SYM, SYM, "pure"))
@@ -307,17 +321,18 @@ class TestDecohere:
                 assert result.state.layout.labels == ("S", "D", "O") + tuple(
                     f"E{j + 1}" for j in range(n))
 
-    def test_one_kron_per_tag_per_element(self, monkeypatch):
+    def test_one_tag_step_per_element(self, monkeypatch):
         ms = full_chain(Scenario(SYM, SYM, "pure"))
         calls = []
 
         def counted(aa, bb):
-            calls.append(aa.shape[0])
-            return _kron(aa, bb)
+            calls.append((aa.shape, bb.shape))
+            return _kron_rows(aa, bb)
 
-        monkeypatch.setattr(chain, "_kron", counted)
+        monkeypatch.setattr(chain, "_kron_rows", counted)
+        monkeypatch.setattr(chain, "_kron", _no_build)
         decohere(ms, 9, 0.5)
-        assert sorted(calls) == sorted(2 * [2**n for n in range(9)])
+        assert calls == [((2, 2**n), (2, 2)) for n in range(9)]
 
     def test_memory_at_the_cap_stays_vector_sized(self):
         # the dense |psi><psi| at 4096 dims alone would take 256 MiB
@@ -365,15 +380,66 @@ class TestDecohere:
             decohere(ms, -1, 0.5)
 
     @pytest.mark.parametrize("n_env", [2.0, 2.5, True])
-    def test_non_integer_n_env_rejected_before_building(self, monkeypatch, n_env):
-        ms = full_chain(Scenario(0.6, 0.8, "pure"))
-
-        def no_build(*args):
-            raise AssertionError("decohere built a tag for a rejected n_env")
-
-        monkeypatch.setattr(chain, "_kron", no_build)
+    def test_non_integer_n_env_rejected_before_building(self, no_build, n_env):
         with pytest.raises(ValidationError, match="n_env must be an integer"):
-            decohere(ms, n_env, 0.5)
+            decohere(no_build, n_env, 0.5)
+
+    @pytest.mark.parametrize("model", [
+        full_chain(Scenario(0.6, 0.8, "gemenge")),
+        full_chain(Scenario(0.6, 0.8, "pure")).vector,
+        None,
+    ], ids=["Gemenge", "ndarray", "None"])
+    def test_non_chain_state_is_a_usage_error(self, no_build, model):
+        with pytest.raises(UsageError, match=f"needs an MSState, not {type(model).__name__}"):
+            decohere(model, 2, 0.5)
+
+    @pytest.mark.parametrize("eps", [True, np.True_, "0.5", None, 0.5 + 0j],
+                             ids=["bool", "np.bool_", "str", "None", "complex"])
+    def test_non_real_eps_rejected_before_building(self, no_build, eps):
+        with pytest.raises(ValidationError, match="environment overlap eps must be a real number"):
+            decohere(no_build, 2, eps)
+
+    def test_nan_eps_keeps_its_range_message(self, no_build):
+        with pytest.raises(ValidationError, match=r"eps must lie in \[0, 1\]"):
+            decohere(no_build, 2, float("nan"))
+
+    @pytest.mark.parametrize("eps, same", [(np.float64(0.5), 0.5), (1, 1.0), (0, 0.0)])
+    def test_other_real_eps_types_run_as_their_float(self, eps, same):
+        ms = full_chain(Scenario(0.6, 0.8j, "pure"))
+        for got, ref in zip(decohere(ms, 3, eps), decohere(ms, 3, same), strict=True):
+            assert np.array_equal(got.state.vector, ref.state.vector)
+            assert np.array_equal(got.reduced_ms, ref.reduced_ms)
+            assert got.coherence_factor == ref.coherence_factor
+
+    @pytest.mark.parametrize("case", ["S,D,O chain", "O,S,D chain", "O,S,D random"])
+    def test_reduced_ms_is_the_trace_over_the_environment(self, case):
+        # the Gram product m @ m^dagger against the state's own reduction and
+        # the dense partial trace, also where the observer is not the last
+        # factor; the eps**n law on every pair of basis states checks o_index
+        ms = full_chain(Scenario(np.sqrt(0.3), np.sqrt(0.7) * np.exp(2j), "pure"))
+        if case == "S,D,O chain":
+            state = ms
+        else:
+            layout = TensorLayout((("O", 2), ("S", 2), ("D", 2)))
+            if case == "O,S,D chain":
+                vector = ms.vector.reshape(2, 2, 2).transpose(2, 0, 1).reshape(-1)
+            else:
+                rng = np.random.default_rng(47)
+                vector = rng.normal(size=8) + 1j * rng.normal(size=8)
+                vector /= np.linalg.norm(vector)
+            state = MSState(vector, layout)
+        labels = state.layout.labels
+        o_pos = labels.index("O")
+        o_index = np.array([np.unravel_index(i, state.layout.dims)[o_pos] for i in range(8)])
+        same_reading = o_index[:, None] == o_index[None, :]
+        for eps in (0.0, 0.5, 0.9, 1.0):
+            for n, result in enumerate(decohere(state, 4, eps)):
+                assert result.state.layout.labels == labels + tuple(f"E{j + 1}" for j in range(n))
+                assert np.array_equal(result.reduced_ms, result.state.reduced(labels))
+                dense = partial_trace(result.state.density(), result.state.layout, labels)
+                assert np.max(np.abs(result.reduced_ms - dense)) <= 1e-15
+                law = state.density() * np.where(same_reading, 1.0, eps**n)
+                assert np.max(np.abs(result.reduced_ms - law)) < 1e-14
 
 
 class TestHamiltonianCrosscheck:

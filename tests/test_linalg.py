@@ -14,6 +14,7 @@ from mschain.linalg import (
     PAULI_Z,
     TensorLayout,
     _kron,
+    _kron_rows,
     eig_hermitian,
     embed_operator,
     partial_trace,
@@ -78,6 +79,22 @@ class TestTensorProduct:
         big = np.eye(70, dtype=complex)
         with pytest.raises(CapacityError):
             _kron(big, big)
+
+    def test_row_step_is_kron_row_by_row(self):
+        rng = np.random.default_rng(5)
+        for width in (1, 2, 8, 64):
+            aa = rng.normal(size=(3, width)) + 1j * rng.normal(size=(3, width))
+            bb = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
+            got = _kron_rows(aa, bb)
+            assert got.shape == (3, 2 * width)
+            for row, a, b in zip(got, aa, bb, strict=True):
+                assert np.array_equal(row, _kron(a, b))
+
+    def test_row_step_capacity_error(self):
+        rows = np.ones((2, 2048), dtype=complex)
+        assert _kron_rows(rows, np.ones((2, 2), dtype=complex)).shape == (2, 4096)
+        with pytest.raises(CapacityError, match="8192 exceeds"):
+            _kron_rows(rows, np.ones((2, 4), dtype=complex))
 
     def test_rejects_nonfinite(self):
         bad = np.array([[np.nan, 0], [0, 1]])
