@@ -327,24 +327,32 @@ def prepare_gemenge(a1: complex, a2: complex) -> Gemenge:
                                   for basis in (BASIS_1, BASIS_2)))
 
 
-def _gemenge(a1: complex, a2: complex, states: tuple[MSState, MSState]) -> Gemenge:
-    """The mixture of `states[k]`, the state standing for object basis state
-    k + 1, with probability |a_(k+1)|^2.
+def _gemenge_weights(a1: complex, a2: complex) -> tuple[tuple[float, float], tuple[str, ...]]:
+    """The weights of object basis states 1 and 2 in the mixture, with its notes.
 
-    A branch below BRANCH_PROB_FLOOR is dropped with a note, the one floor a
-    gemenge's branches pass, and the kept weights are divided by their sum.
+    A weight |a_k|^2 below BRANCH_PROB_FLOOR, the one floor a gemenge's
+    branches pass, becomes 0 with a note, and the kept weights are divided by
+    their sum. The mixture's object density is the diagonal of the two weights.
     """
     validate_state_vector(np.array([a1, a2], dtype=complex))
     notes = []
-    branches = []
-    for state, p, which in ((states[0], abs(a1) ** 2, "first"),
-                            (states[1], abs(a2) ** 2, "second")):
+    weights = []
+    for p, which in ((abs(a1) ** 2, "first"), (abs(a2) ** 2, "second")):
         if p >= BRANCH_PROB_FLOOR:
-            branches.append((state, p))
+            weights.append(p)
         else:
+            weights.append(0.0)
             notes.append(f"{which} amplitude vanishes; gemenge degenerates to a single pure state")
-    total = sum(p for _, p in branches)
-    return Gemenge(tuple((state, p / total) for state, p in branches), tuple(notes))
+    total = sum(weights)
+    return (weights[0] / total, weights[1] / total), tuple(notes)
+
+
+def _gemenge(a1: complex, a2: complex, states: tuple[MSState, MSState]) -> Gemenge:
+    """The mixture of `states[k]`, the state standing for object basis state
+    k + 1, with the weights of `_gemenge_weights`; a branch of weight 0 is dropped.
+    """
+    weights, notes = _gemenge_weights(a1, a2)
+    return Gemenge(tuple((state, p) for state, p in zip(states, weights) if p > 0.0), notes)
 
 
 def _attach(state: MSState, label: str, factor: np.ndarray) -> MSState:
@@ -389,7 +397,7 @@ def full_chain(scenario: Scenario):
     process constant of `_basis_chains`, and only the weights are computed.
     """
     if scenario.input_kind == "pure":
-        return _chain_from_object_state(_object_ms(scenario.a1, scenario.a2))
+        return _observe(_detect(_object_ms(scenario.a1, scenario.a2)))
     w = _gemenge(scenario.a1, scenario.a2, _basis_chains())
     # the renormalized weights are divided by their sum once more: that sum can
     # miss 1 by an ulp, and the purity information near overlap 1 shows the last bit
@@ -411,9 +419,9 @@ def object_detector_state(a1: complex, a2: complex) -> MSState:
     return _detect(_object_ms(a1, a2))
 
 
-def _chain_from_object_state(state: MSState) -> MSState:
-    """The S->D step, then the D->O step, from a state over the `S` layout."""
-    return premeasure(_attach(_detect(state), "O", READY_STATE), "D", "O")
+def _observe(state: MSState) -> MSState:
+    """The D->O step: attach the ready observer and premeasure the detector with it."""
+    return premeasure(_attach(state, "O", READY_STATE), "D", "O")
 
 
 @functools.cache
@@ -421,7 +429,7 @@ def _basis_chains() -> tuple[MSState, MSState]:
     """The chains of BASIS_1 and BASIS_2, the two branch products, built once per
     process with read-only vectors: every chained gemenge and every no-go
     problem shares them, and each one's `pointer_value` is found once."""
-    chains = tuple(_chain_from_object_state(MSState._built(basis.copy(), _OBJECT_LAYOUT))
+    chains = tuple(_observe(_detect(MSState._built(basis.copy(), _OBJECT_LAYOUT)))
                    for basis in (BASIS_1, BASIS_2))
     for state in chains:
         state.vector.flags.writeable = False

@@ -28,12 +28,13 @@ from .chain import (
     Gemenge,
     MSState,
     Scenario,
+    _gemenge_weights,
+    _observe,
     _scenario_fields,
     decohere,
     full_chain,
     object_detector_state,
     premeasure_hamiltonian_fidelity,
-    prepare_gemenge,
     prepare_object_state,
     scenario_digest,
     statistical_restriction,
@@ -52,11 +53,9 @@ from .discriminate import (
 from .errors import CapacityError, ConfigError, ValidationError
 from .linalg import HermitianObservable, pure_density
 from .metrics import (
-    eigen_distribution,
-    overlap_bc,
-    overlap_tv,
+    _pair_overlaps,
+    _pair_overlaps_by_call,
     phase_averaged_purity_information,
-    purity_information,
     purity_report,
     transverse_spin,
 )
@@ -261,8 +260,14 @@ class _Run:
         self.scenario = config.scenario
 
     @functools.cached_property
+    def detector(self) -> MSState:
+        """The object-detector state after the S->D premeasurement."""
+        return object_detector_state(self.scenario.a1, self.scenario.a2)
+
+    @functools.cached_property
     def pure(self) -> MSState:
-        return full_chain(Scenario(self.scenario.a1, self.scenario.a2, "pure"))
+        """The pure chain: the run's S->D stage continued with the D->O step."""
+        return _observe(self.detector)
 
     @functools.cached_property
     def gemenge(self) -> Gemenge:
@@ -353,20 +358,26 @@ def _discriminate_rows(run: _Run) -> tuple[list[ReportRow], list[str]]:
     return rows, notes
 
 
-def _overlap_pair_rows(label: str, w_pure, w_mixed, expected_tv,
+def _overlap_pair_rows(label: str, overlaps: tuple[float, float, float], expected_tv,
                        match_tol: float) -> list[ReportRow]:
-    k_tv = overlap_tv(w_pure, w_mixed)
-    k_bc = overlap_bc(w_pure, w_mixed)
-    rows = [
+    k_tv, k_bc, bits = overlaps
+    return [
         ReportRow(f"overlap.{label}.overlap_min", k_tv, expected_tv,
                   None if expected_tv is None else bool(abs(k_tv - expected_tv) < match_tol)),
         ReportRow(f"overlap.{label}.overlap_sqrt", k_bc),
-        ReportRow(f"overlap.{label}.purity_information_bits", purity_information(k_tv)),
+        ReportRow(f"overlap.{label}.purity_information_bits", bits),
     ]
-    return rows
 
 
 def _overlap_rows(run: _Run) -> tuple[list[ReportRow], list[str]]:
+    """Pure against mixed distributions: on the object under the fixed and the tuned
+    transverse spin, on the detector under its three pointer observables, and on
+    the chain under the interference term.
+
+    The five two-dim pairs come from one stacked `metrics._pair_overlaps`
+    product; the detector's pure density is the run's own S->D stage, and the
+    mixed object density is the diagonal of the gemenge's weights.
+    """
     scenario = run.scenario
     match_tol = run.config.tolerance("match")
     fixed = _fixed()
@@ -375,22 +386,21 @@ def _overlap_rows(run: _Run) -> tuple[list[ReportRow], list[str]]:
     notes: list[str] = [OVERLAP_CONVENTION_NOTE]
 
     rho_pure = pure_density(prepare_object_state(a1, a2))
-    rho_mixed = prepare_gemenge(a1, a2).density()
-
-    sx = fixed.spin_x
-    expected_sx = 1.0 - abs(a1) * abs(a2) if abs((a1 * a2.conjugate()).imag) < 1e-12 else None
-    rows += _overlap_pair_rows("spin_x",
-                               eigen_distribution(rho_pure, sx),
-                               eigen_distribution(rho_mixed, sx),
-                               expected_sx, match_tol)
-
+    rho_mixed = np.diag(np.array(_gemenge_weights(a1, a2)[0], dtype=complex))
     pr_pure = purity_report(rho_pure)
     pr_mixed = purity_report(rho_mixed)
-    s_tuned = transverse_spin(pr_pure.gamma_star)
-    rows += _overlap_pair_rows("spin_tuned",
-                               eigen_distribution(rho_pure, s_tuned),
-                               eigen_distribution(rho_mixed, s_tuned),
-                               1.0 - abs(a1) * abs(a2), match_tol)
+    rho_d_pure = run.detector.reduced(("D",))
+    rho_d_mixed = np.diag([abs(a1) ** 2, abs(a2) ** 2]).astype(complex)
+    alg = fixed.pointer_d
+    spin_x, spin_tuned, *pointer = _pair_overlaps((
+        (fixed.spin_x, rho_pure, rho_mixed),
+        (transverse_spin(pr_pure.gamma_star), rho_pure, rho_mixed),
+        *((obs, rho_d_pure, rho_d_mixed) for obs in (alg.q, alg.qx, alg.qy)),
+    ))
+
+    expected_sx = 1.0 - abs(a1) * abs(a2) if abs((a1 * a2.conjugate()).imag) < 1e-12 else None
+    rows += _overlap_pair_rows("spin_x", spin_x, expected_sx, match_tol)
+    rows += _overlap_pair_rows("spin_tuned", spin_tuned, 1.0 - abs(a1) * abs(a2), match_tol)
     rows.append(ReportRow("overlap.purity_rate.pure", pr_pure.r_p, 2.0 * abs(a1) * abs(a2),
                           bool(abs(pr_pure.r_p - 2.0 * abs(a1) * abs(a2)) < match_tol)))
     rows.append(ReportRow("overlap.purity_rate.mixed", pr_mixed.r_p, 0.0,
@@ -399,26 +409,15 @@ def _overlap_rows(run: _Run) -> tuple[list[ReportRow], list[str]]:
                           phase_averaged_purity_information(rho_pure, rho_mixed)))
     notes.append("the phase-averaged purity information row is a package-defined "
                  "estimate over a uniform 36-point phase grid")
+    for name, overlaps in zip(("pointer_D", "pointer_D_x", "pointer_D_y"), pointer):
+        rows += _overlap_pair_rows(name, overlaps, 1.0, match_tol)
 
-    sd_pure = object_detector_state(a1, a2)
-    rho_d_pure = sd_pure.reduced(("D",))
-    rho_d_mixed = np.diag([abs(a1) ** 2, abs(a2) ** 2]).astype(complex)
-    alg = fixed.pointer_d
-    for name, obs in (("pointer_D", alg.q), ("pointer_D_x", alg.qx), ("pointer_D_y", alg.qy)):
-        rows += _overlap_pair_rows(name,
-                                   eigen_distribution(rho_d_pure, obs),
-                                   eigen_distribution(rho_d_mixed, obs),
-                                   1.0, match_tol)
-
-    psi_ms = run.pure
     w_ms = run.gemenge
-    it = fixed.interference
     if len(w_ms.branches) > 1:
         expected_b = 1.0 - abs((a1 * a2.conjugate()).real)
-        rows += _overlap_pair_rows("interference_full",
-                                   eigen_distribution(psi_ms, it.observable),
-                                   eigen_distribution(w_ms.density(), it.observable),
-                                   expected_b, match_tol)
+        it = fixed.interference.observable
+        (interference,) = _pair_overlaps_by_call(((it, run.pure, w_ms.density()),))
+        rows += _overlap_pair_rows("interference_full", interference, expected_b, match_tol)
     else:
         notes.append("interference overlap skipped: one amplitude vanishes, so the "
                      "mixture coincides with the pure chain state")

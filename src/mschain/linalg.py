@@ -32,7 +32,12 @@ GROUP_TOL_ABS = 1e-12
 
 
 def as_complex_array(a) -> np.ndarray:
-    arr = np.asarray(a, dtype=complex)
+    """`a` as a complex array; a non-numeric, ragged, oversized or non-finite entry
+    raises ValidationError. A numeric string such as "1" converts as numpy converts it."""
+    try:
+        arr = np.asarray(a, dtype=complex)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"entries must be numbers: {exc}") from None
     if not np.isfinite(arr).all():  # a complex entry is finite when both parts are
         raise ValidationError("entries must be finite (no NaN/Inf)")
     return arr
@@ -99,8 +104,12 @@ class TensorLayout:
         labels = [lab for lab, _ in self.factors]
         if len(set(labels)) != len(labels):
             raise ValidationError(f"duplicate factor labels in layout: {labels}")
-        if any(d < 1 for _, d in self.factors):
-            raise ValidationError("factor dimensions must be positive")
+        for _, d in self.factors:
+            # a float or bool dim would build a layout whose reductions fail with a bare TypeError
+            if type(d) is not int and not isinstance(d, np.integer):
+                raise ValidationError(f"factor dimensions must be integers, got {self.dims}")
+            if d < 1:
+                raise ValidationError("factor dimensions must be positive")
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -215,7 +224,11 @@ def _group_sorted_desc(values: np.ndarray) -> tuple[tuple[float, tuple[int, ...]
 
 def eig_hermitian(h) -> SpectralDecomposition:
     """Spectral decomposition with eigenvalues sorted descending and grouped."""
-    mat = require_hermitian(h)
+    return _eig_checked(require_hermitian(h))
+
+
+def _eig_checked(mat: np.ndarray) -> SpectralDecomposition:
+    """`eig_hermitian` of a matrix that `require_hermitian` has already returned."""
     vals, vecs = np.linalg.eigh(hermitian_part(mat))
     order = np.argsort(vals)[::-1]
     vals = vals[order]
@@ -252,7 +265,12 @@ class HermitianObservable:
     """A self-adjoint operator with a lazily cached spectral decomposition."""
 
     def __init__(self, matrix):
-        self.matrix = require_hermitian(matrix)
+        mat = require_hermitian(matrix)
+        if isinstance(matrix, np.ndarray):  # `mat` may be the caller's own array
+            mat = mat.copy()
+        # read-only, so `spectral` decomposes the matrix this check passed
+        mat.flags.writeable = False
+        self.matrix = mat
 
     @property
     def dim(self) -> int:
@@ -260,7 +278,7 @@ class HermitianObservable:
 
     @functools.cached_property
     def spectral(self) -> SpectralDecomposition:
-        return eig_hermitian(self.matrix)
+        return _eig_checked(self.matrix)  # checked by the constructor
 
     @functools.cached_property
     def blocks(self) -> tuple[tuple[float, np.ndarray, np.ndarray], ...]:

@@ -14,7 +14,8 @@ the transverse spins' eigenvector blocks stacked as arrays in ascending value
 order. One stacked `BH @ rho @ B` gives all 2 * N_PHASES probabilities of a
 state, bit for bit the products of the per-phase `eigen_distribution` loop,
 and the per-phase terms are added in grid order, so the average keeps its
-last bit too.
+last bit too. `_pair_overlaps` stacks the same way over several two-value
+observables, each with its own pure and mixed density.
 
 A public function checks a state it is handed once, on entry: finite
 entries, then shape.
@@ -193,6 +194,59 @@ def _grid_probabilities(state, grid: _PhaseGrid) -> np.ndarray:
     if arr.ndim == 1:
         return np.array([[np.vdot(a, a).real for a in pair] for pair in grid.blocks_h @ arr])
     return np.real((grid.blocks_h @ arr @ grid.blocks)[..., 0, 0])
+
+
+def _pair_overlaps(pairs) -> list[tuple[float, float, float]]:
+    """(overlap_min, overlap_sqrt, purity information bits) of each (observable,
+    pure density, mixed density) triple, for observables with two values and
+    (2, 2) density matrices.
+
+    The observables' eigenvector blocks stack, in ascending value order, into
+    one `BH @ rho @ B` product over every triple's two densities. Slice by
+    slice it dispatches to the kernel and shapes of `eigen_distribution`'s
+    `block_h @ arr @ block`, and the two-term sums are those of `overlap_tv`
+    and `overlap_bc`, so every value has the bits of `_pair_overlaps_by_call`.
+    The checks of that loop run on the whole stack: finite densities of shape
+    (2, 2), each probability in [0, 1] and each pair summing to 1 within
+    1e-10, each overlap at most 1 + 1e-12 (it is a sum of clipped, so
+    nonnegative, probabilities). When one fails, the loop runs instead and
+    raises its first error.
+
+    Raises UsageError for an observable that is not two-dim with two values.
+    """
+    blocks = []
+    for obs, _, _ in pairs:
+        observable = _as_observable(obs)
+        if observable.dim != 2 or len(observable.blocks) != 2:
+            raise UsageError("stacked overlaps need two-dim observables with two values")
+        blocks.append(sorted(observable.blocks, key=lambda b: b[0]))
+    try:
+        rho = as_complex_array([(pure, mixed) for _, pure, mixed in pairs])
+    except ValidationError:
+        return _pair_overlaps_by_call(pairs)
+    if rho.shape != (len(pairs), 2, 2, 2):
+        return _pair_overlaps_by_call(pairs)
+    b = np.array([[block for _, block, _ in ordered] for ordered in blocks])[:, None]
+    b_h = np.array([[block_h for _, _, block_h in ordered] for ordered in blocks])[:, None]
+    # p[k, s, v]: value v of observable k on its pure (s = 0) or mixed (s = 1) density
+    p = np.maximum(np.real((b_h @ rho[:, :, None] @ b)[..., 0, 0]), 0.0)
+    k_tv = np.minimum(p[:, 0], p[:, 1]).sum(axis=-1)
+    if not (p.max() <= 1 + 1e-10 and np.abs(p.sum(axis=-1) - 1.0).max() <= 1e-10
+            and k_tv.max() <= 1.0 + 1e-12):
+        return _pair_overlaps_by_call(pairs)
+    k_bc = np.sqrt(p[:, 0] * p[:, 1]).sum(axis=-1)
+    bits = 1.0 - np.minimum(k_tv, 1.0)
+    return list(zip(k_tv.tolist(), k_bc.tolist(), bits.tolist()))
+
+
+def _pair_overlaps_by_call(pairs) -> list[tuple[float, float, float]]:
+    """`_pair_overlaps` as one `eigen_distribution` per state, for any observables and states."""
+    out = []
+    for obs, pure, mixed in pairs:
+        w_pure, w_mixed = eigen_distribution(pure, obs), eigen_distribution(mixed, obs)
+        k_tv = overlap_tv(w_pure, w_mixed)
+        out.append((k_tv, overlap_bc(w_pure, w_mixed), purity_information(k_tv)))
+    return out
 
 
 def phase_averaged_purity_information(pure_rho, mixed_rho) -> float:

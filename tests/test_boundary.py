@@ -189,3 +189,32 @@ NAN_SCALAR = {
 @pytest.mark.parametrize("label", sorted(NAN_SCALAR))
 def test_nan_scalar_is_rejected(label):
     _raises_exactly(NAN_SCALAR[label][0], V, NAN_SCALAR[label][1])
+
+
+# label -> a value numpy's complex conversion refuses; it raised a bare ValueError
+# ("complex() arg is a malformed string", "setting an array element with a
+# sequence"), TypeError ("must be real number, not dict") or OverflowError
+NOT_NUMBERS = {
+    "string": "x",
+    "string-entries": [[1, "x"], ["x", 1]],
+    "ragged": [[1, 2], [3]],
+    "dict": {"a": 1},
+    "object": object(),
+    "huge-int": [10**400, 1],
+}
+ENTRY_POINTS = {
+    "validate_state_vector": validate_state_vector,
+    "MSState": lambda a: MSState(a, LAYOUT),
+    "HermitianObservable": HermitianObservable,
+    "DiscriminationProblem": lambda a: DiscriminationProblem(2, (a,), ((0,),)),
+    "eigen_distribution": lambda a: eigen_distribution(a, SX),
+    "purity_report": purity_report,
+}
+
+
+@pytest.mark.parametrize("value", sorted(NOT_NUMBERS))
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_non_numeric_entries_are_rejected(entry, value):
+    with pytest.raises(V, match="^entries must be numbers: ") as info:
+        ENTRY_POINTS[entry](NOT_NUMBERS[value])
+    assert type(info.value) is V

@@ -539,8 +539,20 @@ def _chained_reference(a1, a2) -> Gemenge:
     """The gemenge chained here from `prepare_gemenge`'s branches, weights renormalized."""
     w = prepare_gemenge(a1, a2)
     total = sum(p for _, p in w.branches)
-    return Gemenge(tuple((chain._chain_from_object_state(state), p / total)
+    return Gemenge(tuple((chain._observe(chain._detect(state)), p / total)
                          for state, p in w.branches), w.notes)
+
+
+# |a1|^2 at the edges, and one ulp-scale step either side of BRANCH_PROB_FLOOR
+@pytest.mark.parametrize("phase", [0.0, math.pi, 0.7])
+@pytest.mark.parametrize("weight", [0.0, 1e-15, 1e-12 * (1 - 2**-40), 1e-12 * (1 + 2**-40),
+                                    1e-6, 0.3, 1.0 - 1e-6, 1.0])
+def test_gemenge_weights_are_the_density_diagonal(weight, phase):
+    a1, a2 = math.sqrt(weight), math.sqrt(1.0 - weight) * complex(math.cos(phase), math.sin(phase))
+    weights, notes = chain._gemenge_weights(a1, a2)
+    w = prepare_gemenge(a1, a2)
+    assert np.array_equal(np.diag(np.array(weights, dtype=complex)), w.density())
+    assert notes == w.notes
 
 
 class TestBasisChains:

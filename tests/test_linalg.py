@@ -287,6 +287,18 @@ class TestValidators:
         with pytest.raises(UsageError):
             layout.position("Z")
 
+    @pytest.mark.parametrize("dim", [2.0, True, "2", np.bool_(True), np.float64(2.0)])
+    def test_layout_dims_must_be_integers(self, dim):
+        # a float dim built a layout of total_dim 8.0 whose reductions raised a bare TypeError
+        with pytest.raises(ValidationError, match="factor dimensions must be integers"):
+            TensorLayout((("S", dim), ("D", 2), ("O", 2)))
+
+    def test_numpy_integer_layout_dim(self):
+        layout = TensorLayout((("S", np.int64(2)), ("D", 2), ("O", 2)))
+        assert layout.total_dim == 8
+        state = MSState(np.eye(8, dtype=complex)[0], layout)
+        assert_allclose(state.reduced(("O",)), np.diag([1.0, 0.0]))
+
 
 class TestEmbedOperator:
     def test_middle_factor(self):
@@ -325,3 +337,12 @@ class TestHermitianObservable:
         obs = HermitianObservable(PAULI_Y)
         assert obs.spectral is obs.spectral
         assert_allclose(obs.spectral.eigenvalues, [1.0, -1.0])
+
+    def test_caller_array_changed_after_construction(self):
+        # the constructor's check holds for `spectral`: the observable keeps its own copy
+        matrix = PAULI_X.copy()
+        obs = HermitianObservable(matrix)
+        matrix[0, 1] = np.nan
+        assert_allclose(obs.spectral.eigenvalues, [1.0, -1.0])
+        assert not obs.matrix.flags.writeable
+        assert PAULI_X.flags.writeable

@@ -357,6 +357,84 @@ class TestPhaseGridIdentity:
         assert str(got.value) == str(expected.value)
 
 
+def _pair_loop(pairs):
+    """The per-observable reference: the loop the overlap report ran row by row."""
+    out = []
+    for obs, pure, mixed in pairs:
+        w_pure = eigen_distribution(pure, obs)
+        w_mixed = eigen_distribution(mixed, obs)
+        k_tv = overlap_tv(w_pure, w_mixed)
+        out.append((k_tv, overlap_bc(w_pure, w_mixed), purity_information(k_tv)))
+    return out
+
+
+def _report_pairs(a1, a2):
+    """The overlap report's five two-dim (observable, pure, mixed) triples, each
+    density built by the public constructors."""
+    rho_pure = pure_density(prepare_object_state(a1, a2))
+    rho_mixed = prepare_gemenge(a1, a2).density()
+    rho_d_pure = object_detector_state(a1, a2).reduced(("D",))
+    rho_d_mixed = np.diag([abs(a1) ** 2, abs(a2) ** 2]).astype(complex)
+    alg = build_pointer_algebra()
+    tuned = transverse_spin(purity_report(rho_pure).gamma_star)
+    return [(transverse_spin(0.0), rho_pure, rho_mixed), (tuned, rho_pure, rho_mixed),
+            *((obs, rho_d_pure, rho_d_mixed) for obs in (alg.q, alg.qx, alg.qy))]
+
+
+# |a1|^2 at the edges, and one ulp-scale step either side of BRANCH_PROB_FLOOR
+PAIR_WEIGHTS = [0.0, 1e-15, 1e-12 * (1 - 2**-40), 1e-12 * (1 + 2**-40), 1e-6, 0.3, 0.5,
+                1.0 - 1e-6, 1.0]
+
+
+class TestPairOverlaps:
+    @pytest.mark.parametrize("phase", [0.0, np.pi, 0.7, 2.5])
+    @pytest.mark.parametrize("weight", PAIR_WEIGHTS)
+    def test_bit_identical_to_the_per_call_loop(self, weight, phase):
+        a1, a2 = np.sqrt(weight), np.sqrt(1.0 - weight) * np.exp(1j * phase)
+        pairs = _report_pairs(a1, a2)
+        expected = _pair_loop(pairs)
+        assert metrics._pair_overlaps(pairs) == expected
+        assert metrics._pair_overlaps_by_call(pairs) == expected
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "range", "trace", "overlap", "shape"])
+    @pytest.mark.parametrize("slot", [(0, 1), (2, 2), (4, 1)])
+    def test_invalid_density_raises_the_loop_error(self, bad, slot):
+        pairs = [list(pair) for pair in _report_pairs(0.6, 0.8j)]
+        k, side = slot
+        rho = np.array(pairs[k][side])
+        if bad == "nan":
+            rho[0, 1] = np.nan
+        elif bad == "inf":
+            rho[1, 1] = np.inf
+        elif bad == "range":
+            # unit trace, but a probability of 1.5 under every observable tested
+            rho = np.array([[1.5, 1 + 1j], [1 - 1j, -0.5]])
+        elif bad == "trace":
+            rho = 1.2 * rho
+        elif bad == "overlap":
+            # each distribution sums to 1 + 8e-11, within its check, but the
+            # overlap of two equal ones exceeds purity_information's 1 + 1e-12
+            rho = (1.0 + 8e-11) * rho
+            pairs[k][3 - side] = rho
+        else:
+            rho = np.eye(3, dtype=complex) / 3
+        pairs[k][side] = rho
+        with pytest.raises((UsageError, ValidationError)) as expected:
+            _pair_loop(pairs)
+        with pytest.raises((UsageError, ValidationError)) as got:
+            metrics._pair_overlaps(pairs)
+        assert type(got.value) is type(expected.value)
+        assert str(got.value) == str(expected.value)
+
+    @pytest.mark.parametrize("obs", [build_it_observable().observable, np.eye(2),
+                                     np.diag([1.0, 1.0 + 1e-13])],
+                             ids=["eight-dim", "one-value", "one-grouped-value"])
+    def test_observable_without_two_values_refused(self, obs):
+        rho = prepare_gemenge(0.6, 0.8).density()
+        with pytest.raises(UsageError, match="two-dim observables with two values"):
+            metrics._pair_overlaps([(transverse_spin(0.0), rho, rho), (obs, rho, rho)])
+
+
 class TestBornProbabilities:
     """The Born weights of a pure chain state, as its `born_table` weighs its pointer cells."""
 
