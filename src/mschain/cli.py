@@ -321,41 +321,30 @@ def _describe_evidence(ev) -> str:
 
 
 def _discriminate_rows(run: _Run) -> tuple[list[ReportRow], list[str]]:
-    scenario = run.scenario
-    oracle_tol = run.config.tolerance("oracle_feasible")
     rows: list[ReportRow] = []
-    notes: list[str] = []
-
     problem = _superposition_problem(run.pure)
     result = check_eigen_discrimination(problem)
-    expected = "INFEASIBLE" if scenario.a1 * scenario.a2 != 0 else None
+    expected = "INFEASIBLE" if run.scenario.a1 * run.scenario.a2 != 0 else None
     rows.append(ReportRow("discriminate.verdict", result.verdict, expected,
                           None if expected is None else result.verdict == expected))
-    if result.certificate:
-        merged: set[int] = set()
-        for forced in result.certificate:
-            merged.update((forced.group_a, forced.group_b))
-        summary = "=".join(f"g{g}" for g in sorted(merged)) + " forced"
-        rows.append(ReportRow("discriminate.certificate.summary", summary))
-        for k, forced in enumerate(result.certificate):
-            text = f"groups {forced.group_a},{forced.group_b}: " + \
-                "; ".join(_describe_evidence(ev) for ev in forced.chain)
-            rows.append(ReportRow(f"discriminate.certificate[{k}]", text))
-    if result.witness is not None:
-        _, assignment = result.witness
-        for k, g in enumerate(assignment):
-            rows.append(ReportRow(f"discriminate.witness.eigenvalue[{k}]", float(g)))
+    # always INFEASIBLE, with a certificate: psi overlaps a branch product by max(|a1|, |a2|)
+    merged = sorted({g for forced in result.certificate for g in (forced.group_a, forced.group_b)})
+    rows.append(ReportRow("discriminate.certificate.summary",
+                          "=".join(f"g{g}" for g in merged) + " forced"))
+    for k, forced in enumerate(result.certificate):
+        text = f"groups {forced.group_a},{forced.group_b}: " + \
+            "; ".join(_describe_evidence(ev) for ev in forced.chain)
+        rows.append(ReportRow(f"discriminate.certificate[{k}]", text))
 
     residual, _ = numeric_feasibility_oracle(problem, (0.0, 1.0, 2.0))
-    agrees = (residual < oracle_tol) == result.feasible
+    agrees = (residual < run.config.tolerance("oracle_feasible")) == result.feasible
     rows.append(ReportRow("discriminate.oracle.min_residual", float(residual)))
     rows.append(ReportRow("discriminate.oracle.agrees", str(agrees), "True", agrees))
 
     rec = _fixed().recognition
     rows.append(ReportRow("discriminate.recognition.verdict", rec.verdict, "FEASIBLE",
                           rec.verdict == "FEASIBLE"))
-    notes.append("the recognition row refers to the two orthogonal pointer states")
-    return rows, notes
+    return rows, ["the recognition row refers to the two orthogonal pointer states"]
 
 
 def _overlap_pair_rows(label: str, overlaps: tuple[float, float, float], expected_tv,

@@ -34,12 +34,19 @@ from .linalg import HermitianObservable, validate_state_vector
 
 OVERLAP_TOL = 1e-10
 WITNESS_TOL = 1e-9
-# Cap on the oracle's residual table: grid assignments x (2 * span dim * states)
-# float64 entries, checked before anything is built. Its peak is about 22 B per
-# entry, so about 95 MB at the cap (tracemalloc, 2-vCPU Xeon): 226,920
-# assignments of 3 states (4.1e6 entries) took 3.8 s and 91 MB, and 8,192 of 13
-# free states (2.8e6 entries) 0.19 s and 48 MB.
+# Cap on each of the oracle's float64 arrays, checked before anything is built:
+# the residual table (grid assignments x 2 * span dim * states entries) and the
+# design matrix (2 * span dim**3 * states). At the cap, 226,920 assignments of 3
+# states took 3.8 s and 91 MB (tracemalloc, 2-vCPU Xeon), and two groups of 32
+# orthonormal states in dim 32 76 MB.
 MAX_ORACLE_ENTRIES = 2**22
+# `_null_space`'s absolute rank floor, which decides the no-go certificate's shape:
+# in the admissible space it beats 1e-12 * s[0], and s[1] is about 0.866 * a1, so
+# below a1 = 1.155e-12 only the overlap conflict g0 = g2 is left. That shorter
+# certificate is intended: one forced equality of two distinct groups is a proof.
+NULL_SPACE_FLOOR = 1e-12
+# Norm below which a dependence combination, or a pair's admissible difference, is zero.
+DEPENDENCE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -165,7 +172,7 @@ def _null_space(columns: np.ndarray, rel_tol: float) -> np.ndarray:
     every row of `vh`, and no rows x rows U is built.
     """
     _, s, vh = np.linalg.svd(columns, full_matrices=columns.shape[1] > columns.shape[0])
-    cutoff = max(rel_tol * (s[0] if s.size else 0.0), 1e-12)
+    cutoff = max(rel_tol * (s[0] if s.size else 0.0), NULL_SPACE_FLOOR)
     rank = int(np.sum(s > cutoff))
     return vh[rank:].conj().T
 
@@ -193,12 +200,8 @@ def _dependence_forced_pairs(states):
         blocks.append(constraint.imag)
     stacked = np.vstack(blocks)
     admissible = _null_space(stacked, 1e-12).real
-    forced = []
-    for j, k in combinations(range(m), 2):
-        diff = np.zeros(m)
-        diff[j], diff[k] = 1.0, -1.0
-        if np.linalg.norm(admissible.T @ diff) < 1e-8:
-            forced.append((j, k))
+    forced = [(j, k) for j, k in combinations(range(m), 2)
+              if np.linalg.norm(admissible[j] - admissible[k]) < DEPENDENCE_TOL]
     return forced, null_basis
 
 
@@ -208,7 +211,10 @@ def check_eigen_discrimination(problem: DiscriminationProblem) -> FeasibilityRes
     Feasible verdicts come with an explicit witness operator built from
     projectors onto the merged-class spans, with consecutive integer
     eigenvalues; infeasible verdicts come with the forced-equality chains that
-    collapse two required-distinct groups.
+    collapse two required-distinct groups. Memory is O(dim * states) when
+    infeasible; a feasible verdict peaks at three dense dim x dim complex arrays
+    (48 B * dim**2: the witness, and the conjugate copy and difference of
+    `HermitianObservable`'s check), 806 MB at dim 4096.
     """
     states = problem.states
     m = len(states)
@@ -251,15 +257,13 @@ def check_eigen_discrimination(problem: DiscriminationProblem) -> FeasibilityRes
     if conflicts:
         return FeasibilityResult("INFEASIBLE", certificate=tuple(conflicts))
 
-    assignment = np.zeros(m)
+    assignment = np.array(class_of, dtype=float)  # each class's index is its value
     witness = np.zeros((problem.space_dim, problem.space_dim), dtype=complex)
     for value, members in enumerate(classes):
         span = np.column_stack([states[i] for i in members])
         u, s, _ = np.linalg.svd(span, full_matrices=False)
         basis = u[:, s > OVERLAP_TOL * s[0]]
         witness += float(value) * (basis @ basis.conj().T)
-        for i in members:
-            assignment[i] = float(value)
 
     for i, phi in enumerate(states):
         residual = np.linalg.norm(witness @ phi - assignment[i] * phi)
@@ -301,7 +305,7 @@ def _merge_path(adjacency, start: int, goal: int) -> tuple[MergeEvidence, ...]:
 
 def verify_certificate(problem: DiscriminationProblem, result: FeasibilityResult) -> bool:
     """Re-check every forced equality in an infeasibility certificate."""
-    if result.certificate is None:
+    if not result.certificate:  # none, or an empty one, proves nothing
         return False
     states = problem.states
     dep_pairs = None  # the dependence analysis, on the first dependence evidence
@@ -315,7 +319,7 @@ def verify_certificate(problem: DiscriminationProblem, result: FeasibilityResult
             elif ev.kind == "dependence":
                 for coeffs in ev.detail:
                     combo = sum(c * states[k] for k, c in enumerate(coeffs))
-                    if np.linalg.norm(combo) > 1e-8:
+                    if np.linalg.norm(combo) > DEPENDENCE_TOL:
                         return False
                 if dep_pairs is None:
                     dep_pairs, _ = _dependence_forced_pairs(states)
@@ -330,18 +334,21 @@ def verify_certificate(problem: DiscriminationProblem, result: FeasibilityResult
 
 
 @functools.cache
-def _hermitian_basis(dim: int) -> np.ndarray:
-    """The dim * dim Hermitian basis matrices, stacked in the design matrix's parameter order."""
+def _hermitian_placement(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The flat position of each entry of one state's (2 * dim, dim * dim) design
+    block, and its source column in [Re phi, Im phi, -Re phi, -Im phi]."""
     rows, cols = np.triu_indices(dim, 1)
-    basis = np.zeros((dim * dim, dim, dim), dtype=complex)
-    diag = np.arange(dim)
-    basis[diag, diag, diag] = 1.0
-    for offset, part in enumerate((1.0, 1.0j)):
-        col = dim + 2 * np.arange(len(rows)) + offset
-        basis[col, rows, cols] = part
-        basis[col, cols, rows] = np.conj(part)
-    basis.flags.writeable = False
-    return basis
+    diag, re = np.arange(dim), dim + 2 * np.arange(len(rows))
+    # the Re parts: phi[i] in row i of a diagonal column; phi[j] in row i and phi[i] in
+    # row j of a real pair's; 1j * phi[j] and -1j * phi[i] there of an imaginary pair's
+    row = np.concatenate([diag, rows, cols, rows, cols])
+    col = np.concatenate([diag, re, re, re + 1, re + 1])
+    src = np.concatenate([diag, cols, rows, 3 * dim + cols, dim + rows])
+    # Im w = Re(-1j * w), and -1j moves each entry one block on in the source
+    dest = np.concatenate([row * dim * dim + col, (row + dim) * dim * dim + col])
+    src = np.concatenate([src, (src + dim) % (4 * dim)])
+    dest.flags.writeable = src.flags.writeable = False
+    return dest, src
 
 
 def _hermitian_design_matrix(states, dim: int) -> np.ndarray:
@@ -352,10 +359,13 @@ def _hermitian_design_matrix(states, dim: int) -> np.ndarray:
     G@phi per state. Column (i, j, part) of state phi holds part * phi[j] in
     row i and conj(part) * phi[i] in row j: it is the basis matrix with part
     at (i, j) and conj(part) at (j, i) applied to phi, and every entry of that
-    product is one entry of phi times 1, 1j or -1j, so it is exact.
+    product is one entry of phi times 1, 1j or -1j, written exactly.
     """
-    values = _hermitian_basis(dim) @ np.transpose(states)  # (parameter, row, state)
-    return np.stack([values.real, values.imag]).transpose(3, 0, 2, 1).reshape(-1, dim * dim)
+    phi = np.asarray(states)
+    dest, src = _hermitian_placement(dim)
+    design = np.zeros((len(phi), 2 * dim**3))
+    design[:, dest] = np.concatenate([phi.real, phi.imag, -phi.real, -phi.imag], axis=1)[:, src]
+    return design.reshape(-1, dim * dim)
 
 
 def numeric_feasibility_oracle(problem: DiscriminationProblem, eigenvalue_grid):
@@ -365,8 +375,8 @@ def numeric_feasibility_oracle(problem: DiscriminationProblem, eigenvalue_grid):
     ungrouped states), minimize sum_k ||G phi_k - g_k phi_k||^2 over Hermitian
     G and return the smallest residual with its assignment; on a tie the
     first assignment in enumeration order wins. Raises CapacityError, before
-    anything is built, when the assignments' residual table would exceed
-    MAX_ORACLE_ENTRIES.
+    anything is built, when the assignments' residual table or the design
+    matrix would exceed MAX_ORACLE_ENTRIES.
 
     The least squares runs in the span of the states. With the reduced QR
     factorization [phi_1 ... phi_m] = Q R, Q has orthonormal columns whose
@@ -399,14 +409,15 @@ def numeric_feasibility_oracle(problem: DiscriminationProblem, eigenvalue_grid):
     grouped = [i for g in groups for i in g]
     free = [i for i in range(m) if i not in grouped]
     count = math.perm(len(grid), len(groups)) * len(grid) ** len(free)
-    if count * 2 * min(problem.space_dim, m) * m > MAX_ORACLE_ENTRIES:
+    span_dim = min(problem.space_dim, m)  # the width of the reduced QR's R
+    entries = max(count * 2 * span_dim, 2 * span_dim**3) * m  # residual table, design matrix
+    if entries > MAX_ORACLE_ENTRIES:
         raise CapacityError(
-            f"oracle enumeration of {count} assignments of {m} states exceeds "
-            f"the maximum of {MAX_ORACLE_ENTRIES} residual entries")
+            f"oracle of {count} assignments of {m} states in a span of dim {span_dim} needs "
+            f"{entries} entries in one array, over the maximum of {MAX_ORACLE_ENTRIES}")
 
     _, r = np.linalg.qr(np.column_stack(problem.states))
     coords = r.T  # row k: the coordinates c_k of state k
-    span_dim = coords.shape[1]
     u, s, _ = np.linalg.svd(_hermitian_design_matrix(coords, span_dim), full_matrices=False)
     rank = int(np.sum(s > 1e-10 * (s[0] if s.size else 0.0)))
     u = u[:, :rank]

@@ -11,6 +11,9 @@ from mschain import discriminate
 from mschain.chain import BASIS_1, BASIS_2, Scenario, _basis_chains, decohere, full_chain
 from mschain.discriminate import (
     DiscriminationProblem,
+    FeasibilityResult,
+    ForcedEquality,
+    MergeEvidence,
     ObservableSpec,
     _hermitian_design_matrix,
     build_it_observable,
@@ -145,6 +148,20 @@ class TestSolverBasics:
         # only the overlap conflict with the second one is left
         assert len(result.certificate) == (3 if k <= 11 else 1)
 
+    @pytest.mark.parametrize("a1,conflicts", [
+        (1.16e-12, [(0, 1, ["dependence"]), (0, 2, ["overlap"]), (1, 2, ["dependence"])]),
+        (1.15e-12, [(0, 2, ["overlap"])]),
+    ])
+    def test_certificate_seam(self, a1, conflicts):
+        # NULL_SPACE_FLOOR against the admissible space's second singular value,
+        # about 0.866 * a1: below 1e-12 / 0.866 the dependence pins no pair with
+        # the superposition, and the one overlap conflict g0 = g2 is the proof
+        problem = superposition_discrimination_problem(a1, math.sqrt(1.0 - a1 * a1))
+        result = check_eigen_discrimination(problem)
+        assert [(f.group_a, f.group_b, [ev.kind for ev in f.chain])
+                for f in result.certificate] == conflicts
+        assert verify_certificate(problem, result)
+
     def test_branch_products_are_shared_read_only(self):
         problem = superposition_discrimination_problem(0.6, 0.8)
         with pytest.raises(ValueError):
@@ -244,6 +261,81 @@ class TestNoGoAtEveryDimension:
         assert peak < 3 * 16 * len(problem.states) * problem.space_dim + 2**16
 
 
+class TestFeasibleWitnessMemory:
+    def test_peak_is_three_dense_arrays(self):
+        # the witness, and the conjugate copy and difference of the Hermitian check
+        dim = 1024
+        e = np.eye(dim, 2, dtype=complex)
+        problem = DiscriminationProblem(dim, (e[:, 0], e[:, 1]), ((0,), (1,)))
+        tracemalloc.start()
+        try:
+            result = check_eigen_discrimination(problem)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.feasible
+        assert peak < 3 * 16 * dim * dim + 2**20
+
+
+class TestVerifyCertificateRejects:
+    """Each tampered certificate fails the one check it breaks; the untampered one passes."""
+
+    @staticmethod
+    def _tampered(problem, forced):
+        return verify_certificate(problem, FeasibilityResult("INFEASIBLE", certificate=(forced,)))
+
+    def test_missing_certificate(self):
+        problem = superposition_discrimination_problem(SYM, SYM)
+        assert verify_certificate(problem, check_eigen_discrimination(problem))
+        assert not verify_certificate(problem, FeasibilityResult("INFEASIBLE"))
+        assert not verify_certificate(problem, FeasibilityResult("INFEASIBLE", certificate=()))
+        assert not verify_certificate(recognition_problem(),
+                                      check_eigen_discrimination(recognition_problem()))
+
+    def test_empty_chain(self):
+        problem = superposition_discrimination_problem(SYM, SYM)
+        assert not self._tampered(problem, ForcedEquality(0, 1, ()))
+
+    def test_overlap_on_an_orthogonal_pair(self):
+        problem = superposition_discrimination_problem(SYM, SYM)
+        assert self._tampered(problem, ForcedEquality(0, 1, (MergeEvidence("overlap", 0, 1),)))
+        # the two branch products are orthogonal
+        assert not self._tampered(problem, ForcedEquality(1, 2, (MergeEvidence("overlap", 1, 2),)))
+
+    def test_dependence_that_does_not_vanish(self):
+        problem = superposition_discrimination_problem(SYM, SYM)
+        (forced,) = [f for f in check_eigen_discrimination(problem).certificate
+                     if f.chain[0].kind == "dependence"]
+        assert self._tampered(problem, forced)
+        ev = forced.chain[0]
+        wrong = tuple(tuple(-c if k == 0 else c for k, c in enumerate(coeffs))
+                      for coeffs in ev.detail)  # psi's coefficient flipped: the sum is -2 c_0 psi
+        assert not self._tampered(problem, ForcedEquality(
+            forced.group_a, forced.group_b, (MergeEvidence("dependence", ev.i, ev.j, wrong),)))
+
+    def test_dependence_pair_not_forced(self):
+        # e2 is independent of the dependent triple e0, e1, (e0 + i e1) / sqrt 2
+        e = np.eye(4, dtype=complex)
+        problem = DiscriminationProblem(4, (e[0], e[1], (e[0] + 1j * e[1]) * SYM, e[2]),
+                                        ((0,), (1,), (2,), (3,)))
+        detail = next(ev.detail for f in check_eigen_discrimination(problem).certificate
+                      for ev in f.chain if ev.kind == "dependence")
+        assert self._tampered(problem, ForcedEquality(0, 1, (
+            MergeEvidence("dependence", 0, 1, detail),)))
+        assert not self._tampered(problem, ForcedEquality(0, 3, (
+            MergeEvidence("dependence", 0, 3, detail),)))
+
+    def test_same_group_across_two_groups(self):
+        problem = DiscriminationProblem(2, (BASIS_1, BASIS_1, BASIS_2), ((0, 1), (2,)))
+        assert self._tampered(problem, ForcedEquality(0, 1, (MergeEvidence("same-group", 0, 1),)))
+        assert not self._tampered(problem, ForcedEquality(0, 1, (
+            MergeEvidence("same-group", 1, 2),)))
+
+    def test_unknown_kind(self):
+        problem = superposition_discrimination_problem(SYM, SYM)
+        assert not self._tampered(problem, ForcedEquality(0, 1, (MergeEvidence("guess", 0, 1),)))
+
+
 class TestOracle:
     def test_feasible_orthogonal(self):
         residual, assignment = numeric_feasibility_oracle(recognition_problem(), (-1.0, 0.0, 1.0))
@@ -282,14 +374,60 @@ class TestOracleCap:
         assert peak < 2**16
 
     def test_cap_edge(self, monkeypatch):
-        # the chain's problem: 3! assignments, each with 2 * 3 * 3 residual entries
+        # the chain's problem, 3 states in a span of dim 3: its design matrix
+        # holds 2 * 3**3 * 3 = 162 entries and each assignment 2 * 3 * 3 = 18 residuals
         problem = superposition_discrimination_problem(0.6, 0.8)
-        expected = numeric_feasibility_oracle(problem, (-1.0, 0.0, 1.0))
-        monkeypatch.setattr(discriminate, "MAX_ORACLE_ENTRIES", 6 * 18)
-        assert numeric_feasibility_oracle(problem, (-1.0, 0.0, 1.0)) == expected
-        monkeypatch.setattr(discriminate, "MAX_ORACLE_ENTRIES", 6 * 18 - 1)
-        with pytest.raises(CapacityError, match="6 assignments of 3 states"):
-            numeric_feasibility_oracle(problem, (-1.0, 0.0, 1.0))
+        for grid, edge, assignments in (
+                ((-1.0, 0.0, 1.0), 162, 6),  # design matrix over 6 * 18 = 108 table entries
+                ((-1.0, 0.0, 1.0, 2.0, 3.0, 4.0), 120 * 18, 120),  # table over the 162
+        ):
+            monkeypatch.undo()
+            expected = numeric_feasibility_oracle(problem, grid)
+            monkeypatch.setattr(discriminate, "MAX_ORACLE_ENTRIES", edge)
+            assert numeric_feasibility_oracle(problem, grid) == expected
+            monkeypatch.setattr(discriminate, "MAX_ORACLE_ENTRIES", edge - 1)
+            with pytest.raises(CapacityError, match=f"{assignments} assignments of 3 states "
+                                                    f"in a span of dim 3 needs {edge} entries"):
+                numeric_feasibility_oracle(problem, grid)
+
+
+def _orthonormal_groups(m):
+    """Two groups of m orthonormal states each in dim m: a span of dim m, 2 assignments
+    on the grid (0, 1) and a design matrix of 4 * m**4 entries."""
+    rng = np.random.default_rng(m)
+    bases = [np.linalg.qr(rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)))[0]
+             for _ in range(2)]
+    return DiscriminationProblem(m, tuple(v for q in bases for v in q.T),
+                                 (tuple(range(m)), tuple(range(m, 2 * m))))
+
+
+class TestOracleMemory:
+    def test_no_array_outlives_a_call(self):
+        problems = [_orthonormal_groups(m) for m in (16, 24, 32)]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for problem in problems:
+                tracemalloc.reset_peak()
+                numeric_feasibility_oracle(problem, (0.0, 1.0))
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert current - before < 2**20
+        # span 32: a design matrix of exactly 2**22 entries (32 MiB), its SVD's U
+        # and V^T, and nothing span**4 complex (a 16 B basis would be 16 MiB more)
+        assert peak <= 80e6
+
+    def test_design_matrix_past_the_cap_refused_before_building(self):
+        problem = _orthonormal_groups(40)  # 4 * 40**4 = 10,240,000 entries
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match="needs 10240000 entries in one array"):
+                numeric_feasibility_oracle(problem, (0.0, 1.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
 
 
 @pytest.mark.parametrize("grid", [(0.0, math.nan, 1.0), (0.0, math.inf, 1.0),

@@ -1,7 +1,8 @@
 """Every name a package module imports is used in that module, every
 private name a module defines is used somewhere in the package, and every
 public function or class has a user: package code outside its own
-definition, an acceptance criterion or the benchmark. And `np.kron` is
+definition, an acceptance criterion or the benchmark. Every function the
+benchmark's tracer wraps is still a function of its layer. And `np.kron` is
 called only inside `linalg._kron`, the package's one tensor-product kernel.
 
 A stdlib `ast` walk, so it runs wherever the tests run. `__init__.py` is
@@ -115,3 +116,19 @@ def test_np_kron_only_inside_linalg_kron(path):
         allowed = set(_kron_calls(kernel))
     stray = sorted(set(_kron_calls(tree)) - allowed)
     assert not stray, f"{path.name} calls np.kron outside linalg._kron at lines {stray}"
+
+
+def _traced_names() -> dict[str, tuple[str, ...]]:
+    """The benchmark tracer's `TRACED` table, read from its source."""
+    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text(encoding="utf-8"))
+    node = next(node for node in tree.body if isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets))
+    return ast.literal_eval(node.value)
+
+
+def test_every_traced_name_is_a_function_of_its_layer():
+    # deleting or renaming a traced function breaks the benchmark's traced run
+    missing = [f"{layer}.{name}" for layer, names in _traced_names().items() for name in names
+               if not any(isinstance(node, ast.FunctionDef) and node.name == name
+                          for node in TREES[f"{layer}.py"].body)]
+    assert not missing, f"the benchmark traces names its layers do not define: {missing}"
