@@ -368,22 +368,30 @@ def premeasure(state: MSState, control: str, apparatus: str) -> MSState:
     the tuned evolution from there. The state's tensor is transposed so that
     the control and apparatus axes lead, in that order, with the other axes
     after them in layout order; the unitary acts on those two, and the
-    inverse transpose restores the layout.
+    inverse transpose restores the layout. The ready-state fidelity is read
+    off the same transposed tensor, as ||(<R| (x) I) psi||^2.
+
+    Raises UsageError when control and apparatus name the same factor or
+    either is not two-dimensional, and PreconditionError when the apparatus
+    fidelity is at or below 1 - READY_FIDELITY_TOL.
     """
     layout = state.layout
     c = layout.position(control)
     a = layout.position(apparatus)
+    if c == a:
+        raise UsageError(f"premeasurement needs two different factors, got {control!r} twice")
     if layout.dims[c] != 2 or layout.dims[a] != 2:
         raise UsageError("premeasurement acts on two-dimensional factors only")
-    rho_app = state.reduced((apparatus,))
-    fidelity = float(np.real(READY_STATE.conj() @ rho_app @ READY_STATE))
+    perm = [c, a] + [i for i in range(len(layout.dims)) if i not in (c, a)]
+    moved = state.vector.reshape(layout.dims).transpose(perm)
+    flat = moved.reshape(4, -1)
+    ready = READY_STATE.conj() @ flat.reshape(2, 2, -1)
+    fidelity = float(np.vdot(ready, ready).real)
     if fidelity <= 1.0 - READY_FIDELITY_TOL:
         raise PreconditionError(
             f"apparatus {apparatus!r} is not in the ready state (fidelity {fidelity!r})"
         )
-    perm = [c, a] + [i for i in range(len(layout.dims)) if i not in (c, a)]
-    moved = state.vector.reshape(layout.dims).transpose(perm)
-    block = PREMEASURE_UNITARY @ moved.reshape(4, -1)
+    block = PREMEASURE_UNITARY @ flat
     tensor = block.reshape(moved.shape).transpose(sorted(range(len(perm)), key=perm.__getitem__))
     return MSState._built(tensor.reshape(-1), layout)
 
@@ -474,9 +482,25 @@ def factorize_branch(state: MSState) -> dict[str, np.ndarray]:
 
 @dataclass(frozen=True)
 class DecoherenceResult:
-    state: MSState
+    """Entry n of a `decohere` sweep: the chain with n environment elements.
+
+    `m` is the (dim, 2**n) amplitude matrix, row i the chain's amplitude i
+    times the tag of its observer reading; `reduced_ms` is m @ m^dagger, the
+    trace over E1..En, and `coherence_factor` the two tags' overlap.
+    `chain_layout` is the layout of the chain that `decohere` was given.
+    """
+
     coherence_factor: float
     reduced_ms: np.ndarray
+    m: np.ndarray
+    chain_layout: TensorLayout
+
+    @functools.cached_property
+    def state(self) -> MSState:
+        """The enlarged state over the chain's factors and E1..En, built on first
+        read with `MSState._built`'s unit-norm check and kept."""
+        extra = tuple((f"E{k}", 2) for k in range(1, self.m.shape[1].bit_length()))
+        return MSState._built(self.m.reshape(-1), TensorLayout(self.chain_layout.factors + extra))
 
 
 def decohere(state: MSState, n_env: int, eps: float) -> tuple[DecoherenceResult, ...]:
@@ -488,22 +512,30 @@ def decohere(state: MSState, n_env: int, eps: float) -> tuple[DecoherenceResult,
     product states' overlap (eps**n), which is returned, as measured,
     alongside the explicit partial trace over the environment.
 
-    Entry n of the result is the chain with n elements. The enlarged state is
-    formed explicitly: the two 2**n tags are the rows of one tag matrix, which
-    grows from the one before by one `_kron_rows` broadcast product per
-    element, and each chain basis state is tensored with the tag of its
-    pointer index. The chain factors lead the layout, which gains E_n from
-    entry n - 1's, so the amplitudes form a (dim, 2**n) matrix m and the trace
-    over E1..En is m @ m^dagger, the product `MSState.reduced` forms.
+    Entry n of the result is the chain with n elements. The two 2**n tags are
+    the rows of one tag matrix, which grows from the one before by one
+    `_kron_rows` broadcast product per element. The chain vector, viewed as
+    (factors before O, O, factors after O, 1), times the tag matrix as
+    (2, 1, 2**n) tensors each chain basis state with the tag of its pointer
+    index: the chain factors lead the layout, so the amplitudes form a
+    (dim, 2**n) matrix m and the trace over E1..En is m @ m^dagger, the
+    product `MSState.reduced` forms. Each result holds m; its enlarged
+    `state` is built on first read.
 
     Raises, before anything is built, UsageError when `state` is not an
-    MSState, ValidationError when eps is not a real number (a bool is
-    rejected) or lies outside [0, 1] or when n_env is not a nonnegative
-    integer (a float, even 2.0, and a bool are rejected), and CapacityError
-    past MAX_DIM.
+    MSState or its observer factor is missing or not two-dimensional (the
+    environment model has two pointer readings), ValidationError when eps is
+    not a real number (a bool is rejected) or lies outside [0, 1] or when
+    n_env is not a nonnegative integer (a float, even 2.0, and a bool are
+    rejected), and CapacityError past MAX_DIM.
     """
     if not isinstance(state, MSState):
         raise UsageError(f"decoherence needs an MSState, not {type(state).__name__}")
+    layout = state.layout
+    o_pos = layout.position("O")
+    if layout.dims[o_pos] != 2:
+        raise UsageError(
+            f"decoherence keys on a two-dimensional observer factor, not dim {layout.dims[o_pos]}")
     _require_number(eps, "environment overlap eps", numbers.Real, "a real number")
     if not 0.0 <= eps <= 1.0:
         raise ValidationError("environment overlap eps must lie in [0, 1]")
@@ -518,23 +550,18 @@ def decohere(state: MSState, n_env: int, eps: float) -> tuple[DecoherenceResult,
 
     # row o of env is the state an element takes when the observer reads o
     env = np.array([[1.0, 0.0], [eps, math.sqrt(max(0.0, 1.0 - eps * eps))]], dtype=complex)
-    o_pos = state.layout.position("O")
-    dims = state.layout.dims
-    stride = int(np.prod(dims[o_pos + 1:], dtype=int))
-    o_index = (np.arange(state.dim) // stride) % dims[o_pos]
+    before = math.prod(layout.dims[:o_pos])
+    psi = state.vector.reshape(before, 2, -1, 1)
 
     # row o of tags is the environment's product state when the observer reads o
     tags = np.ones((2, 1), dtype=complex)
-    layout = state.layout
     results = []
     for n in range(n_env + 1):
         if n:
             tags = _kron_rows(tags, env)
-            layout = layout.extended(f"E{n}", 2)
-        m = state.vector[:, None] * tags[o_index]
-        enlarged = MSState._built(m.reshape(-1), layout)
+        m = (psi * tags[:, None, :]).reshape(state.dim, -1)
         overlap = float(np.vdot(tags[0], tags[1]).real)
-        results.append(DecoherenceResult(enlarged, overlap, m @ m.conj().T))
+        results.append(DecoherenceResult(overlap, m @ m.conj().T, m, layout))
     return tuple(results)
 
 

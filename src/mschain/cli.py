@@ -494,22 +494,27 @@ def execute(config: RunConfig) -> Report:
     )
 
 
+_INFINITIES = (float("inf"), float("-inf"))
+
+
 def _fmt(value) -> str:
-    """One scalar as JSON text; a string goes through `json.dumps`'s own ASCII encoder."""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
+    """One scalar as JSON text; a string goes through `json.dumps`'s own ASCII encoder.
+
+    Floats and strings, the bulk of a report, are tested first; bool comes
+    before int because a bool is an int.
+    """
     if isinstance(value, float):
-        if value != value or value in (float("inf"), float("-inf")):
+        if value != value or value in _INFINITIES:
             return encode_basestring_ascii(str(value))
-        if value == 0.0:
-            value = 0.0  # collapse -0.0 so round trips stay byte-stable
-        return f"{value:.12g}"
-    if value is None:
-        return "null"
+        return f"{value + 0.0:.12g}"  # + 0.0 turns -0.0 into 0.0
     if isinstance(value, str):
         return encode_basestring_ascii(value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    if isinstance(value, int):
+        return str(value)
     raise TypeError(f"cannot serialize {type(value)}")
 
 
@@ -528,6 +533,13 @@ def _scenario_value(value) -> str:
     if isinstance(value, (list, tuple)):
         return _block("[", [f"      {_fmt(v)}" for v in value], "    ", "]")
     return _fmt(value)
+
+
+def _decoded_key(key: str) -> str:
+    """`key` as JSON reads its escaped text back: a surrogate pair held as two
+    code points is the one code point it encodes. Scenario keys sort on this,
+    so the order survives `parse_report`."""
+    return key.encode("utf-16-le", "surrogatepass").decode("utf-16-le", "surrogatepass")
 
 
 def render_report(report: Report, output_format: str = "structured-text") -> str:
@@ -551,7 +563,7 @@ def render_report(report: Report, output_format: str = "structured-text") -> str
                 for r in report.rows], "  ", "],"),
             '  "scenario": ' + _block("{", [
                 f"    {encode_basestring_ascii(k)}: {_scenario_value(scenario[k])}"
-                for k in sorted(scenario)], "  ", "},"),
+                for k in sorted(scenario, key=_decoded_key)], "  ", "},"),
             f'  "version": {_fmt(report.version)}',
             "}\n",
         ]

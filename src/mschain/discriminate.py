@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
@@ -303,21 +304,45 @@ def _merge_path(adjacency, start: int, goal: int) -> tuple[MergeEvidence, ...]:
     return tuple(reversed(chain))
 
 
+def _is_index(k, n: int) -> bool:
+    """Whether `k` is an integer index into a sequence of length `n`."""
+    return isinstance(k, numbers.Integral) and 0 <= k < n
+
+
 def verify_certificate(problem: DiscriminationProblem, result: FeasibilityResult) -> bool:
-    """Re-check every forced equality in an infeasibility certificate."""
+    """Re-check every forced equality in an infeasibility certificate.
+
+    Each one must name two different groups of the problem, and its chain
+    must walk from a member of `group_a` to a member of `group_b`: each piece
+    of evidence joins, in either order, the state reached so far to the next
+    one, and holds on the problem's states. A state or group index that is
+    not an integer in range fails the check.
+    """
     if not result.certificate:  # none, or an empty one, proves nothing
         return False
     states = problem.states
+    groups = problem.distinct_groups
     dep_pairs = None  # the dependence analysis, on the first dependence evidence
     for forced in result.certificate:
-        if not forced.chain:
+        ga, gb = forced.group_a, forced.group_b
+        if (not forced.chain or ga == gb
+                or not (_is_index(ga, len(groups)) and _is_index(gb, len(groups)))):
             return False
+        # every state a walk along the chain so far can have reached
+        reached = set(groups[ga])
         for ev in forced.chain:
+            if not (_is_index(ev.i, len(states)) and _is_index(ev.j, len(states))):
+                return False
+            reached = {ev.j if k == ev.i else ev.i for k in reached if k in (ev.i, ev.j)}
+            if not reached:
+                return False
             if ev.kind == "overlap":
                 if abs(np.vdot(states[ev.i], states[ev.j])) <= OVERLAP_TOL:
                     return False
             elif ev.kind == "dependence":
                 for coeffs in ev.detail:
+                    if len(coeffs) != len(states):
+                        return False
                     combo = sum(c * states[k] for k, c in enumerate(coeffs))
                     if np.linalg.norm(combo) > DEPENDENCE_TOL:
                         return False
@@ -326,10 +351,12 @@ def verify_certificate(problem: DiscriminationProblem, result: FeasibilityResult
                 if (ev.i, ev.j) not in dep_pairs and (ev.j, ev.i) not in dep_pairs:
                     return False
             elif ev.kind == "same-group":
-                if not any(ev.i in g and ev.j in g for g in problem.distinct_groups):
+                if not any(ev.i in g and ev.j in g for g in groups):
                     return False
             else:
                 return False
+        if reached.isdisjoint(groups[gb]):
+            return False
     return True
 
 

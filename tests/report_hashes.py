@@ -14,6 +14,11 @@ phases; `n_env` 0 to 3; and 1, 17, `CHUNK` + 1 or a random number of trials
 up to 3 * `CHUNK` + 17. A config that the command line would reject hashes
 its error instead of a report.
 
+After those, 48 `cap/...` lines hash `decohere` reports at `n_env` 4 to 9,
+up to the 4096-dim cap, in both output formats: four configs per `n_env`
+from their own fixed seed, with both input kinds, a random weight and
+relative phase, and an environment overlap of 0, 1 or a random value.
+
 Each `born` config also prints one `draws/<label> sha256` line: the hash of
 the 64 (branch, pointer value) pairs that the single-event draws
 (`stochastic_restriction` for pure input, `sample_gemenge` for a gemenge)
@@ -37,6 +42,9 @@ SEED = 2026
 SCALAR_DRAWS = 64
 WEIGHTS = ("0", "1e-12", "1e-6", "1-1e-6", "1", "random")
 N_ENV = 4
+CAP_SEED = 2027
+CAP_N_ENV = range(N_ENV, 10)
+CAP_CONFIGS_PER_N_ENV = 4
 # command x input kind x weight x phase x weighted amplitude x n_env
 N_CONFIGS = len(COMMANDS) * 2 * len(WEIGHTS) * 2 * 2 * N_ENV
 
@@ -84,6 +92,25 @@ def configs(rng: random.Random):
         yield label, command, config
 
 
+def cap_configs(rng: random.Random):
+    """(label, config) for the `decohere` configs at `n_env` 4 to 9, in a fixed order."""
+    for n_env in CAP_N_ENV:
+        for k in range(CAP_CONFIGS_PER_N_ENV):
+            kind = ("pure", "gemenge")[k % 2]
+            weight = rng.random()
+            amps = (complex(math.sqrt(weight)),
+                    math.sqrt(1.0 - weight) * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi)))
+            eps = (0.0, 1.0, rng.random(), rng.random())[k]
+            config = {
+                "a1": [amps[0].real, amps[0].imag],
+                "a2": [amps[1].real, amps[1].imag],
+                "input_kind": kind,
+                "n_env": n_env,
+                "env_overlap": eps,
+            }
+            yield f"cap/{n_env}.{k}/decohere/{kind}/n_env={n_env}", "decohere", config
+
+
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -106,17 +133,23 @@ def scalar_draws(config: dict, command: str) -> str:
         return f"{type(exc).__name__}: {exc}"
 
 
+def _report_lines(label: str, command: str, config: dict) -> None:
+    try:
+        report = execute(config_from_dict(config, override_command=command))
+        texts = {fmt: render_report(report, fmt) for fmt in FORMATS}
+    except (ConfigError, ValidationError, CapacityError) as exc:
+        texts = {fmt: f"{type(exc).__name__}: {exc}" for fmt in FORMATS}
+    for fmt in FORMATS:
+        print(f"{label}/{fmt} {_sha256(texts[fmt])}")
+
+
 def main() -> None:
     for label, command, config in configs(random.Random(SEED)):
-        try:
-            report = execute(config_from_dict(config, override_command=command))
-            texts = {fmt: render_report(report, fmt) for fmt in FORMATS}
-        except (ConfigError, ValidationError, CapacityError) as exc:
-            texts = {fmt: f"{type(exc).__name__}: {exc}" for fmt in FORMATS}
-        for fmt in FORMATS:
-            print(f"{label}/{fmt} {_sha256(texts[fmt])}")
+        _report_lines(label, command, config)
         if command == "born":
             print(f"draws/{label} {_sha256(scalar_draws(config, command))}")
+    for label, command, config in cap_configs(random.Random(CAP_SEED)):
+        _report_lines(label, command, config)
 
 
 if __name__ == "__main__":

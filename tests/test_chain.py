@@ -110,6 +110,31 @@ class TestPremeasure:
         with pytest.raises(PreconditionError):
             premeasure(state, "S", "D")
 
+    @pytest.mark.parametrize("label", ["S", "D"])
+    def test_control_equal_to_apparatus_is_a_usage_error(self, label):
+        with pytest.raises(UsageError, match="two different factors"):
+            premeasure(sd_ready_state(0.6, 0.8), label, label)
+
+    @pytest.mark.parametrize("step", ["S->D", "D->O"])
+    @pytest.mark.parametrize("shortfall, raises", [(2e-10, True), (5e-11, False)])
+    def test_ready_fidelity_at_its_tolerance(self, step, shortfall, raises):
+        # an apparatus of fidelity 1 - shortfall with the ready state
+        orthogonal = np.array([1.0, -1.0], dtype=complex) / np.sqrt(2.0)
+        factor = math.sqrt(1.0 - shortfall) * READY_STATE + math.sqrt(shortfall) * orthogonal
+        if step == "S->D":
+            control, apparatus = "S", "D"
+            state = MSState(prepare_object_state(0.6, 0.8j), TensorLayout((("S", 2),)))
+        else:
+            control, apparatus = "D", "O"
+            state = object_detector_state(0.6, 0.8j)
+        state = _attach(state, apparatus, factor)
+        if raises:
+            with pytest.raises(PreconditionError, match=f"{apparatus!r} is not in the ready state"):
+                premeasure(state, control, apparatus)
+        else:
+            out = premeasure(state, control, apparatus)
+            assert out.layout == state.layout
+
     @pytest.mark.parametrize("dims", [(2, 3), (3, 2)])
     def test_non_qubit_factor_is_a_usage_error(self, dims):
         vec = np.zeros(dims[0] * dims[1], dtype=complex)
@@ -258,7 +283,84 @@ def no_build(monkeypatch):
     return ms
 
 
+def _gathered_decohere(state: MSState, n_env: int, eps: float):
+    """The sweep with each basis state's tag gathered by its observer index,
+    kept as the reference: (vector, layout, reduced_ms, coherence_factor) per entry."""
+    env = np.array([[1.0, 0.0], [eps, math.sqrt(max(0.0, 1.0 - eps * eps))]], dtype=complex)
+    o_pos = state.layout.position("O")
+    dims = state.layout.dims
+    stride = int(np.prod(dims[o_pos + 1:], dtype=int))
+    o_index = (np.arange(state.dim) // stride) % dims[o_pos]
+    tags = np.ones((2, 1), dtype=complex)
+    layout = state.layout
+    entries = []
+    for n in range(n_env + 1):
+        if n:
+            tags = _kron_rows(tags, env)
+            layout = layout.extended(f"E{n}", 2)
+        m = state.vector[:, None] * tags[o_index]
+        entries.append((m.reshape(-1), layout, m @ m.conj().T,
+                        float(np.vdot(tags[0], tags[1]).real)))
+    return entries
+
+
+def _random_state(factors):
+    layout = TensorLayout(factors)
+    rng = np.random.default_rng(31)
+    vector = rng.normal(size=layout.total_dim) + 1j * rng.normal(size=layout.total_dim)
+    return MSState(vector / np.linalg.norm(vector), layout)
+
+
+# (state, n_env up to the cap); entry n of a sweep does not depend on its n_env
+_DECOHERE_CASES = {
+    "chain": (lambda: full_chain(Scenario(np.sqrt(0.3), np.sqrt(0.7) * np.exp(2j), "pure")), 9),
+    "O first": (lambda: _random_state((("O", 2), ("S", 2), ("D", 2))), 9),
+    "O middle": (lambda: _random_state((("S", 2), ("O", 2), ("D", 2))), 9),
+    "O last": (lambda: _random_state((("S", 2), ("D", 2), ("O", 2))), 9),
+    "extra factor after O": (lambda: _random_state((("S", 2), ("O", 2), ("D", 2), ("X", 3))), 7),
+    "extra factor before O": (lambda: _random_state((("X", 3), ("S", 2), ("D", 2), ("O", 2))), 7),
+}
+
+
 class TestDecohere:
+    @pytest.mark.parametrize("case", sorted(_DECOHERE_CASES))
+    def test_broadcast_bit_identical_to_the_gather(self, case):
+        make_state, n_env = _DECOHERE_CASES[case]
+        state = make_state()
+        for eps in (0.0, 0.5, 0.9, 1.0):
+            results = decohere(state, n_env, eps)
+            reference = _gathered_decohere(state, n_env, eps)
+            assert len(results) == len(reference) == n_env + 1
+            for result, (vector, layout, reduced, overlap) in zip(results, reference):
+                assert np.array_equal(result.state.vector, vector)
+                assert result.state.layout == layout
+                assert np.array_equal(result.reduced_ms, reduced)
+                assert result.coherence_factor == overlap
+
+    def test_enlarged_state_is_built_once(self):
+        ms = full_chain(Scenario(0.6, 0.8, "pure"))
+        for result in decohere(ms, 3, 0.5):
+            state = result.state
+            assert result.state is state
+            assert np.shares_memory(state.vector, result.m)
+
+    @pytest.mark.parametrize("o_dim", [1, 3])
+    @pytest.mark.parametrize("o_first", [True, False], ids=["O first", "O last"])
+    def test_observer_factor_not_two_dimensional(self, monkeypatch, o_dim, o_first):
+        factors = (("O", o_dim), ("S", 2)) if o_first else (("S", 2), ("O", o_dim))
+        vector = np.zeros(2 * o_dim, dtype=complex)
+        vector[0] = 1.0
+        state = MSState(vector, TensorLayout(factors))
+        monkeypatch.setattr(chain, "_kron_rows", _no_build)
+        with pytest.raises(UsageError, match=f"two-dimensional observer factor, not dim {o_dim}"):
+            decohere(state, 2, 0.5)
+
+    def test_missing_observer_factor(self, monkeypatch):
+        state = MSState(np.kron(BASIS_1, BASIS_1), TensorLayout((("S", 2), ("D", 2))))
+        monkeypatch.setattr(chain, "_kron_rows", _no_build)
+        with pytest.raises(UsageError, match="unknown factor label 'O'"):
+            decohere(state, 2, 0.5)
+
     def test_unit_overlap_changes_nothing(self):
         ms = full_chain(Scenario(SYM, SYM, "pure"))
         for n_env in (0, 1, 3):
@@ -415,7 +517,7 @@ class TestDecohere:
     def test_reduced_ms_is_the_trace_over_the_environment(self, case):
         # the Gram product m @ m^dagger against the state's own reduction and
         # the dense partial trace, also where the observer is not the last
-        # factor; the eps**n law on every pair of basis states checks o_index
+        # factor; the eps**n law on every pair of basis states checks which tag each takes
         ms = full_chain(Scenario(np.sqrt(0.3), np.sqrt(0.7) * np.exp(2j), "pure"))
         if case == "S,D,O chain":
             state = ms

@@ -129,6 +129,20 @@ class TestExecute:
             assert scale.value == pytest.approx(factor, abs=1e-12)
             assert scale.passed
 
+    def test_decohere_report_builds_no_enlarged_state(self, monkeypatch):
+        # the rows read each entry's coherence factor and reduced chain state only
+        built = []
+        original = chain.MSState._built.__func__
+
+        def counted(cls, vector, layout):
+            built.append(vector.shape[0])
+            return original(cls, vector, layout)
+
+        monkeypatch.setattr(chain.MSState, "_built", classmethod(counted))
+        report = run("decohere", a1=0.6, a2=0.8, env_overlap=0.5, n_env=9)
+        assert rows_by_label(report)["decohere.offdiag_scale[9]"].passed
+        assert built and max(built) == 8
+
     def test_born_pass_flags(self):
         report = run("born", a1=0.6, a2=0.8, seed=5, trials=50_000)
         rows = rows_by_label(report)
@@ -367,6 +381,14 @@ class TestEmission:
         text = render_report(report)
         assert render_report(parse_report(text)) == text
 
+    def test_scenario_key_holding_a_surrogate_pair_round_trips(self):
+        # both keys escape to \ud8..; JSON reads the pair back as U+103FF, after U+D801
+        pair = chr(0xD800) + chr(0xDFFF)
+        report = Report("chain", "d", ((pair, None), (chr(0xD801), None)), "0", ())
+        text = render_report(report)
+        assert text.index("\\ud801") < text.index("\\ud800\\udfff")
+        assert render_report(parse_report(text)) == text
+
 
 def _reference_fmt(value) -> str:
     """The scalar emitter that rendered structured text before the one-pass renderer."""
@@ -392,8 +414,9 @@ def _reference_emit(value, indent: int) -> str:
     if isinstance(value, dict):
         if not value:
             return "{}"
+        # keys sorted as JSON reads them back, a surrogate pair as one code point
         items = [f'{pad}  {json.dumps(k)}: {_reference_emit(value[k], indent + 1)}'
-                 for k in sorted(value)]
+                 for k in sorted(value, key=lambda k: json.loads(json.dumps(k)))]
         return "{\n" + ",\n".join(items) + f"\n{pad}}}"
     if isinstance(value, (list, tuple)):
         if not value:
@@ -426,6 +449,9 @@ _SCALAR = st.one_of(
     st.none(), st.booleans(), st.integers(-2**200, 2**200),
     st.sampled_from([-0.0, 0.0, float("nan"), float("inf"), float("-inf"), 1e300, 5e-324]),
     st.floats(allow_nan=True, allow_infinity=True), _TEXT,
+    # a float subclass takes the renderer's isinstance path
+    st.sampled_from([-0.0, 0.0, float("nan"), float("inf"), float("-inf"), 5e-324]).map(np.float64),
+    st.floats(allow_nan=True, allow_infinity=True).map(np.float64),
 )
 _REPORTS = st.builds(
     Report,

@@ -326,10 +326,59 @@ class TestVerifyCertificateRejects:
             MergeEvidence("dependence", 0, 3, detail),)))
 
     def test_same_group_across_two_groups(self):
-        problem = DiscriminationProblem(2, (BASIS_1, BASIS_1, BASIS_2), ((0, 1), (2,)))
-        assert self._tampered(problem, ForcedEquality(0, 1, (MergeEvidence("same-group", 0, 1),)))
+        # the chain walks from group 0's state 0 through its state 1 to state 2
+        problem = DiscriminationProblem(2, (BASIS_1, BASIS_2, BASIS_2), ((0, 1), (2,)))
+        assert self._tampered(problem, ForcedEquality(0, 1, (
+            MergeEvidence("same-group", 0, 1), MergeEvidence("overlap", 1, 2, (1.0,)))))
         assert not self._tampered(problem, ForcedEquality(0, 1, (
             MergeEvidence("same-group", 1, 2),)))
+
+    # on the chain's no-go problem state 0 is the superposition, group k is state k,
+    # and the superposition overlaps each branch product, which are orthogonal
+
+    def test_chain_walks_between_the_named_groups_in_either_order(self):
+        problem = superposition_discrimination_problem(0.6, 0.8)
+        for chain in ((MergeEvidence("overlap", 0, 1), MergeEvidence("overlap", 0, 2)),
+                      (MergeEvidence("overlap", 1, 0), MergeEvidence("overlap", 2, 0))):
+            assert self._tampered(problem, ForcedEquality(1, 2, chain))
+            assert self._tampered(problem, ForcedEquality(2, 1, chain[::-1]))
+            # each evidence holds, but the walk from group 1 cannot start at state 2
+            assert not self._tampered(problem, ForcedEquality(1, 2, chain[::-1]))
+        assert self._tampered(problem, ForcedEquality(1, 0, (MergeEvidence("overlap", 0, 1),)))
+
+    def test_chain_that_does_not_link_the_named_groups(self):
+        problem = superposition_discrimination_problem(0.6, 0.8)
+        assert self._tampered(problem, ForcedEquality(0, 1, (MergeEvidence("overlap", 0, 1),)))
+        assert not self._tampered(problem, ForcedEquality(1, 2, (MergeEvidence("overlap", 0, 1),)))
+        assert not self._tampered(problem, ForcedEquality(0, 2, (MergeEvidence("overlap", 0, 1),)))
+
+    def test_a_group_against_itself(self):
+        problem = superposition_discrimination_problem(0.6, 0.8)
+        assert not self._tampered(problem, ForcedEquality(1, 1, (MergeEvidence("overlap", 0, 1),)))
+        assert not self._tampered(problem, ForcedEquality(1, 1, (
+            MergeEvidence("overlap", 0, 1), MergeEvidence("overlap", 0, 1))))
+
+    @pytest.mark.parametrize("group_a, group_b",
+                             [(0, 7), (7, 0), (-1, 0), (0, 3), (0.0, 1), (0, 1.0)])
+    def test_group_index_out_of_range(self, group_a, group_b):
+        problem = superposition_discrimination_problem(0.6, 0.8)
+        assert not self._tampered(problem, ForcedEquality(group_a, group_b, (
+            MergeEvidence("overlap", 0, 1),)))
+
+    @pytest.mark.parametrize("i, j", [(0, 9), (9, 0), (0, -2), (3, 1), (0.0, 1), (0, 1.0)])
+    def test_state_index_out_of_range(self, i, j):
+        problem = superposition_discrimination_problem(0.6, 0.8)
+        for kind in ("overlap", "same-group", "dependence"):
+            assert not self._tampered(problem, ForcedEquality(0, 1, (MergeEvidence(kind, i, j),)))
+
+    def test_dependence_coefficients_past_the_states(self):
+        problem = superposition_discrimination_problem(SYM, SYM)
+        (forced,) = [f for f in check_eigen_discrimination(problem).certificate
+                     if f.chain[0].kind == "dependence"]
+        ev = forced.chain[0]
+        longer = tuple(coeffs + (0.0,) for coeffs in ev.detail)
+        assert not self._tampered(problem, ForcedEquality(
+            forced.group_a, forced.group_b, (MergeEvidence("dependence", ev.i, ev.j, longer),)))
 
     def test_unknown_kind(self):
         problem = superposition_discrimination_problem(SYM, SYM)
