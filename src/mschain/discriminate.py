@@ -15,31 +15,33 @@ leaves orthogonal classes that an explicit projector sum discriminates
 A brute-force least-squares oracle over an explicit eigenvalue grid provides
 an independent numerical check of every verdict. It solves in the span of the
 states, where the minimum over Hermitian operators is the same as on the full
-space, with one projection shared by every grid assignment.
+space, and where one thin SVD of the states gives the minimum in closed form:
+its normal equations are a Lyapunov equation, diagonal in the singular basis.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
+import sys
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
 
 import numpy as np
 
-from .chain import BASIS_1, BASIS_2, MSState, Scenario, _basis_chains, full_chain
+from .chain import (BASIS_1, BASIS_2, MSState, Scenario, _basis_chains, _require_count,
+                    _require_number, full_chain)
 from .errors import CapacityError, ValidationError
 from .linalg import HermitianObservable, validate_state_vector
 
 OVERLAP_TOL = 1e-10
 WITNESS_TOL = 1e-9
-# Cap on each of the oracle's float64 arrays, checked before anything is built:
-# the residual table (grid assignments x 2 * span dim * states entries) and the
-# design matrix (2 * span dim**3 * states). At the cap, 226,920 assignments of 3
-# states took 3.8 s and 91 MB (tracemalloc, 2-vCPU Xeon), and two groups of 32
-# orthonormal states in dim 32 76 MB.
+# Cap on each of the oracle's arrays in float64 entries, checked before anything is
+# built: 2 * max(assignments, states) * span dim * states covers the residual table
+# and the tensor p of states x states x span dim complex entries. At the cap, 226,920
+# assignments of 3 states took 3.6 s and 91 MB (tracemalloc, 2-vCPU Xeon), and two
+# groups of 80 orthonormal states in dim 80 0.13 s and 66 MB.
 MAX_ORACLE_ENTRIES = 2**22
 # `_null_space`'s absolute rank floor, which decides the no-go certificate's shape:
 # in the admissible space it beats 1e-12 * s[0], and s[1] is about 0.866 * a1, so
@@ -68,8 +70,14 @@ class ObservableSpec:
     d2: float
 
     def __post_init__(self):
-        norm_sq = self.d0**2 + self.d1**2 + self.d2**2
-        if abs(norm_sq - 1.0) > 1e-12:
+        for name in ("d0", "d1", "d2"):
+            _require_number(getattr(self, name), name, numbers.Real, "a real number")
+        try:
+            d0, d1, d2 = (float(getattr(self, name)) for name in ("d0", "d1", "d2"))
+            norm_sq = d0**2 + d1**2 + d2**2
+        except OverflowError:  # a coefficient or its square past the float range
+            norm_sq = math.inf
+        if not abs(norm_sq - 1.0) <= 1e-12:  # written so that a NaN fails it
             raise ValidationError(
                 f"coefficients not normalized: d0^2+d1^2+d2^2 = {norm_sq!r}"
             )
@@ -89,6 +97,7 @@ class DiscriminationProblem:
     distinct_groups: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "space_dim", _require_count(self.space_dim, "space_dim"))
         if not self.states:
             raise ValidationError("a discrimination problem needs at least one state")
         states = tuple(validate_state_vector(s) for s in self.states)
@@ -98,15 +107,20 @@ class DiscriminationProblem:
                 raise ValidationError(
                     f"state dim {s.shape[0]} does not match space_dim {self.space_dim}"
                 )
-        groups = tuple(tuple(sorted(g)) for g in self.distinct_groups)
+        try:
+            groups = tuple(tuple(sorted(g)) for g in self.distinct_groups)
+        except TypeError:  # a group that is no sequence, or indices that do not compare
+            raise ValidationError(
+                f"distinct_groups must be a sequence of index sequences, got {self.distinct_groups!r}"
+            ) from None
         object.__setattr__(self, "distinct_groups", groups)
         seen: set[int] = set()
         for g in groups:
             if not g:
                 raise ValidationError("empty group in distinct_groups")
             for i in g:
-                if not 0 <= i < len(states):
-                    raise ValidationError(f"group index {i} out of range")
+                if not _is_index(i, len(states)):
+                    raise ValidationError(f"group index {i!r} is not an integer in range")
                 if i in seen:
                     raise ValidationError(f"state index {i} appears in two groups")
                 seen.add(i)
@@ -305,8 +319,8 @@ def _merge_path(adjacency, start: int, goal: int) -> tuple[MergeEvidence, ...]:
 
 
 def _is_index(k, n: int) -> bool:
-    """Whether `k` is an integer index into a sequence of length `n`."""
-    return isinstance(k, numbers.Integral) and 0 <= k < n
+    """Whether `k` is an integer index, and no bool, into a sequence of length `n`."""
+    return isinstance(k, numbers.Integral) and not isinstance(k, bool) and 0 <= k < n
 
 
 def verify_certificate(problem: DiscriminationProblem, result: FeasibilityResult) -> bool:
@@ -360,71 +374,47 @@ def verify_certificate(problem: DiscriminationProblem, result: FeasibilityResult
     return True
 
 
-@functools.cache
-def _hermitian_placement(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """The flat position of each entry of one state's (2 * dim, dim * dim) design
-    block, and its source column in [Re phi, Im phi, -Re phi, -Im phi]."""
-    rows, cols = np.triu_indices(dim, 1)
-    diag, re = np.arange(dim), dim + 2 * np.arange(len(rows))
-    # the Re parts: phi[i] in row i of a diagonal column; phi[j] in row i and phi[i] in
-    # row j of a real pair's; 1j * phi[j] and -1j * phi[i] there of an imaginary pair's
-    row = np.concatenate([diag, rows, cols, rows, cols])
-    col = np.concatenate([diag, re, re, re + 1, re + 1])
-    src = np.concatenate([diag, cols, rows, 3 * dim + cols, dim + rows])
-    # Im w = Re(-1j * w), and -1j moves each entry one block on in the source
-    dest = np.concatenate([row * dim * dim + col, (row + dim) * dim * dim + col])
-    src = np.concatenate([src, (src + dim) % (4 * dim)])
-    dest.flags.writeable = src.flags.writeable = False
-    return dest, src
-
-
-def _hermitian_design_matrix(states, dim: int) -> np.ndarray:
-    """Real design matrix mapping Hermitian parameters to stacked G@phi values.
-
-    Parameter order: the dim diagonal entries, then (real, imag) pairs for
-    each upper-triangle entry in row-major order. Rows stack Re and Im of
-    G@phi per state. Column (i, j, part) of state phi holds part * phi[j] in
-    row i and conj(part) * phi[i] in row j: it is the basis matrix with part
-    at (i, j) and conj(part) at (j, i) applied to phi, and every entry of that
-    product is one entry of phi times 1, 1j or -1j, written exactly.
-    """
-    phi = np.asarray(states)
-    dest, src = _hermitian_placement(dim)
-    design = np.zeros((len(phi), 2 * dim**3))
-    design[:, dest] = np.concatenate([phi.real, phi.imag, -phi.real, -phi.imag], axis=1)[:, src]
-    return design.reshape(-1, dim * dim)
-
-
 def numeric_feasibility_oracle(problem: DiscriminationProblem, eigenvalue_grid):
     """Brute-force least squares over every admissible grid assignment.
 
     For each way of assigning grid values (distinct across groups, free for
     ungrouped states), minimize sum_k ||G phi_k - g_k phi_k||^2 over Hermitian
-    G and return the smallest residual with its assignment; on a tie the
-    first assignment in enumeration order wins. Raises CapacityError, before
-    anything is built, when the assignments' residual table or the design
-    matrix would exceed MAX_ORACLE_ENTRIES.
+    G and return the smallest residual with its assignment. Assignments that
+    tie in exact arithmetic are told apart by rounding: g + c and c - g tie
+    with g whenever they lie on the grid, since cI + G and cI - G are
+    Hermitian; of residuals equal in floating point, the first assignment in
+    enumeration order wins. Raises CapacityError, before anything is built,
+    when the residual table or the tensor p below would exceed
+    MAX_ORACLE_ENTRIES.
 
-    The least squares runs in the span of the states. With the reduced QR
-    factorization [phi_1 ... phi_m] = Q R, Q has orthonormal columns whose
-    range holds every phi_k = Q c_k, where c_k is column k of R. For any
-    Hermitian G, with A = Q^dagger G Q,
+    The least squares runs in the span of the states. The thin SVD
+    [phi_1 ... phi_m] = U diag(s) vh gives every phi_k = U c_k, with
+    c_k = s * vh[:, k]. For any Hermitian G, with A = U^dagger G U,
 
         sum_k ||G phi_k - g_k phi_k||^2
-            = sum_k ||A c_k - g_k c_k||^2 + sum_k ||(I - Q Q^dagger) G Q c_k||^2,
+            = sum_k ||A c_k - g_k c_k||^2 + sum_k ||(I - U U^dagger) G U c_k||^2,
 
-    so no G does better than its compression A, and G = Q A Q^dagger reaches
-    it. The problem on the coordinates c_k therefore has the same minimum; a
-    dependent state only adds a direction to Q that changes nothing, so the
-    states need no rank cut. One SVD of the coordinates' design matrix gives
-    the projection onto the residual space, applied once to the matrix whose
-    column k holds c_k in block k; the residual of assignment g is the squared
-    norm of that projection times g.
+    so G = U A U^dagger does best. The first sum is convex in A and least at
+    the Lyapunov equation A S + S A = 2 sum_k g_k c_k c_k^dagger, where
+    S = sum_k c_k c_k^dagger = diag(s^2) is diagonal. So
+    A = sum_j g_j B_j, with B_j = weight * vh[:, j] vh[:, j]^dagger and
+    weight_ab = 2 s_a s_b / (s_a^2 + s_b^2), or 0 where that denominator is
+    0 and A_ab acts on no state. By AM-GM no weight exceeds 1, so a small or
+    zero singular value needs no rank cut. The residual of assignment g is
+    the squared norm of sum_j g_j p[j], with p[j, k] = B_j c_k - [j = k] c_k:
+    one product for every assignment.
     """
-    grid = sorted(set(float(v) for v in eigenvalue_grid))
-    if not all(map(math.isfinite, grid)):
-        # argmin would return a NaN residual, and inf * 0 makes one
-        raise ValidationError(f"eigenvalue grid values must be finite, got {grid!r}")
+    try:
+        values = list(eigenvalue_grid)
+    except TypeError:
+        raise ValidationError(
+            f"eigenvalue grid must be an iterable of real numbers, got {eigenvalue_grid!r}"
+        ) from None
+    if not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
+               and abs(v) <= sys.float_info.max for v in values):
+        # a NaN fails the bound; argmin would return a NaN residual, and inf * 0 makes one
+        raise ValidationError(f"eigenvalue grid values must be finite real numbers, got {values!r}")
+    grid = sorted(set(float(v) for v in values))
     if len(grid) < 2:
         raise ValidationError("eigenvalue grid needs at least 2 distinct values")
     groups = problem.distinct_groups
@@ -436,22 +426,23 @@ def numeric_feasibility_oracle(problem: DiscriminationProblem, eigenvalue_grid):
     grouped = [i for g in groups for i in g]
     free = [i for i in range(m) if i not in grouped]
     count = math.perm(len(grid), len(groups)) * len(grid) ** len(free)
-    span_dim = min(problem.space_dim, m)  # the width of the reduced QR's R
-    entries = max(count * 2 * span_dim, 2 * span_dim**3) * m  # residual table, design matrix
+    span_dim = min(problem.space_dim, m)  # the length of the thin SVD's s
+    entries = 2 * max(count, m) * span_dim * m  # residual table, p
     if entries > MAX_ORACLE_ENTRIES:
         raise CapacityError(
             f"oracle of {count} assignments of {m} states in a span of dim {span_dim} needs "
             f"{entries} entries in one array, over the maximum of {MAX_ORACLE_ENTRIES}")
 
-    _, r = np.linalg.qr(np.column_stack(problem.states))
-    coords = r.T  # row k: the coordinates c_k of state k
-    u, s, _ = np.linalg.svd(_hermitian_design_matrix(coords, span_dim), full_matrices=False)
-    rank = int(np.sum(s > 1e-10 * (s[0] if s.size else 0.0)))
-    u = u[:, :rank]
-    b = np.zeros((m, 2 * span_dim, m))
-    b[np.arange(m), :, np.arange(m)] = np.concatenate([coords.real, coords.imag], axis=1)
-    b = b.reshape(2 * span_dim * m, m)
-    e = b - u @ (u.T @ b)
+    _, s, vh = np.linalg.svd(np.column_stack(problem.states), full_matrices=False)
+    w = s[:, None] * vh  # column k: the coordinates c_k of state k
+    s_sq = np.square(s)
+    den = s_sq[:, None] + s_sq
+    weight = np.divide(2 * np.outer(s, s), den, out=np.zeros_like(den), where=den > 0)
+    # p[j, a, k] = (B_j c_k - [j = k] c_k)[a], with B_j c_k = vh[:, j] * (weight @ (vh[:, j]^* * c_k))
+    p = weight @ (vh.conj().T[:, :, None] * w)
+    p *= vh.T[:, :, None]
+    p[np.arange(m), :, np.arange(m)] -= w.T
+    e = p.reshape(m, -1).view(np.float64)  # row j: Re and Im of p[j], interleaved
 
     # every assignment, group values outermost, in the order of the enumeration
     slots = [gi for gi, members in enumerate(groups) for _ in members]
@@ -460,7 +451,7 @@ def numeric_feasibility_oracle(problem: DiscriminationProblem, eigenvalue_grid):
             for free_vals in product(grid, repeat=len(free))]
     g = np.empty((len(rows), m))
     g[:, grouped + free] = rows
-    residuals = np.square(e @ g.T).sum(axis=0)
+    residuals = np.square(g @ e).sum(axis=1)
     best = int(np.argmin(residuals))
     return float(residuals[best]), tuple(float(v) for v in g[best])
 

@@ -15,7 +15,6 @@ from mschain.discriminate import (
     ForcedEquality,
     MergeEvidence,
     ObservableSpec,
-    _hermitian_design_matrix,
     build_it_observable,
     build_pointer_algebra,
     check_eigen_discrimination,
@@ -74,6 +73,17 @@ class TestCombineObservable:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValidationError):
             ObservableSpec(1.0, 1.0, 0.0)
+
+    @pytest.mark.parametrize("coefficients", [
+        (math.nan, 0.0, 0.0), (0.0, 0.0, math.nan),  # the norm check fails a NaN
+        (True, False, False), (0.0, True, 0.0),  # a bool is not a coefficient
+        ("1", 0.0, 0.0), (None, 1.0, 0.0), (1j, 0.0, 0.0),
+        (1e200, 0.0, 0.0), (np.float64(1e200), 0.0, 0.0),  # squares past the float range
+        (10**400, 0.0, 0.0),
+    ])
+    def test_rejects_nan_and_non_real_coefficients(self, coefficients):
+        with pytest.raises(ValidationError):
+            ObservableSpec(*coefficients)
 
     def test_unit_eigenvalues_everywhere(self):
         alg = build_pointer_algebra()
@@ -205,6 +215,21 @@ class TestSolverBasics:
     def test_overlapping_groups_rejected(self):
         with pytest.raises(ValidationError):
             DiscriminationProblem(2, (BASIS_1, BASIS_2), ((0, 1), (1,)))
+
+    @pytest.mark.parametrize("space_dim,states", [
+        (2.0, (BASIS_1, BASIS_2)), (True, (np.ones(1),))], ids=["float", "bool"])
+    def test_non_integer_space_dim_rejected(self, space_dim, states):
+        with pytest.raises(ValidationError, match="space_dim must be an integer"):
+            DiscriminationProblem(space_dim, states, ((0,),))
+
+    @pytest.mark.parametrize("index", [0.0, 0.5, True])
+    def test_non_integer_group_index_rejected(self, index):
+        with pytest.raises(ValidationError, match="is not an integer in range"):
+            DiscriminationProblem(2, (BASIS_1, BASIS_2), ((index,),))
+
+    def test_groups_that_are_not_sequences_rejected(self):
+        with pytest.raises(ValidationError, match="a sequence of index sequences"):
+            DiscriminationProblem(2, (BASIS_1, BASIS_2), (0, 1))
 
     def test_witness_relations_hold(self):
         rng = np.random.default_rng(43)
@@ -407,6 +432,10 @@ class TestOracle:
         problem = superposition_discrimination_problem(SYM, SYM)
         with pytest.raises(ValidationError):
             numeric_feasibility_oracle(problem, (0.0, 1.0))
+        # a string, None, an int past the float range, a bool and a scalar grid
+        for grid in (("a", 1.0), (None, 1.0), (10**400, 1.0), (False, True), "01", 3.0):
+            with pytest.raises(ValidationError, match="eigenvalue grid"):
+                numeric_feasibility_oracle(recognition_problem(), grid)
 
 
 class TestOracleCap:
@@ -423,31 +452,43 @@ class TestOracleCap:
         assert peak < 2**16
 
     def test_cap_edge(self, monkeypatch):
-        # the chain's problem, 3 states in a span of dim 3: its design matrix
-        # holds 2 * 3**3 * 3 = 162 entries and each assignment 2 * 3 * 3 = 18 residuals
-        problem = superposition_discrimination_problem(0.6, 0.8)
-        for grid, edge, assignments in (
-                ((-1.0, 0.0, 1.0), 162, 6),  # design matrix over 6 * 18 = 108 table entries
-                ((-1.0, 0.0, 1.0, 2.0, 3.0, 4.0), 120 * 18, 120),  # table over the 162
+        # 2 * max(assignments, states) * span dim * states entries: the chain's 3 states
+        # in a span of dim 3 reach the edge through the residual table, and two groups
+        # of 2 orthonormal states, 2 assignments of 4 states, through the tensor p
+        chain = superposition_discrimination_problem(0.6, 0.8)
+        for problem, grid, edge, shape in (
+                (chain, (-1.0, 0.0, 1.0), 108, "6 assignments of 3 states in a span of dim 3"),
+                (chain, (-1.0, 0.0, 1.0, 2.0, 3.0, 4.0), 2160,
+                 "120 assignments of 3 states in a span of dim 3"),
+                (_orthonormal_groups(2), (0.0, 1.0), 64,
+                 "2 assignments of 4 states in a span of dim 2"),
         ):
             monkeypatch.undo()
             expected = numeric_feasibility_oracle(problem, grid)
             monkeypatch.setattr(discriminate, "MAX_ORACLE_ENTRIES", edge)
             assert numeric_feasibility_oracle(problem, grid) == expected
             monkeypatch.setattr(discriminate, "MAX_ORACLE_ENTRIES", edge - 1)
-            with pytest.raises(CapacityError, match=f"{assignments} assignments of 3 states "
-                                                    f"in a span of dim 3 needs {edge} entries"):
+            with pytest.raises(CapacityError, match=f"{shape} needs {edge} entries"):
                 numeric_feasibility_oracle(problem, grid)
 
 
 def _orthonormal_groups(m):
     """Two groups of m orthonormal states each in dim m: a span of dim m, 2 assignments
-    on the grid (0, 1) and a design matrix of 4 * m**4 entries."""
+    on the grid (0, 1) and a tensor p of 2 * (2 * m)**2 * m entries."""
     rng = np.random.default_rng(m)
     bases = [np.linalg.qr(rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)))[0]
              for _ in range(2)]
     return DiscriminationProblem(m, tuple(v for q in bases for v in q.T),
                                  (tuple(range(m)), tuple(range(m, 2 * m))))
+
+
+@pytest.mark.parametrize("m", [16, 32, 80])
+def test_two_orthonormal_bases_miss_by_half_their_dim(m):
+    # one basis at 0, the other at 1: tr(A^2) + tr((A - I)^2) is least at A = I / 2,
+    # where it is m / 2; span 80 is the largest under MAX_ORACLE_ENTRIES
+    residual, assignment = numeric_feasibility_oracle(_orthonormal_groups(m), (0.0, 1.0))
+    assert abs(residual - m / 2) <= 1e-12 * m
+    assert sorted({assignment[0], assignment[m]}) == [0.0, 1.0]
 
 
 class TestOracleMemory:
@@ -463,15 +504,15 @@ class TestOracleMemory:
         finally:
             tracemalloc.stop()
         assert current - before < 2**20
-        # span 32: a design matrix of exactly 2**22 entries (32 MiB), its SVD's U
-        # and V^T, and nothing span**4 complex (a 16 B basis would be 16 MiB more)
-        assert peak <= 80e6
+        # span 32: p and the temporary it is made from, each 64 x 64 x 32 complex
+        # (2 MiB), and room for one more such array
+        assert peak <= 3 * 16 * 64 * 64 * 32
 
-    def test_design_matrix_past_the_cap_refused_before_building(self):
-        problem = _orthonormal_groups(40)  # 4 * 40**4 = 10,240,000 entries
+    def test_span_past_the_cap_refused_before_building(self):
+        problem = _orthonormal_groups(81)  # 2 * 162 * 81 * 162 = 4,251,528 entries
         tracemalloc.start()
         try:
-            with pytest.raises(CapacityError, match="needs 10240000 entries in one array"):
+            with pytest.raises(CapacityError, match="needs 4251528 entries in one array"):
                 numeric_feasibility_oracle(problem, (0.0, 1.0))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -607,25 +648,6 @@ class TestOracleInTheSpan:
     def test_states_outside_a_basis(self, name):
         problem = _span_problems()[name]
         self._check(problem, (0.0, 1.0, 2.0, 3.0))
-
-
-class TestDesignMatrix:
-    @pytest.mark.parametrize("a1,a2", [
-        (1e-12, 1.0), (1e-6, -1.0), (0.6, 0.8j), (SYM, SYM),
-        (math.sqrt(0.3), math.sqrt(0.7) * np.exp(2.5j)), (1.0, 0.0),
-    ])
-    def test_superposition_problem_equals_the_loop(self, a1, a2):
-        problem = superposition_discrimination_problem(a1, a2)
-        assert np.array_equal(_hermitian_design_matrix(problem.states, 8),
-                              loop_design_matrix(problem.states, 8))
-
-    def test_recognition_and_random_problems_equal_the_loop(self):
-        problems = [recognition_problem()]
-        rng = np.random.default_rng(71)
-        problems += [random_discrimination_problem(rng)[0] for _ in range(20)]
-        for problem in problems:
-            assert np.array_equal(_hermitian_design_matrix(problem.states, problem.space_dim),
-                                  loop_design_matrix(problem.states, problem.space_dim))
 
 
 class TestSolverOracleAgreement:
