@@ -37,7 +37,6 @@ from .linalg import (
     _kron,
     _kron_rows,
     _require_unit_norm,
-    partial_trace,
     pure_density,
     unitary_exp,
     validate_state_vector,
@@ -66,6 +65,12 @@ PREMEASURE_GENERATOR[2:, 2:] = (math.pi / 4.0) * PAULI_Y
 
 READY_FIDELITY_TOL = 1e-10
 BRANCH_PROB_FLOOR = 1e-12
+# An observer reads a pointer value when its weight on that pointer state exceeds 1 - this.
+POINTER_WEIGHT_TOL = 1e-10
+# A state is a product when its factors' product reconstructs it with fidelity above 1 - this.
+PRODUCT_FIDELITY_TOL = 1e-10
+# A state spans the two branch products when its other amplitudes' norm is at most this.
+BRANCH_RESIDUAL_TOL = 1e-10
 
 _OBJECT_LAYOUT = TensorLayout((("S", 2),))
 
@@ -106,7 +111,10 @@ class Scenario:
             _require_number(getattr(self, name), name, numbers.Real, "an integer")
         _require_number(self.env_overlap, "env_overlap", numbers.Real, "a real number")
         # each check is written so that a NaN fails it
-        norm_sq = abs(self.a1) ** 2 + abs(self.a2) ** 2
+        try:
+            norm_sq = float(abs(self.a1) ** 2 + abs(self.a2) ** 2)
+        except OverflowError:  # an amplitude or its square past the float range
+            norm_sq = math.inf
         if not abs(norm_sq - 1.0) <= NORM_TOL:
             raise ValidationError(
                 f"amplitudes not normalized: |a1|^2+|a2|^2 deviates from 1 by {norm_sq - 1.0!r}"
@@ -266,7 +274,7 @@ class MSState:
         if "O" not in factors:
             raise UsageError("branch layout has no observer factor")
         for q, weight in zip(POINTER_EIGENVALUES, np.abs(factors["O"]) ** 2):
-            if weight > 1.0 - 1e-10:
+            if weight > 1.0 - POINTER_WEIGHT_TOL:
                 return q
         raise UsageError("branch observer state is not a pointer basis state")
 
@@ -277,15 +285,42 @@ class Gemenge:
 
     Unlike its density matrix, a gemenge remembers which pure states occur
     with which preparation probabilities. Its `born_table` records the
-    pointer value that each branch's observer reads.
+    pointer value that each branch's observer reads. `branches` is any sequence
+    of (MSState, real non-bool weight) pairs; it is kept as a tuple of tuples
+    with each weight a float, and anything else raises ValidationError.
     """
 
     branches: tuple[tuple[MSState, float], ...]
     notes: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if not all(isinstance(state, MSState) for state, _ in self.branches):
-            raise ValidationError("gemenge branches must be MSState values")
+        try:
+            pairs = tuple(self.branches)
+        except TypeError:
+            raise ValidationError(
+                f"gemenge branches must be a sequence of (MSState, probability) pairs, "
+                f"not {type(self.branches).__name__}") from None
+        branches = []
+        for branch in pairs:
+            try:
+                pair = tuple(branch)
+            except TypeError:
+                pair = ()
+            if len(pair) != 2:
+                raise ValidationError(
+                    f"a gemenge branch must be an (MSState, probability) pair, "
+                    f"not {type(branch).__name__}")
+            state, p = pair
+            if not isinstance(state, MSState):
+                raise ValidationError("gemenge branches must be MSState values")
+            # a bool, complex or string weight would reach the sum below
+            _require_number(p, "a branch probability", numbers.Real, "a real number")
+            try:
+                # kept as a float: a Fraction weight, say, would make object arrays of the sums
+                branches.append((state, float(p)))
+            except OverflowError:
+                raise ValidationError("a branch probability lies past the float range") from None
+        object.__setattr__(self, "branches", tuple(branches))
         if len({state.layout for state, _ in self.branches}) > 1:
             raise ValidationError("gemenge branches carry inconsistent layouts")
         # each check is written so that a NaN fails it
@@ -308,11 +343,7 @@ class Gemenge:
         return _born_table(weights, lambda i: (i, self.branches[i][0].pointer_value))
 
     def density(self) -> np.ndarray:
-        out = None
-        for state, p in self.branches:
-            term = p * pure_density(state.vector)
-            out = term if out is None else out + term
-        return out
+        return sum(p * pure_density(state.vector) for state, p in self.branches)
 
 
 def prepare_object_state(a1: complex, a2: complex) -> np.ndarray:
@@ -445,11 +476,16 @@ def _basis_chains() -> tuple[MSState, MSState]:
 
 
 def statistical_restriction(model) -> np.ndarray:
-    """Reduced density matrix of the observer factor of an MSState or a Gemenge."""
+    """Reduced density matrix of the observer factor of an MSState or a Gemenge.
+
+    Both are reduced from their vectors by `MSState.reduced`: a gemenge gives
+    the weighted sum of its branches' reductions, which is the partial trace
+    of its density without forming that density, so memory stays O(dim).
+    """
     if isinstance(model, MSState):
         return model.reduced(("O",))
     if isinstance(model, Gemenge):
-        return partial_trace(model.density(), model.layout, ("O",))
+        return sum(p * state.reduced(("O",)) for state, p in model.branches)
     raise UsageError(f"the restriction needs an MSState or a Gemenge, not {type(model).__name__}")
 
 
@@ -458,7 +494,7 @@ def factorize_branch(state: MSState) -> dict[str, np.ndarray]:
 
     Raises PreconditionError when the state is entangled across any factor cut,
     i.e. when the product of the per-factor principal states fails to
-    reconstruct the input within fidelity 1e-10.
+    reconstruct the input with fidelity above 1 - PRODUCT_FIDELITY_TOL.
     """
     factors: dict[str, np.ndarray] = {}
     for label in state.layout.labels:
@@ -473,7 +509,7 @@ def factorize_branch(state: MSState) -> dict[str, np.ndarray]:
     for label in state.layout.labels[1:]:
         product = _kron(product, factors[label])
     fidelity = abs(np.vdot(product, state.vector)) ** 2
-    if fidelity <= 1.0 - 1e-10:
+    if fidelity <= 1.0 - PRODUCT_FIDELITY_TOL:
         raise PreconditionError(
             f"state is entangled across the factor cut (product fidelity {fidelity!r})"
         )
@@ -579,16 +615,17 @@ def premeasure_hamiltonian_fidelity() -> float:
 def pointer_branch_amplitudes(state: MSState) -> tuple[complex, complex]:
     """Coefficients of the state in the diagonal pointer product basis.
 
-    The state must be (within residual norm 1e-10) a combination of the two
-    branch products |b_1 b_1 ... b_1> and |b_2 b_2 ... b_2>, the first and last
-    basis vectors of the layout; anything else raises DecompositionError.
+    The state must be (within residual norm BRANCH_RESIDUAL_TOL) a combination
+    of the two branch products |b_1 b_1 ... b_1> and |b_2 b_2 ... b_2>, the
+    first and last basis vectors of the layout; anything else raises
+    DecompositionError.
     """
     if any(dim != 2 for _, dim in state.layout.factors):
         raise UsageError("pointer decomposition needs two-dimensional factors")
     a1, a2 = complex(state.vector[0]), complex(state.vector[-1])
     residual = state.vector.copy()
     residual[[0, -1]] = 0.0
-    if float(np.linalg.norm(residual)) > 1e-10:
+    if float(np.linalg.norm(residual)) > BRANCH_RESIDUAL_TOL:
         raise DecompositionError(
             f"state is not a combination of the pointer branch products "
             f"(residual norm {float(np.linalg.norm(residual))!r})"

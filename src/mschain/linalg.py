@@ -4,11 +4,12 @@ Everything here works on plain numpy arrays: state vectors are 1-d complex
 arrays with unit norm, operators are square complex matrices. The chain
 itself has 8 dimensions; with environment elements a state grows up to the
 4096-dimension cap, `MAX_DIM`, which bounds every dimension the package
-builds. At that size a dense |psi><psi| takes 256 MiB, so a pure state is
-reduced from its vector (`chain.MSState.reduced`) and never from its
-density; `partial_trace` is for genuinely mixed densities. Otherwise clarity
-beats cleverness throughout: dense row-major storage, no sparsity, spectral
-methods everywhere.
+builds. At that size a dense |psi><psi| takes 256 MiB, so package code
+reduces a pure state from its vector (`chain.MSState.reduced`) and a gemenge
+from its branch vectors, never from a density; `partial_trace` is the dense
+reference, for foreign densities. Otherwise clarity beats cleverness
+throughout: dense row-major storage, no sparsity, spectral methods
+everywhere.
 """
 
 from __future__ import annotations
@@ -187,8 +188,10 @@ def partial_trace(rho, layout: TensorLayout, keep) -> np.ndarray:
     """Reduced density matrix on the kept factors, in layout order.
 
     `keep` is an iterable of factor labels; the remaining factors are traced
-    out. Works for any density matrix matching the layout's total dimension;
-    a pure state is reduced from its vector by `chain.MSState.reduced` instead.
+    out. Works for any density matrix matching the layout's total dimension,
+    so it is the dense reference for a foreign density. Package code reduces
+    a pure state from its vector (`chain.MSState.reduced`) and a gemenge from
+    its branch vectors (`chain.statistical_restriction`) instead.
     """
     positions = _kept_positions(layout, keep)
     mat = as_complex_array(rho)

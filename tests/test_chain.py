@@ -1,5 +1,7 @@
 import functools
 import math
+import re
+from fractions import Fraction
 import tracemalloc
 
 import numpy as np
@@ -254,6 +256,41 @@ class TestRestrictions:
         rho = statistical_restriction(w)
         assert np.array_equal(rho, partial_trace(w.density(), w.layout, ("O",)))
         assert_allclose(rho, np.diag([0.36, 0.64]), atol=1e-12)
+
+    @staticmethod
+    def _decohered_gemenge(n_env):
+        states = [decohere(full_chain(Scenario(a1, a2, "pure")), n_env, 0.7)[n_env].state
+                  for a1, a2 in ((0.6, 0.8), (0.8, 0.6j))]
+        return Gemenge(((states[0], 0.3), (states[1], 0.7)))
+
+    @pytest.mark.parametrize("n_env", range(7))
+    def test_gemenge_restriction_matches_the_dense_reference(self, n_env):
+        w = self._decohered_gemenge(n_env)
+        dense = partial_trace(w.density(), w.layout, ("O",))
+        assert np.max(np.abs(statistical_restriction(w) - dense)) < 1e-12
+        # a chain's S, D and O are reduced alike: a random branch tells O from the others
+        rng = np.random.default_rng(n_env)
+        v = rng.normal(size=w.layout.total_dim) + 1j * rng.normal(size=w.layout.total_dim)
+        w = Gemenge(((w.branches[0][0], 0.2), (w.branches[1][0], 0.3),
+                     (MSState(v / np.linalg.norm(v), w.layout), 0.5)))
+        rho = statistical_restriction(w)
+        dense = partial_trace(w.density(), w.layout, ("O",))
+        assert np.max(np.abs(rho - dense)) < 1e-12
+        assert not np.allclose(rho, partial_trace(w.density(), w.layout, ("S",)))
+
+    def test_gemenge_restriction_at_the_cap_forms_no_density(self):
+        w = self._decohered_gemenge(9)
+        assert w.layout.total_dim == 4096
+        tracemalloc.start()
+        try:
+            rho = statistical_restriction(w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the dense density alone would take 256 MiB
+        assert peak < 2**20
+        assert rho.shape == (2, 2)
+        assert_allclose(np.trace(rho), 1.0, atol=1e-12)
 
     def test_missing_observer_factor(self):
         state = MSState(np.kron(BASIS_1, BASIS_1), TensorLayout((("S", 2), ("D", 2))))
@@ -626,6 +663,48 @@ class TestGemengeType:
         with pytest.raises(ValidationError, match="layouts"):
             Gemenge(((sdo, 0.5), (sd, 0.5)))
 
+    @pytest.mark.parametrize("make, message", [
+        (lambda a, b: ((a, "0.5"), (b, "0.5")), "a branch probability must be a real number"),
+        (lambda a, b: ((a, None), (b, 1.0)), "a branch probability must be a real number"),
+        (lambda a, b: ((a, 0.5 + 0j), (b, 0.5)), "a branch probability must be a real number"),
+        (lambda a, b: ((a, True),), "a branch probability must be a real number"),
+        (lambda a, b: ((a,),), "a gemenge branch must be an (MSState, probability) pair"),
+        (lambda a, b: (a,), "a gemenge branch must be an (MSState, probability) pair"),
+        (lambda a, b: a, "gemenge branches must be a sequence"),
+    ], ids=["string", "none", "complex", "bool", "one-element-branch", "bare-state", "state-as-branches"])
+    def test_malformed_branches_rejected(self, make, message):
+        a, b = chain._basis_chains()
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}") as info:
+            Gemenge(make(a, b))
+        assert type(info.value) is ValidationError
+
+    def test_lists_of_pairs_build_the_same_gemenge(self):
+        a, b = chain._basis_chains()
+        w = Gemenge(((a, 0.25), (b, 0.75)))
+        for branches in ([(a, 0.25), (b, 0.75)], [[a, 0.25], [b, 0.75]], ([a, 0.25], (b, 0.75))):
+            v = Gemenge(branches)
+            assert v.branches == w.branches
+            assert np.array_equal(statistical_restriction(v), statistical_restriction(w))
+            assert np.array_equal(v.density(), w.density())
+            assert v.born_table.outcomes == w.born_table.outcomes
+
+    def test_huge_int_weight_rejected(self):
+        a, _ = chain._basis_chains()
+        with pytest.raises(ValidationError, match="past the float range"):
+            Gemenge(((a, 10**400),))
+
+    @pytest.mark.parametrize("weights", [(np.float64(0.25), 0.75), (Fraction(1, 4), Fraction(3, 4)),
+                                         (np.float32(0.25), 0.75)], ids=["float64", "fraction", "float32"])
+    def test_real_weights_of_other_types_kept_as_floats(self, weights):
+        a, b = chain._basis_chains()
+        w = Gemenge(((a, weights[0]), (b, weights[1])))
+        assert all(type(p) is float for _, p in w.branches)
+        rho = statistical_restriction(w)
+        assert rho.dtype == complex
+        assert np.array_equal(rho, statistical_restriction(Gemenge(((a, 0.25), (b, 0.75)))))
+        (_, p), = Gemenge(((a, 1),)).branches
+        assert type(p) is float and p == 1.0
+
     def test_floor_edge_branch_kept_through_the_chain(self):
         # p1 clears the floor, p1 / (1 + 5e-11) does not: a second floor after
         # chaining would drop the branch that prepare_gemenge kept
@@ -718,6 +797,54 @@ class TestBasisChains:
         assert full_chain(Scenario(0.0, 1.0, "pure")).pointer_value == -0.5
 
 
+class TestChainCuts:
+    """Each named chain cut decides one way at 0.99 of its value and the other at 1.01."""
+
+    LAYOUT = TensorLayout((("S", 2), ("D", 2), ("O", 2)))
+
+    def test_product_fidelity(self):
+        # D,O part sqrt(1 - eps)|00> + sqrt(eps)|11>: the factors' product has fidelity 1 - eps
+        for scale, is_product in ((0.99, True), (1.01, False)):
+            eps = scale * chain.PRODUCT_FIDELITY_TOL
+            do_part = np.array([math.sqrt(1.0 - eps), 0.0, 0.0, math.sqrt(eps)])
+            state = MSState(np.kron(BASIS_1, do_part), self.LAYOUT)
+            if is_product:
+                factors = factorize_branch(state)
+                assert_allclose(factors["O"], BASIS_1, atol=1e-4)
+            else:
+                with pytest.raises(PreconditionError, match="product fidelity"):
+                    factorize_branch(state)
+
+    def test_pointer_weight(self):
+        # observer cos(t)|1> + sin(t)|2> with sin(t)^2 = eps: its weight on |1> is 1 - eps
+        for scale, reads in ((0.99, True), (1.01, False)):
+            eps = scale * chain.POINTER_WEIGHT_TOL
+            observer = np.array([math.sqrt(1.0 - eps), math.sqrt(eps)])
+            state = MSState(np.kron(np.kron(BASIS_1, BASIS_1), observer), self.LAYOUT)
+            if reads:
+                assert state.pointer_value == chain.POINTER_EIGENVALUES[0]
+            else:
+                with pytest.raises(UsageError, match="not a pointer basis state"):
+                    state.pointer_value
+
+    def test_branch_residual(self):
+        # a residual amplitude r at basis index 2, off both branch products
+        for scale, spans in ((0.99, True), (1.01, False)):
+            r = scale * chain.BRANCH_RESIDUAL_TOL
+            vec = np.zeros(8, dtype=complex)
+            vec[0], vec[2], vec[-1] = 0.6, r, 0.8j
+            state = MSState(vec, self.LAYOUT)
+            if spans:
+                assert pointer_branch_amplitudes(state) == (0.6, 0.8j)
+            else:
+                with pytest.raises(DecompositionError, match="residual norm"):
+                    pointer_branch_amplitudes(state)
+
+    def test_values(self):
+        assert chain.POINTER_WEIGHT_TOL == chain.PRODUCT_FIDELITY_TOL == 1e-10
+        assert chain.BRANCH_RESIDUAL_TOL == 1e-10
+
+
 class TestScenario:
     def test_validation(self):
         with pytest.raises(ValidationError):
@@ -730,6 +857,14 @@ class TestScenario:
             Scenario(SYM, SYM, env_overlap=1.2)
         with pytest.raises(ValidationError):
             Scenario(SYM, SYM, n_env=-1)
+
+    # each raised a bare OverflowError from the squared modulus
+    @pytest.mark.parametrize("a1", [1e200, complex(1e200, 0), 10**400],
+                             ids=["float", "complex", "huge-int"])
+    def test_overflowing_amplitude_is_not_normalized(self, a1):
+        with pytest.raises(ValidationError,
+                           match="^amplitudes not normalized: .* deviates from 1 by inf$"):
+            Scenario(a1, 0)
 
     def test_digest_stable_and_sensitive(self):
         s = Scenario(SYM, SYM, "pure", seed=7)
