@@ -37,6 +37,7 @@ from .linalg import (
     _kron,
     _kron_rows,
     _require_unit_norm,
+    hermitian_part,
     pure_density,
     unitary_exp,
     validate_state_vector,
@@ -57,6 +58,7 @@ _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
 PREMEASURE_UNITARY = np.zeros((4, 4), dtype=complex)
 PREMEASURE_UNITARY[:2, :2] = _HADAMARD
 PREMEASURE_UNITARY[2:, 2:] = PAULI_X @ _HADAMARD
+_H = 1.0 / math.sqrt(2.0)  # the magnitude of PREMEASURE_UNITARY's nonzero entries
 # A generator of it: control basis state i evolves the apparatus under k_i, and
 # exp(-i K) = PREMEASURE_UNITARY with k_1 = pi/2 (H - 1) and k_2 = pi/4 Y.
 PREMEASURE_GENERATOR = np.zeros((4, 4), dtype=complex)
@@ -242,8 +244,9 @@ class MSState:
 
         Equals `partial_trace(self.density(), self.layout, keep)` without
         forming |psi><psi|: the vector is viewed as a tensor over the layout's
-        dims, the kept axes move to the front, and the result is M @ M^dagger
-        with M of shape (d_keep, dim / d_keep), so memory stays O(dim).
+        dims, the kept axes move to the front, and the result is the Hermitian
+        part of M @ M^dagger with M of shape (d_keep, dim / d_keep), so memory
+        stays O(dim) and the diagonal is exactly real.
         Raises UsageError on an empty keep set or an unknown label.
         """
         positions = _kept_positions(self.layout, keep)
@@ -251,7 +254,7 @@ class MSState:
         rest = [i for i in range(len(dims)) if i not in positions]
         d_keep = math.prod(dims[i] for i in positions)
         m = self.vector.reshape(dims).transpose(positions + rest).reshape(d_keep, -1)
-        return m @ m.conj().T
+        return hermitian_part(m @ m.conj().T)
 
     @functools.cached_property
     def born_table(self) -> BornTable:
@@ -398,8 +401,9 @@ def premeasure(state: MSState, control: str, apparatus: str) -> MSState:
     The apparatus must sit in its symmetric ready state; the unitary is only
     the tuned evolution from there. The state's tensor is transposed so that
     the control and apparatus axes lead, in that order, with the other axes
-    after them in layout order; the unitary acts on those two, and the
-    inverse transpose restores the layout. The ready-state fidelity is read
+    after them in layout order; PREMEASURE_UNITARY's blocks H and XH act on
+    those two as butterflies, so an amplitude it sends to 0 is exactly 0, and
+    the inverse transpose restores the layout. The ready-state fidelity is read
     off the same transposed tensor, as ||(<R| (x) I) psi||^2.
 
     Raises UsageError when control and apparatus name the same factor or
@@ -422,7 +426,10 @@ def premeasure(state: MSState, control: str, apparatus: str) -> MSState:
         raise PreconditionError(
             f"apparatus {apparatus!r} is not in the ready state (fidelity {fidelity!r})"
         )
-    block = PREMEASURE_UNITARY @ flat
+    block = np.empty_like(flat)  # rows (r0 + r1, r0 - r1, r2 - r3, r2 + r3) * h
+    np.add(flat[0::2], flat[1::2], out=block[0::3])
+    np.subtract(flat[0::2], flat[1::2], out=block[1:3])
+    block *= _H
     tensor = block.reshape(moved.shape).transpose(sorted(range(len(perm)), key=perm.__getitem__))
     return MSState._built(tensor.reshape(-1), layout)
 
@@ -437,11 +444,7 @@ def full_chain(scenario: Scenario):
     """
     if scenario.input_kind == "pure":
         return _observe(_detect(_object_ms(scenario.a1, scenario.a2)))
-    w = _gemenge(scenario.a1, scenario.a2, _basis_chains())
-    # the renormalized weights are divided by their sum once more: that sum can
-    # miss 1 by an ulp, and the purity information near overlap 1 shows the last bit
-    total = sum(p for _, p in w.branches)
-    return Gemenge(tuple((state, p / total) for state, p in w.branches), w.notes)
+    return _gemenge(scenario.a1, scenario.a2, _basis_chains())
 
 
 def _object_ms(a1: complex, a2: complex) -> MSState:
@@ -521,8 +524,9 @@ class DecoherenceResult:
     """Entry n of a `decohere` sweep: the chain with n environment elements.
 
     `m` is the (dim, 2**n) amplitude matrix, row i the chain's amplitude i
-    times the tag of its observer reading; `reduced_ms` is m @ m^dagger, the
-    trace over E1..En, and `coherence_factor` the two tags' overlap.
+    times the tag of its observer reading; `reduced_ms`, the trace over E1..En,
+    is the Hermitian part of m @ m^dagger, and `coherence_factor` the two tags'
+    overlap.
     `chain_layout` is the layout of the chain that `decohere` was given.
     """
 
@@ -554,9 +558,9 @@ def decohere(state: MSState, n_env: int, eps: float) -> tuple[DecoherenceResult,
     (factors before O, O, factors after O, 1), times the tag matrix as
     (2, 1, 2**n) tensors each chain basis state with the tag of its pointer
     index: the chain factors lead the layout, so the amplitudes form a
-    (dim, 2**n) matrix m and the trace over E1..En is m @ m^dagger, the
-    product `MSState.reduced` forms. Each result holds m; its enlarged
-    `state` is built on first read.
+    (dim, 2**n) matrix m and the trace over E1..En is the Hermitian part of
+    m @ m^dagger, as `MSState.reduced` forms it. Each result holds m; its
+    enlarged `state` is built on first read.
 
     Raises, before anything is built, UsageError when `state` is not an
     MSState or its observer factor is missing or not two-dimensional (the
@@ -591,14 +595,15 @@ def decohere(state: MSState, n_env: int, eps: float) -> tuple[DecoherenceResult,
 
     # row o of tags is the environment's product state when the observer reads o
     tags = np.ones((2, 1), dtype=complex)
-    results = []
+    overlaps, ms = [], []
     for n in range(n_env + 1):
         if n:
             tags = _kron_rows(tags, env)
-        m = (psi * tags[:, None, :]).reshape(state.dim, -1)
-        overlap = float(np.vdot(tags[0], tags[1]).real)
-        results.append(DecoherenceResult(overlap, m @ m.conj().T, m, layout))
-    return tuple(results)
+        ms.append((psi * tags[:, None, :]).reshape(state.dim, -1))
+        overlaps.append(float(np.vdot(tags[0], tags[1]).real))
+    # the Hermitian parts of all n_env + 1 Gram products in one pass over their stack
+    grams = hermitian_part(np.stack([m @ m.conj().T for m in ms]))
+    return tuple(map(DecoherenceResult, overlaps, grams, ms, (layout,) * len(ms)))
 
 
 def premeasure_hamiltonian_fidelity() -> float:

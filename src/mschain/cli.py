@@ -35,14 +35,12 @@ from .chain import (
     full_chain,
     object_detector_state,
     premeasure_hamiltonian_fidelity,
-    prepare_object_state,
     scenario_digest,
     statistical_restriction,
 )
 from .discriminate import (
     FeasibilityResult,
     ITObservable,
-    PointerAlgebra,
     build_it_observable,
     build_pointer_algebra,
     _superposition_problem,
@@ -51,11 +49,16 @@ from .discriminate import (
     recognition_problem,
 )
 from .errors import CapacityError, ConfigError, ValidationError
-from .linalg import HermitianObservable, pure_density
 from .metrics import (
     _pair_overlaps,
-    _pair_overlaps_by_call,
+    _qubit_density,
+    _tuned_axis,
+    _two_value_axis,
+    eigen_distribution,
+    overlap_bc,
+    overlap_tv,
     phase_averaged_purity_information,
+    purity_information,
     purity_report,
     transverse_spin,
 )
@@ -237,18 +240,18 @@ _BASIS_NAMES_8 = tuple(
 
 
 class _Fixed(NamedTuple):
-    pointer_d: PointerAlgebra
+    axes: tuple[tuple[float, float, float], ...]  # spin x, then the detector's q, qx, qy
     interference: ITObservable
     recognition: FeasibilityResult
-    spin_x: HermitianObservable
     hamiltonian_fidelity: float
 
 
 @functools.cache
 def _fixed() -> _Fixed:
     """The report parts that no scenario changes, built once per process."""
-    return _Fixed(build_pointer_algebra(), build_it_observable(),
-                  check_eigen_discrimination(recognition_problem()), transverse_spin(0.0),
+    alg = build_pointer_algebra()
+    return _Fixed(tuple(map(_two_value_axis, (transverse_spin(0.0), alg.q, alg.qx, alg.qy))),
+                  build_it_observable(), check_eigen_discrimination(recognition_problem()),
                   premeasure_hamiltonian_fidelity())
 
 
@@ -363,9 +366,11 @@ def _overlap_rows(run: _Run) -> tuple[list[ReportRow], list[str]]:
     transverse spin, on the detector under its three pointer observables, and on
     the chain under the interference term.
 
-    The five two-dim pairs come from one stacked `metrics._pair_overlaps`
-    product; the detector's pure density is the run's own S->D stage, and the
-    mixed object density is the diagonal of the gemenge's weights.
+    The two-dim pairs go through `metrics._pair_overlaps`, in the Bloch form.
+    The object's pure density and the detector's, read from the run's own S->D
+    stage, come from their amplitudes through `metrics._qubit_density`, and
+    the mixed object density is the diagonal of the gemenge's weights, so no
+    BLAS kernel or SIMD loop rounds these rows.
     """
     scenario = run.scenario
     match_tol = run.config.tolerance("match")
@@ -374,21 +379,22 @@ def _overlap_rows(run: _Run) -> tuple[list[ReportRow], list[str]]:
     rows: list[ReportRow] = []
     notes: list[str] = [OVERLAP_CONVENTION_NOTE]
 
-    rho_pure = pure_density(prepare_object_state(a1, a2))
+    rho_pure = _qubit_density((a1, a2))
     rho_mixed = np.diag(np.array(_gemenge_weights(a1, a2)[0], dtype=complex))
     pr_pure = purity_report(rho_pure)
     pr_mixed = purity_report(rho_mixed)
-    rho_d_pure = run.detector.reduced(("D",))
+    detector = run.detector
+    rho_d_pure = _qubit_density(detector.vector, detector.layout.dims,
+                                detector.layout.position("D"))
     rho_d_mixed = np.diag([abs(a1) ** 2, abs(a2) ** 2]).astype(complex)
-    alg = fixed.pointer_d
-    spin_x, spin_tuned, *pointer = _pair_overlaps((
-        (fixed.spin_x, rho_pure, rho_mixed),
-        (transverse_spin(pr_pure.gamma_star), rho_pure, rho_mixed),
-        *((obs, rho_d_pure, rho_d_mixed) for obs in (alg.q, alg.qx, alg.qy)),
-    ))
+    spin_x_axis, *pointer_axes = fixed.axes
+    spin_x, spin_tuned = _pair_overlaps((spin_x_axis, _tuned_axis(rho_pure[0][1])),
+                                        rho_pure, rho_mixed)
+    pointer = _pair_overlaps(pointer_axes, rho_d_pure, rho_d_mixed)
 
-    expected_sx = 1.0 - abs(a1) * abs(a2) if abs((a1 * a2.conjugate()).imag) < 1e-12 else None
-    rows += _overlap_pair_rows("spin_x", spin_x, expected_sx, match_tol)
+    # spin x: the pure distribution is (1 -+ 2 Re(a1 a2*)) / 2, the mixed one (1/2, 1/2)
+    rows += _overlap_pair_rows("spin_x", spin_x, 1.0 - abs((a1 * a2.conjugate()).real),
+                               match_tol)
     rows += _overlap_pair_rows("spin_tuned", spin_tuned, 1.0 - abs(a1) * abs(a2), match_tol)
     rows.append(ReportRow("overlap.purity_rate.pure", pr_pure.r_p, 2.0 * abs(a1) * abs(a2),
                           bool(abs(pr_pure.r_p - 2.0 * abs(a1) * abs(a2)) < match_tol)))
@@ -405,7 +411,9 @@ def _overlap_rows(run: _Run) -> tuple[list[ReportRow], list[str]]:
     if len(w_ms.branches) > 1:
         expected_b = 1.0 - abs((a1 * a2.conjugate()).real)
         it = fixed.interference.observable
-        (interference,) = _pair_overlaps_by_call(((it, run.pure, w_ms.density()),))
+        w_pure, w_mixed = eigen_distribution(run.pure, it), eigen_distribution(w_ms.density(), it)
+        k_tv = overlap_tv(w_pure, w_mixed)
+        interference = (k_tv, overlap_bc(w_pure, w_mixed), purity_information(k_tv))
         rows += _overlap_pair_rows("interference_full", interference, expected_b, match_tol)
     else:
         notes.append("interference overlap skipped: one amplitude vanishes, so the "

@@ -451,7 +451,8 @@ def numeric_feasibility_oracle(problem: DiscriminationProblem, eigenvalue_grid):
             for free_vals in product(grid, repeat=len(free))]
     g = np.empty((len(rows), m))
     g[:, grouped + free] = rows
-    residuals = np.square(g @ e).sum(axis=1)
+    table = g @ e
+    residuals = np.square(table, out=table).sum(axis=1)  # squared in place: one table, not two
     best = int(np.argmin(residuals))
     return float(residuals[best]), tuple(float(v) for v in g[best])
 

@@ -73,7 +73,8 @@ def _require_unit_norm(vec: np.ndarray) -> np.ndarray:
 
 
 def hermitian_part(m: np.ndarray) -> np.ndarray:
-    return (m + m.conj().T) / 2
+    """(m + m^dagger) / 2, of one matrix or of each in a stack."""
+    return (m + m.conj().swapaxes(-1, -2)) / 2
 
 
 def require_hermitian(m) -> np.ndarray:

@@ -7,17 +7,14 @@ between; for the canonical chain scenarios the quoted reference values match
 the minimum-overlap form, so that one is the reported default and the
 square-root form is always carried along for comparison.
 
-Fixed observables are diagonalized once: `eigen_distribution` reads the
-eigenvector blocks an observable keeps after its first use, in ascending
-value order. Every two-value overlap runs on one kernel, `_stacked_overlaps`:
-the observables' blocks stacked as arrays, one `BH @ rho @ B` product for all
-their probabilities, bit for bit the products of the per-call
-`eigen_distribution` loop, and that loop's checks run on the whole stack.
-When a check fails, the loop itself, `_pair_overlaps_by_call`, runs instead
-and raises its first error. `_pair_overlaps` gives each observable its own
-pure and mixed density; `phase_averaged_purity_information` runs one pair
-under the cached grid of N_PHASES transverse spins and adds the per-phase
-terms in grid order, so the average keeps its last bit too.
+`eigen_distribution` reads the eigenvector blocks an observable keeps after
+its first use, in ascending value order, at any dimension. A qubit's
+two-value observable a0 + b n.sigma (b > 0, unit axis n) needs none: on a
+density of trace t and Bloch vector r its lower value has probability
+(t - n.r) / 2 and its upper one (t + n.r) / 2 (Nielsen and Chuang, 4.2).
+`_two_value_overlaps` computes both overlaps and the purity bits that way,
+in Python floats with the checks of `EigenDistribution` and
+`purity_information`, so no BLAS, LAPACK or SIMD rounding reaches them.
 
 A public function checks a state it is handed once, on entry: finite
 entries, then shape.
@@ -25,7 +22,7 @@ entries, then shape.
 
 from __future__ import annotations
 
-import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,8 +36,20 @@ from .linalg import (
     as_complex_array,
 )
 
-# Points of the uniform transverse-phase grid that the phase average runs over.
+# Points of the uniform transverse-phase grid that the phase average runs over,
+# and the axes (cos gamma, sin gamma, 0) of the transverse spins on it.
 N_PHASES = 36
+_PHASE_AXES = tuple((math.cos(k * (2.0 * math.pi / N_PHASES)),
+                     math.sin(k * (2.0 * math.pi / N_PHASES)), 0.0) for k in range(N_PHASES))
+
+
+def _check_probabilities(probs) -> None:
+    """Raise ValidationError unless the probabilities lie in [0, 1] and sum to 1, within 1e-10."""
+    if any(p < -1e-10 or p > 1 + 1e-10 for p in probs):
+        raise ValidationError("probabilities must lie in [0, 1]")
+    total = sum(probs, 0.0)
+    if abs(total - 1.0) > 1e-10:
+        raise ValidationError(f"probabilities sum to {total!r}, not 1")
 
 
 @dataclass(frozen=True)
@@ -53,12 +62,7 @@ class EigenDistribution:
         values = [v for v, _ in self.entries]
         if any(b <= a for a, b in zip(values, values[1:])):
             raise ValidationError("eigenvalues must be strictly increasing")
-        probs = [float(p) for _, p in self.entries]
-        if any(p < -1e-10 or p > 1 + 1e-10 for p in probs):
-            raise ValidationError("probabilities must lie in [0, 1]")
-        total = sum(probs, 0.0)
-        if abs(total - 1.0) > 1e-10:
-            raise ValidationError(f"probabilities sum to {total!r}, not 1")
+        _check_probabilities([float(p) for _, p in self.entries])
 
     @property
     def probabilities(self) -> dict[float, float]:
@@ -155,104 +159,84 @@ def purity_report(rho) -> PurityReport:
     return PurityReport(2.0 * magnitude, gamma_star, magnitude)
 
 
-def _two_value_blocks(observables) -> tuple[np.ndarray, np.ndarray]:
-    """The eigenvector blocks of two-dim, two-value observables, stacked for
-    `_stacked_overlaps`: B of shape (n, 1, 2, 2, 1) and B^H of shape (n, 1, 2, 1, 2),
-    each observable's two values in `HermitianObservable.blocks`' ascending order.
-
-    Raises UsageError for an observable that is not two-dim with two values.
-    """
-    blocks = []
-    for obs in observables:
-        observable = _as_observable(obs)
-        if observable.dim != 2 or len(observable.blocks) != 2:
-            raise UsageError("stacked overlaps need two-dim observables with two values")
-        blocks.append(observable.blocks)
-    b = np.array([[block for _, block, _ in pair] for pair in blocks])[:, None]
-    b_h = np.array([[block_h for _, _, block_h in pair] for pair in blocks])[:, None]
-    return b, b_h
+def _qubit_density(vector, dims=(2,), keep: int = 0) -> list[list[complex]]:
+    """The 2x2 density of the two-dim factor at position `keep` of the pure state
+    `vector` over factors `dims`: sum_k v_k v_k^H over the amplitude pairs v_k,
+    one per index k of the traced factors, in Python complex arithmetic with the
+    terms added in index order, so no BLAS or SIMD rounding reaches it."""
+    tensor = np.moveaxis(np.asarray(vector, dtype=complex).reshape(dims), keep, 0)
+    v0, *rest = tensor.reshape(2, -1).T.tolist()
+    rho = [[a * b.conjugate() for b in v0] for a in v0]
+    for v in rest:
+        rho = [[r + a * b.conjugate() for r, b in zip(row, v)] for row, a in zip(rho, v)]
+    return rho
 
 
-def _stacked_overlaps(b, b_h, densities, shape) -> list[tuple[float, float, float]] | None:
-    """(overlap_min, overlap_sqrt, purity information bits) of each stacked
-    observable on its pure and mixed density, or None when a check fails.
-
-    `densities` converts in one `as_complex_array` call and must have `shape`:
-    (n, 2, 2, 2) for one (pure, mixed) pair per observable, or (2, 2, 2) for
-    one pair shared by all. One `BH @ rho @ B` product then gives every
-    probability. Slice by slice it dispatches to the kernel and shapes of
-    `eigen_distribution`'s `block_h @ arr @ block`, and the two-term sums are
-    those of `overlap_tv` and `overlap_bc`, so every value has the bits of
-    `_pair_overlaps_by_call`. The checks of that loop run on the whole stack:
-    finite densities, each probability in [0, 1] and each pair summing to 1
-    within 1e-10, each overlap at most 1 + 1e-12 (it is a sum of clipped, so
-    nonnegative, probabilities).
-    """
-    try:
-        rho = as_complex_array(densities)
-    except ValidationError:
-        return None
-    if rho.shape != shape:
-        return None
-    # p[k, s, v]: value v of observable k on its pure (s = 0) or mixed (s = 1) density
-    p = np.maximum(np.real((b_h @ rho[..., None, :, :] @ b)[..., 0, 0]), 0.0)
-    k_tv = np.minimum(p[:, 0], p[:, 1]).sum(axis=-1)
-    if not (p.max() <= 1 + 1e-10 and np.abs(p.sum(axis=-1) - 1.0).max() <= 1e-10
-            and k_tv.max() <= 1.0 + 1e-12):
-        return None
-    k_bc = np.sqrt(p[:, 0] * p[:, 1]).sum(axis=-1)
-    bits = 1.0 - np.minimum(k_tv, 1.0)
-    return list(zip(k_tv.tolist(), k_bc.tolist(), bits.tolist()))
+def _bloch(arr: np.ndarray) -> tuple[float, float, float, float]:
+    """(t, x, y, z) of a checked two-dim vector v or matrix rho, from its entries as
+    floats (rho = |v><v| for a vector): t = Re(rho00 + rho11), x = Re(rho01 + rho10),
+    y = Im(rho10 - rho01), z = Re(rho00 - rho11), so that Re tr(P rho) =
+    (t + n.(x, y, z)) / 2 for the projector P = (1 + n.sigma) / 2 on any unit axis n."""
+    (r00, r01), (r10, r11) = _qubit_density(arr) if arr.ndim == 1 else arr.tolist()
+    return (r00.real + r11.real, r01.real + r10.real, r10.imag - r01.imag,
+            r00.real - r11.real)
 
 
-def _pair_overlaps(pairs) -> list[tuple[float, float, float]]:
-    """(overlap_min, overlap_sqrt, purity information bits) of each (observable,
-    pure density, mixed density) triple, for observables with two values and
-    (2, 2) density matrices, from one `_stacked_overlaps` product.
-
-    When a check of that product fails, `_pair_overlaps_by_call` runs instead
-    and raises the loop's first error. Raises UsageError for an observable
-    that is not two-dim with two values.
-    """
-    b, b_h = _two_value_blocks(obs for obs, _, _ in pairs)
-    densities = [(pure, mixed) for _, pure, mixed in pairs]
-    out = _stacked_overlaps(b, b_h, densities, (len(pairs), 2, 2, 2))
-    return _pair_overlaps_by_call(pairs) if out is None else out
+def _two_value_axis(obs) -> tuple[float, float, float]:
+    """The unit axis n of a two-dim observable a0 + b n.sigma with b > 0, from its
+    entries; UsageError unless `HermitianObservable.blocks` finds two values."""
+    observable = _as_observable(obs)
+    if observable.dim != 2 or len(observable.blocks) != 2:
+        raise UsageError("two-value overlaps need two-dim observables with two values")
+    _, x, y, z = _bloch(observable.matrix)
+    norm = math.sqrt(x * x + y * y + z * z)
+    return (x / norm, y / norm, z / norm)
 
 
-def _pair_overlaps_by_call(pairs) -> list[tuple[float, float, float]]:
-    """`_pair_overlaps` as one `eigen_distribution` per state, for any observables and states."""
-    out = []
-    for obs, pure, mixed in pairs:
-        w_pure, w_mixed = eigen_distribution(pure, obs), eigen_distribution(mixed, obs)
-        k_tv = overlap_tv(w_pure, w_mixed)
-        out.append((k_tv, overlap_bc(w_pure, w_mixed), purity_information(k_tv)))
-    return out
+def _tuned_axis(off: complex) -> tuple[float, float, float]:
+    """The axis of the transverse spin tuned to a coherence rho01 = off, at
+    `purity_report`'s gamma_star = -arg(off); the x axis when off is 0."""
+    magnitude = abs(off)
+    if magnitude == 0.0:
+        return (1.0, 0.0, 0.0)
+    return (off.real / magnitude, -off.imag / magnitude, 0.0)
 
 
-@functools.cache
-def _transverse_spin_grid() -> tuple[tuple[HermitianObservable, ...], np.ndarray, np.ndarray]:
-    """The transverse spins on the uniform phase grid, with their stacked blocks."""
-    spins = tuple(transverse_spin(gamma)
-                  for gamma in np.linspace(0.0, 2.0 * np.pi, N_PHASES, endpoint=False))
-    return (spins, *_two_value_blocks(spins))
+def _two_value_probabilities(axis, bloch) -> tuple[float, float]:
+    """The lower and upper value's probabilities ((t - n.r) / 2, (t + n.r) / 2)
+    under the observable of unit `axis` n, from a `_bloch` tuple, clipped at 0
+    and checked as `EigenDistribution` checks them."""
+    nx, ny, nz = axis
+    t, x, y, z = bloch
+    nr = nx * x + ny * y + nz * z
+    p = (max((t - nr) / 2.0, 0.0), max((t + nr) / 2.0, 0.0))
+    _check_probabilities(p)
+    return p
+
+
+def _two_value_overlaps(axis, pure, mixed) -> tuple[float, float, float]:
+    """(overlap_min, overlap_sqrt, purity information bits) under the observable
+    of unit `axis`, from two `_bloch` tuples: the overlaps add the two states'
+    `_two_value_probabilities` as `overlap_tv` and `overlap_bc` do."""
+    (p0, p1), (q0, q1) = (_two_value_probabilities(axis, r) for r in (pure, mixed))
+    k_tv = min(p0, q0) + min(p1, q1)
+    return k_tv, math.sqrt(p0 * q0) + math.sqrt(p1 * q1), purity_information(k_tv)
+
+
+def _pair_overlaps(axes, pure, mixed) -> list[tuple[float, float, float]]:
+    """`_two_value_overlaps` of two two-dim states under each axis; each state is
+    checked once, as `eigen_distribution` checks it."""
+    r_pure, r_mixed = _bloch(_state_array(pure, 2)), _bloch(_state_array(mixed, 2))
+    return [_two_value_overlaps(axis, r_pure, r_mixed) for axis in axes]
 
 
 def phase_averaged_purity_information(pure_rho, mixed_rho) -> float:
     """Average purity information over the N_PHASES-point grid of transverse phases.
 
     This is a package-defined estimate for the case where the tuning phase is
-    unknown: the mean of 1 - k_tv under the gamma family of observables. It
-    equals, bit for bit, the loop of `purity_information(overlap_tv(...))`
-    over the per-phase `eigen_distribution` pairs, and raises the same errors.
+    unknown: the mean of 1 - k_tv under the gamma family of observables, its
+    terms added by `math.fsum`. It raises what the per-phase loop of
+    `eigen_distribution` raises.
     """
-    spins, b, b_h = _transverse_spin_grid()
-    out = _stacked_overlaps(b, b_h, (pure_rho, mixed_rho), (2, 2, 2))
-    if out is None:
-        out = _pair_overlaps_by_call([(spin, pure_rho, mixed_rho) for spin in spins])
-    total = 0.0
-    # each phase's purity_information, added in grid order: np.sum would pair
-    # the terms, and sum() compensates on Python 3.12
-    for _, _, bits in out:
-        total += bits
-    return total / N_PHASES
+    overlaps = _pair_overlaps(_PHASE_AXES, pure_rho, mixed_rho)
+    return math.fsum(bits for _, _, bits in overlaps) / N_PHASES

@@ -39,7 +39,14 @@ from mschain.errors import (
     UsageError,
     ValidationError,
 )
-from mschain.linalg import TensorLayout, _kron, _kron_rows, partial_trace, unitary_exp
+from mschain.linalg import (
+    TensorLayout,
+    _kron,
+    _kron_rows,
+    hermitian_part,
+    partial_trace,
+    unitary_exp,
+)
 from mschain.sampling import sample_gemenge, trial_uniforms
 
 SYM = 2**-0.5
@@ -147,7 +154,7 @@ class TestPremeasure:
 
 
 def _moveaxis_premeasure(state: MSState, c: int, a: int) -> np.ndarray:
-    """The premeasurement product by `np.moveaxis`, kept as the reference."""
+    """The premeasurement as a product with PREMEASURE_UNITARY by `np.moveaxis`, the reference."""
     moved = np.moveaxis(state.vector.reshape(state.layout.dims), (c, a), (0, 1))
     block = PREMEASURE_UNITARY @ moved.reshape(4, -1)
     return np.moveaxis(block.reshape(moved.shape), (0, 1), (c, a)).reshape(-1)
@@ -155,6 +162,8 @@ def _moveaxis_premeasure(state: MSState, c: int, a: int) -> np.ndarray:
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_premeasure_bit_identical_to_moveaxis(n):
+    # the butterflies round apart from the 4x4 product's kernel, within 1e-15; an
+    # apparatus reading other than its control's basis state is exactly 0
     rng = np.random.default_rng(100 + n)
     layout = TensorLayout(tuple((f"F{k}", 2) for k in range(n)))
     for c in range(n):
@@ -168,7 +177,9 @@ def test_premeasure_bit_identical_to_moveaxis(n):
                 tensor = np.multiply.outer(rest.reshape((2,) * (n - 1)), READY_STATE)
                 state = MSState(np.moveaxis(tensor, -1, a).reshape(-1), layout)
                 out = premeasure(state, f"F{c}", f"F{a}")
-                assert np.array_equal(out.vector, _moveaxis_premeasure(state, c, a))
+                assert np.max(np.abs(out.vector - _moveaxis_premeasure(state, c, a))) <= 1e-15
+                moved = np.moveaxis(out.vector.reshape(layout.dims), (c, a), (0, 1))
+                assert not moved[0, 1].any() and not moved[1, 0].any()
                 assert out.layout == layout
 
 
@@ -336,7 +347,7 @@ def _gathered_decohere(state: MSState, n_env: int, eps: float):
             tags = _kron_rows(tags, env)
             layout = layout.extended(f"E{n}", 2)
         m = state.vector[:, None] * tags[o_index]
-        entries.append((m.reshape(-1), layout, m @ m.conj().T,
+        entries.append((m.reshape(-1), layout, hermitian_part(m @ m.conj().T),
                         float(np.vdot(tags[0], tags[1]).real)))
     return entries
 
@@ -454,7 +465,7 @@ class TestDecohere:
                 vector = (ms.vector[:, None] * tags[np.arange(8) % 2]).reshape(-1)
                 m = vector.reshape(8, -1)  # S, D, O lead the layout
                 assert np.array_equal(result.state.vector, vector)
-                assert np.array_equal(result.reduced_ms, m @ m.conj().T)
+                assert np.array_equal(result.reduced_ms, hermitian_part(m @ m.conj().T))
                 assert result.coherence_factor == float(np.vdot(tags[0], tags[1]).real)
                 assert result.state.layout == layout
                 assert result.state.layout.labels == ("S", "D", "O") + tuple(
@@ -717,11 +728,10 @@ class TestGemengeType:
 
 
 def _chained_reference(a1, a2) -> Gemenge:
-    """The gemenge chained here from `prepare_gemenge`'s branches, weights renormalized."""
+    """The gemenge chained here from `prepare_gemenge`'s branches, with their weights."""
     w = prepare_gemenge(a1, a2)
-    total = sum(p for _, p in w.branches)
-    return Gemenge(tuple((chain._observe(chain._detect(state)), p / total)
-                         for state, p in w.branches), w.notes)
+    return Gemenge(tuple((chain._observe(chain._detect(state)), p) for state, p in w.branches),
+                   w.notes)
 
 
 # |a1|^2 at the edges, and one ulp-scale step either side of BRANCH_PROB_FLOOR
@@ -737,8 +747,7 @@ def test_gemenge_weights_are_the_density_diagonal(weight, phase):
 
 
 class TestBasisChains:
-    # at 0.061 the renormalized weights miss a sum of 1 by an ulp, so the
-    # second division moves their last bits
+    # at 0.061 the renormalized weights miss a sum of 1 by an ulp, and the chain keeps them so
     @pytest.mark.parametrize("weight", [0.0, 1e-13, 1e-12, 1e-6, 0.061, 0.3, 1.0 - 1e-6, 1.0])
     def test_gemenge_bit_identical_to_chaining_its_branches(self, weight):
         a1 = math.sqrt(weight)

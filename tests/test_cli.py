@@ -118,6 +118,15 @@ class TestExecute:
             0.5, abs=1e-12)
         assert any("overlap_sqrt" in note and "overlap_min" in note for note in report.notes)
 
+    @pytest.mark.parametrize("phase", [0.0, 0.7, np.pi / 2, 2.5, np.pi])
+    def test_spin_x_gated_at_every_phase(self, phase):
+        # the pure spin-x distribution is (1 -+ 2 Re(a1 a2*)) / 2 at any relative phase
+        a2 = np.sqrt(0.7) * complex(np.cos(phase), np.sin(phase))
+        row = rows_by_label(run("overlap", a1=np.sqrt(0.3), a2=[a2.real, a2.imag]))[
+            "overlap.spin_x.overlap_min"]
+        assert row.expected == pytest.approx(1.0 - np.sqrt(0.21) * abs(np.cos(phase)), abs=1e-15)
+        assert row.passed and abs(row.value - row.expected) <= 1e-15
+
     def test_decohere_sweep(self):
         report = run("decohere", env_overlap=0.5, n_env=4)
         rows = rows_by_label(report)

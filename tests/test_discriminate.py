@@ -508,6 +508,25 @@ class TestOracleMemory:
         # (2 MiB), and room for one more such array
         assert peak <= 3 * 16 * 64 * 64 * 32
 
+    def test_residual_table_held_once_near_the_cap(self):
+        # the chain's 3 groups of one state in a span of dim 3, on a 62-value grid:
+        # perm(62, 3) = 226,920 assignments and 4,084,560 entries, just under the cap
+        problem = superposition_discrimination_problem(0.6, 0.8)
+        grid = tuple(float(v) for v in range(62))
+        assignments = math.perm(len(grid), 3)
+        entries = 2 * assignments * 3 * 3
+        assert entries <= discriminate.MAX_ORACLE_ENTRIES < entries * 1.03
+        table_bytes = 8 * entries  # the residual table g @ e: float64 Re and Im parts
+        tracemalloc.start()
+        try:
+            numeric_feasibility_oracle(problem, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # squared in place, the table is held once: with g and the assignment rows
+        # the peak is about 1.8 tables, and a squared copy beside it made 2.8
+        assert peak < 2 * table_bytes
+
     def test_span_past_the_cap_refused_before_building(self):
         problem = _orthonormal_groups(81)  # 2 * 162 * 81 * 162 = 4,251,528 entries
         tracemalloc.start()

@@ -11,11 +11,18 @@ Regenerate only when a report is meant to change, and say why in CHANGES.md.
 
 import csv
 import io
+import json
 import math
+import os
+import platform
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import mschain
 from mschain.cli import COMMANDS, FORMATS, config_from_dict, execute, render_report
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -74,6 +81,66 @@ def test_csv_rows_are_as_wide_as_their_header(case, command):
     header, *rows = csv.reader(io.StringIO(render(case, command, "csv").decode("ascii")))
     assert rows
     assert all(len(row) == len(header) for row in rows)
+
+
+# Run in a child process: the dispatch target numpy's complex multiply runs on,
+# and the names of the golden files whose bytes the child renders differently.
+_CHILD = """
+import json
+import numpy as np
+from test_golden import GOLDEN, golden_path, render
+info = np.lib.introspect.opt_func_info(func_name="^multiply$", signature="complex128")
+differs = [golden_path(*t).name for t in GOLDEN if render(*t) != golden_path(*t).read_bytes()]
+print(json.dumps({"current": info["multiply"]["DDD"]["current"], "differs": differs}))
+"""
+
+
+def _kernel_switch_unavailable() -> str:
+    """Why the kernel switches cannot be exercised here, or "" when they can:
+    they need an x86-64 CPU, numpy 2.0 or later (`np.lib.introspect`) and a
+    numpy built against an OpenBLAS that selects its kernels at run time."""
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        return ("OpenBLAS's Sandybridge kernels and numpy's x86-64 SIMD targets "
+                "exist on x86-64 only")
+    if not hasattr(np.lib, "introspect"):
+        return "numpy before 2.0 cannot report its SIMD dispatch targets"
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    if "openblas" not in str(blas.get("name", "")).lower():
+        return f"numpy is built against {blas.get('name', 'an unknown BLAS')}, not OpenBLAS"
+    if "DYNAMIC_ARCH" not in blas.get("openblas configuration", "DYNAMIC_ARCH"):
+        return "numpy's OpenBLAS is built for one kernel set and cannot switch"
+    return ""
+
+
+def _simd_targets() -> str:
+    """numpy's non-baseline targets for complex multiply, such as X86_V3."""
+    info = np.lib.introspect.opt_func_info(func_name="^multiply$", signature="complex128")
+    return " ".join(t for t in info["multiply"]["DDD"]["available"].split()
+                    if not t.startswith("baseline"))
+
+
+@pytest.mark.skipif(bool(_kernel_switch_unavailable()), reason=_kernel_switch_unavailable())
+def test_goldens_render_alike_under_other_cpu_kernels():
+    # OpenBLAS's Sandybridge kernels do not fuse multiply-add, and numpy's baseline
+    # loops use no AVX2 or FMA: each child renders every golden case under one switch
+    # and must reproduce the committed bytes. Each switch must be seen to take effect.
+    path = os.pathsep.join([str(Path(mschain.__file__).parents[1]), str(Path(__file__).parent),
+                            os.environ.get("PYTHONPATH", "")])
+    switches = {"sandybridge": {"OPENBLAS_CORETYPE": "Sandybridge", "OPENBLAS_VERBOSE": "2"},
+                "numpy_baseline": {"NPY_DISABLE_CPU_FEATURES": _simd_targets()}}
+    results = {}
+    for name, switch in switches.items():
+        child = subprocess.run([sys.executable, "-c", _CHILD],
+                               env={**os.environ, **switch, "PYTHONPATH": path},
+                               capture_output=True, text=True, timeout=300)
+        assert child.returncode == 0, child.stderr
+        results[name] = (json.loads(child.stdout), child.stderr)
+    sandybridge, err = results["sandybridge"]
+    cores = [line for line in err.splitlines() if line.startswith("Core: ")]
+    assert cores and set(cores) == {"Core: Sandybridge"}, err
+    baseline, _ = results["numpy_baseline"]
+    assert baseline["current"].startswith("baseline("), baseline["current"]
+    assert (sandybridge["differs"], baseline["differs"]) == ([], [])
 
 
 if __name__ == "__main__":

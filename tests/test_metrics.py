@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -284,26 +287,33 @@ class TestPurityInformation:
     ])
     def test_phase_averaged_equals_a_fresh_loop(self, a1, a2):
         states = (pure_density(prepare_object_state(a1, a2)), prepare_gemenge(a1, a2).density())
-        pairs = [states, states[::-1], (states[0], states[0])]
-        metrics._transverse_spin_grid.cache_clear()
-        for _ in range(2):  # the first call fills the grid cache, the second reads it
-            for pure_rho, mixed_rho in pairs:
-                total = 0.0
-                for gamma in np.linspace(0.0, 2.0 * np.pi, 36, endpoint=False):
-                    obs = transverse_spin(gamma)
-                    total += purity_information(overlap_tv(
-                        eigen_distribution(pure_rho, obs), eigen_distribution(mixed_rho, obs)))
-                assert phase_averaged_purity_information(pure_rho, mixed_rho) == total / 36
+        for pure_rho, mixed_rho in [states, states[::-1], (states[0], states[0])]:
+            assert abs(phase_averaged_purity_information(pure_rho, mixed_rho)
+                       - _phase_loop(pure_rho, mixed_rho)) <= 1e-15
 
 
 def _phase_loop(pure_rho, mixed_rho):
-    """The per-phase reference: one eigen_distribution pair and overlap per phase."""
-    total = 0.0
+    """The per-phase reference: one eigen_distribution pair and overlap per phase of
+    the numpy grid, the terms added exactly."""
+    terms = []
     for gamma in np.linspace(0.0, 2.0 * np.pi, 36, endpoint=False):
         obs = transverse_spin(gamma)
-        total += purity_information(overlap_tv(
-            eigen_distribution(pure_rho, obs), eigen_distribution(mixed_rho, obs)))
-    return total / 36
+        terms.append(purity_information(overlap_tv(
+            eigen_distribution(pure_rho, obs), eigen_distribution(mixed_rho, obs))))
+    return math.fsum(terms) / 36
+
+
+# a float as an error message prints it, such as a sum or an overlap
+_PRINTED_FLOAT = re.compile(r"-?\d+\.\d+(?:e[-+]\d+)?")
+
+
+def _assert_same_error(got: Exception, expected: Exception):
+    """The same type and message, but for the last digits of a printed float."""
+    assert type(got) is type(expected)
+    assert _PRINTED_FLOAT.sub("#", str(got)) == _PRINTED_FLOAT.sub("#", str(expected))
+    got_floats = [float(x) for x in _PRINTED_FLOAT.findall(str(got))]
+    expected_floats = [float(x) for x in _PRINTED_FLOAT.findall(str(expected))]
+    assert got_floats == pytest.approx(expected_floats, abs=1e-15, rel=0)
 
 
 def _random_two_dim_states(rng):
@@ -327,14 +337,15 @@ def _random_two_dim_states(rng):
 
 class TestPhaseGridIdentity:
     def test_random_states_equal_the_loop_bit_for_bit(self):
+        # the Bloch form against the eigen_distribution loop, within 1e-15
         rng = np.random.default_rng(2026)
         states = _random_two_dim_states(rng)
         assert len(states) >= 300
         for k, state in enumerate(states):
             partner = states[(7 * k + 3) % len(states)]
             pure_rho, mixed_rho = (state, partner) if k % 2 else (partner, state)
-            assert phase_averaged_purity_information(pure_rho, mixed_rho) == \
-                _phase_loop(pure_rho, mixed_rho)
+            assert abs(phase_averaged_purity_information(pure_rho, mixed_rho)
+                       - _phase_loop(pure_rho, mixed_rho)) <= 1e-15
 
     @pytest.mark.parametrize("bad", ["trace", "nan", "overlap", "inf", "range", "shape"])
     @pytest.mark.parametrize("side", [0, 1])
@@ -361,8 +372,7 @@ class TestPhaseGridIdentity:
             _phase_loop(*args)
         with pytest.raises((UsageError, ValidationError)) as got:
             phase_averaged_purity_information(*args)
-        assert type(got.value) is type(expected.value)
-        assert str(got.value) == str(expected.value)
+        _assert_same_error(got.value, expected.value)
 
 
 def _pair_loop(pairs):
@@ -374,6 +384,12 @@ def _pair_loop(pairs):
         k_tv = overlap_tv(w_pure, w_mixed)
         out.append((k_tv, overlap_bc(w_pure, w_mixed), purity_information(k_tv)))
     return out
+
+
+def _pair_kernel(pairs):
+    """The same triples through the Bloch form: each observable's axis, then `_pair_overlaps`."""
+    return [metrics._pair_overlaps([metrics._two_value_axis(obs)], pure, mixed)[0]
+            for obs, pure, mixed in pairs]
 
 
 def _report_pairs(a1, a2):
@@ -394,15 +410,52 @@ PAIR_WEIGHTS = [0.0, 1e-15, 1e-12 * (1 - 2**-40), 1e-12 * (1 + 2**-40), 1e-6, 0.
                 1.0 - 1e-6, 1.0]
 
 
+def _zero_probability_pairs(weight, phase):
+    """Indices into `_report_pairs` of the pairs with a probability of at most
+    1e-12 in exact arithmetic: spin x at |a1|^2 = 0.5 with a real relative phase,
+    the tuned spin at |a1|^2 = 0.5, the pointer q when either weight is at most
+    1e-12. The mixed states and the pointers qx and qy give (1/2, 1/2)."""
+    rows = set()
+    if weight == 0.5:
+        rows |= {0, 1} if phase in (0.0, np.pi) else {1}
+    if min(weight, 1.0 - weight) <= 1e-12:
+        rows.add(2)
+    return rows
+
+
 class TestPairOverlaps:
     @pytest.mark.parametrize("phase", [0.0, np.pi, 0.7, 2.5])
     @pytest.mark.parametrize("weight", PAIR_WEIGHTS)
     def test_bit_identical_to_the_per_call_loop(self, weight, phase):
+        # the Bloch form against the eigen_distribution loop: every probability,
+        # overlap_min and the bits within 1e-15, and overlap_sqrt within 1e-15
+        # too unless the pair has a probability near 0. There a rounding of
+        # 1e-17 either side of 0 passes through sqrt, so the bound is what 1e-15
+        # on each probability allows, 2 sqrt(2e-15) (at |a1|^2 = 0.5, phase
+        # 2.5, the loop's tuned spin is 2.4e-9 off 1/sqrt(2))
         a1, a2 = np.sqrt(weight), np.sqrt(1.0 - weight) * np.exp(1j * phase)
         pairs = _report_pairs(a1, a2)
-        expected = _pair_loop(pairs)
-        assert metrics._pair_overlaps(pairs) == expected
-        assert metrics._pair_overlaps_by_call(pairs) == expected
+        axes = [metrics._two_value_axis(obs) for obs, _, _ in pairs]
+        near_zero = set()
+        for k, ((obs, pure, mixed), axis) in enumerate(zip(pairs, axes)):
+            for rho in (pure, mixed):
+                want = [p for _, p in eigen_distribution(rho, obs).entries]
+                got = metrics._two_value_probabilities(axis, metrics._bloch(rho))
+                assert np.max(np.abs(np.array(got) - want)) <= 1e-15
+                if min(want) <= 1e-12:
+                    near_zero.add(k)
+        assert near_zero == _zero_probability_pairs(weight, phase)
+
+        expected = np.array(_pair_loop(pairs))
+        rho_pure = pairs[0][1]
+        tuned_axis = metrics._tuned_axis(complex(rho_pure[0, 1]))  # read off rho01
+        tuned = metrics._pair_overlaps([tuned_axis], rho_pure, pairs[0][2])
+        for got, want, rows in ((_pair_kernel(pairs), expected, range(len(pairs))),
+                                (tuned, expected[1:2], [1])):
+            diff = np.abs(np.array(got) - want)
+            assert np.max(diff[:, [0, 2]]) <= 1e-15
+            for row, k in zip(diff, rows):
+                assert row[1] <= (2 * math.sqrt(2e-15) if k in near_zero else 1e-15), k
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "range", "trace", "overlap", "shape"])
     @pytest.mark.parametrize("slot", [(0, 1), (2, 2), (4, 1)])
@@ -430,17 +483,15 @@ class TestPairOverlaps:
         with pytest.raises((UsageError, ValidationError)) as expected:
             _pair_loop(pairs)
         with pytest.raises((UsageError, ValidationError)) as got:
-            metrics._pair_overlaps(pairs)
-        assert type(got.value) is type(expected.value)
-        assert str(got.value) == str(expected.value)
+            _pair_kernel(pairs)
+        _assert_same_error(got.value, expected.value)
 
     @pytest.mark.parametrize("obs", [build_it_observable().observable, np.eye(2),
                                      np.diag([1.0, 1.0 + 1e-13])],
                              ids=["eight-dim", "one-value", "one-grouped-value"])
     def test_observable_without_two_values_refused(self, obs):
-        rho = prepare_gemenge(0.6, 0.8).density()
         with pytest.raises(UsageError, match="two-dim observables with two values"):
-            metrics._pair_overlaps([(transverse_spin(0.0), rho, rho), (obs, rho, rho)])
+            metrics._two_value_axis(obs)
 
 
 class TestBornProbabilities:
