@@ -77,6 +77,9 @@ DEFAULT_TOLERANCES = {"born_sigma": 4.0, "oracle_feasible": 1e-6, "match": 1e-9}
 # Config amplitudes are renormalized when close to unit norm; anything beyond
 # this residual is rejected as a typo rather than rounding.
 AMPLITUDE_RESIDUAL_TOL = 1e-3
+# |<S1D1O1|rho|S2D2O2>| at or below which the chain state has no pointer coherence,
+# and the decoherence report skips its off-diagonal scaling rows.
+COHERENCE_FLOOR = 1e-12
 
 OVERLAP_CONVENTION_NOTE = (
     "two overlap conventions are reported: overlap_min is the sum of pointwise "
@@ -453,7 +456,7 @@ def _decohere_rows(run: _Run) -> tuple[list[ReportRow], list[str]]:
     ms = run.pure
     # reference pointer coherence <S1D1O1|rho|S2D2O2> of the undecohered state
     cross = complex(ms.vector[0] * ms.vector[7].conjugate())
-    coherent = abs(cross) > 1e-12
+    coherent = abs(cross) > COHERENCE_FLOOR
     for n, result in enumerate(decohere(ms, scenario.n_env, eps)):
         law = float(eps) ** n if n > 0 else 1.0
         rows.append(ReportRow(f"decohere.coherence_factor[{n}]", result.coherence_factor,

@@ -2,15 +2,26 @@
 
 The central question: given a set of states and a required pattern of equal /
 distinct eigenvalues, does any self-adjoint operator have all of them as
-eigenvectors with that pattern? Two facts decide it. Eigenvectors of a
-Hermitian operator with distinct eigenvalues are orthogonal, so any
-non-orthogonal pair of states is forced onto a common eigenvalue. And the
-operator acts linearly, so any linear dependence among the states forces the
-matching dependence among the scaled states, which pins eigenvalues against
-each other. Propagating all forced equalities either merges two groups that
-were required distinct (infeasible, with the merge chain as certificate) or
-leaves orthogonal classes that an explicit projector sum discriminates
-(feasible, with the operator as witness).
+eigenvectors with that pattern? Two matrices of the states decide it. The Gram
+matrix's off-diagonal entries give the overlap edges: eigenvectors of a
+Hermitian operator with distinct eigenvalues are orthogonal, so a nonzero
+phi_j^dagger phi_k forces g_j = g_k. The null-space projector's off-diagonal
+entries give the dependence edges: G phi_k = g_k phi_k for every k means
+G Phi = Phi diag(g), so diag(g) maps the null space of Phi into itself, which
+for real g holds exactly when diag(g) commutes with the projector P onto it,
+that is, g_j = g_k wherever P_jk is nonzero. Feasible means no two
+required-distinct groups share a class of the graph of both kinds of edges.
+Then no overlap edge joins two classes, their spans are orthogonal, and an
+explicit projector sum discriminates them (the operator is the witness);
+otherwise the chain of edges joining two groups is the certificate. (In exact
+arithmetic every dependence edge lies inside an overlap class; at the
+tolerances, a dependence edge still pins a pair whose overlap is too small to
+count.) For an orthonormal basis N of the null space,
+||(I - P) diag(g) N||^2 = sum_{j<k} |P_jk|^2 (g_j - g_k)^2, the Laplacian of
+the dependence graph with weights |P_jk|^2. The solver computes the null
+space of that quadratic form, the admissible g, from the constraint rows
+(I - P) diag(c) over the columns c of N, and records a dependence edge for
+every pair on which every admissible g agrees.
 
 A brute-force least-squares oracle over an explicit eigenvalue grid provides
 an independent numerical check of every verdict. It solves in the span of the
@@ -44,12 +55,17 @@ WITNESS_TOL = 1e-9
 # groups of 80 orthonormal states in dim 80 0.13 s and 66 MB.
 MAX_ORACLE_ENTRIES = 2**22
 # `_null_space`'s absolute rank floor, which decides the no-go certificate's shape:
-# in the admissible space it beats 1e-12 * s[0], and s[1] is about 0.866 * a1, so
-# below a1 = 1.155e-12 only the overlap conflict g0 = g2 is left. That shorter
-# certificate is intended: one forced equality of two distinct groups is a proof.
+# in the admissible space it beats ADMISSIBLE_REL_TOL * s[0], and s[1] is about
+# 0.866 * a1, so below a1 = 1.155e-12 only the overlap conflict g0 = g2 is left. That
+# shorter certificate is intended: one forced equality of two distinct groups is a proof.
 NULL_SPACE_FLOOR = 1e-12
 # Norm below which a dependence combination, or a pair's admissible difference, is zero.
 DEPENDENCE_TOL = 1e-8
+# Relative rank cut on the stacked constraint system whose null space is the
+# admissible eigenvalue space, in `_dependence_forced_pairs`.
+ADMISSIBLE_REL_TOL = 1e-12
+# Distance from 1 within which an `ObservableSpec`'s squared coefficients must sum.
+SPEC_NORM_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -77,7 +93,7 @@ class ObservableSpec:
             norm_sq = d0**2 + d1**2 + d2**2
         except OverflowError:  # a coefficient or its square past the float range
             norm_sq = math.inf
-        if not abs(norm_sq - 1.0) <= 1e-12:  # written so that a NaN fails it
+        if not abs(norm_sq - 1.0) <= SPEC_NORM_TOL:  # written so that a NaN fails it
             raise ValidationError(
                 f"coefficients not normalized: d0^2+d1^2+d2^2 = {norm_sq!r}"
             )
@@ -214,7 +230,7 @@ def _dependence_forced_pairs(states):
         blocks.append(constraint.real)
         blocks.append(constraint.imag)
     stacked = np.vstack(blocks)
-    admissible = _null_space(stacked, 1e-12).real
+    admissible = _null_space(stacked, ADMISSIBLE_REL_TOL).real
     forced = [(j, k) for j, k in combinations(range(m), 2)
               if np.linalg.norm(admissible[j] - admissible[k]) < DEPENDENCE_TOL]
     return forced, null_basis

@@ -43,12 +43,22 @@ _PHASE_AXES = tuple((math.cos(k * (2.0 * math.pi / N_PHASES)),
                      math.sin(k * (2.0 * math.pi / N_PHASES)), 0.0) for k in range(N_PHASES))
 
 
+# Slack on a distribution's probabilities: each in [0, 1] and their sum 1, within it.
+PROBABILITY_TOL = 1e-10
+# Slack on an overlap value handed to `purity_information`: in [0, 1] within it.
+OVERLAP_RANGE_TOL = 1e-12
+
+
 def _check_probabilities(probs) -> None:
-    """Raise ValidationError unless the probabilities lie in [0, 1] and sum to 1, within 1e-10."""
-    if any(p < -1e-10 or p > 1 + 1e-10 for p in probs):
-        raise ValidationError("probabilities must lie in [0, 1]")
+    """Raise ValidationError unless the probabilities lie in [0, 1] and sum to 1.
+
+    Both hold within PROBABILITY_TOL.
+    """
+    for p in probs:  # a loop, not any(...): no generator on this per-distribution path
+        if p < -PROBABILITY_TOL or p > 1 + PROBABILITY_TOL:
+            raise ValidationError("probabilities must lie in [0, 1]")
     total = sum(probs, 0.0)
-    if abs(total - 1.0) > 1e-10:
+    if abs(total - 1.0) > PROBABILITY_TOL:
         raise ValidationError(f"probabilities sum to {total!r}, not 1")
 
 
@@ -129,7 +139,7 @@ def overlap_bc(w1: EigenDistribution, w2: EigenDistribution) -> float:
 
 def purity_information(k_tv: float) -> float:
     """Bits of purity information left by an overlap value: 1 - k_tv."""
-    if not -1e-12 <= k_tv <= 1.0 + 1e-12:
+    if not -OVERLAP_RANGE_TOL <= k_tv <= 1.0 + OVERLAP_RANGE_TOL:
         raise ValidationError(f"overlap {k_tv!r} outside [0, 1]")
     return 1.0 - min(max(k_tv, 0.0), 1.0)
 

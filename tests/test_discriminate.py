@@ -1,10 +1,10 @@
 import math
 import tracemalloc
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
-from helpers import random_discrimination_problem
+from helpers import planted_problem, random_discrimination_problem
 from numpy.testing import assert_allclose
 
 from mschain import discriminate
@@ -171,6 +171,38 @@ class TestSolverBasics:
         assert [(f.group_a, f.group_b, [ev.kind for ev in f.chain])
                 for f in result.certificate] == conflicts
         assert verify_certificate(problem, result)
+
+    def test_dependence_pairs_on_planted_problems(self):
+        rng = np.random.default_rng(27)
+        n_pinned = n_infeasible = 0
+        for _ in range(300):
+            problem = planted_problem(rng)
+            m = len(problem.states)
+            pairs, null_basis = discriminate._dependence_forced_pairs(problem.states)
+            projector = null_basis @ null_basis.conj().T
+            complement = np.eye(m) - projector
+
+            def violation(g):
+                return np.linalg.norm(complement @ (g[:, None] * null_basis))
+
+            # the admissibility of g is the Laplacian of P's off-diagonal graph
+            g = np.sqrt(np.arange(1.0, m + 1))
+            laplacian = sum(abs(projector[j, k]) ** 2 * (g[j] - g[k]) ** 2
+                            for j, k in combinations(range(m), 2))
+            assert violation(g) ** 2 == pytest.approx(laplacian, rel=1e-9, abs=1e-24)
+            # every g constant on the classes of the pinned pairs is admissible;
+            # the class indicators span those g, and the violation is linear in g
+            label = list(range(m))
+            for j, k in pairs:
+                label = [label[j] if x == label[k] else x for x in label]
+            for c in set(label):
+                assert violation(np.array([float(x == c) for x in label])) <= 1e-9
+            result = check_eigen_discrimination(problem)
+            if not result.feasible:
+                assert verify_certificate(problem, result)
+            n_pinned += bool(pairs)
+            n_infeasible += not result.feasible
+        assert n_pinned >= 100 and 100 <= n_infeasible <= 250
 
     def test_branch_products_are_shared_read_only(self):
         problem = superposition_discrimination_problem(0.6, 0.8)
@@ -691,6 +723,48 @@ class TestSolverOracleAgreement:
                 n_infeasible += 1
                 assert verify_certificate(problem, result)
         assert n_feasible >= 50 and n_infeasible >= 50
+
+    @staticmethod
+    def _weakest_links(problem, result):
+        """Per conflict, the smallest overlap or projector entry along its chain."""
+        phi = np.column_stack(problem.states)
+        null_basis = discriminate._dependence_forced_pairs(problem.states)[1]
+        strength = {"overlap": np.abs(phi.conj().T @ phi),
+                    "dependence": np.abs(null_basis @ null_basis.conj().T)}
+        return [min((strength[ev.kind][ev.i, ev.j] for ev in f.chain if ev.kind in strength),
+                    default=math.inf) for f in result.certificate]
+
+    def test_agreement_over_planted_problems(self):
+        # the oracle's residual is about the square of the weakest link it has to
+        # break, so an INFEASIBLE verdict resting in every conflict on a link below
+        # 1e-3 may read feasible to it; every other verdict must agree
+        rng = np.random.default_rng(27)
+        grid = (0.0, 1.0, 2.0, 3.0)
+        n_weak = 0
+        for _ in range(300):
+            problem = planted_problem(rng)
+            result = check_eigen_discrimination(problem)
+            residual, _ = numeric_feasibility_oracle(problem, grid)
+            if (residual < 1e-6) != result.feasible:
+                assert not result.feasible
+                assert max(self._weakest_links(problem, result)) < 1e-3
+                n_weak += 1
+        assert n_weak <= 5
+
+    def test_clusters_joined_only_below_the_tolerances(self):
+        # two clusters of near-repeats, {0, 1, 3} and {2, 4}, with groups (3,) and
+        # (4,): their cross overlaps (3e-11 to 6e-11) are under OVERLAP_TOL and
+        # their cross projector entries (5e-12 to 1.5e-11) only just over
+        # NULL_SPACE_FLOOR. The admissible space pins no pair across them, so the
+        # verdict is FEASIBLE, as the oracle finds; a rule reading P's entries
+        # against NULL_SPACE_FLOOR alone would join the clusters
+        rng = np.random.default_rng(11)
+        for _ in range(2883):
+            problem = planted_problem(rng)
+        result = check_eigen_discrimination(problem)
+        assert result.verdict == "FEASIBLE"
+        residual, _ = numeric_feasibility_oracle(problem, (0.0, 1.0, 2.0, 3.0))
+        assert residual < 1e-6
 
 
 class TestITObservable:

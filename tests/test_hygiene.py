@@ -2,8 +2,10 @@
 private name a module defines is used somewhere in the package, and every
 public function or class has a user: package code outside its own
 definition, an acceptance criterion or the benchmark. Every function the
-benchmark's tracer wraps is still a function of its layer. And `np.kron` is
+benchmark's tracer wraps is still a function of its layer. `np.kron` is
 called only inside `linalg._kron`, the package's one tensor-product kernel.
+And every float literal below 1e-3 in magnitude, a tolerance in all but
+name, sits in a module-level assignment that names it.
 
 A stdlib `ast` walk, so it runs wherever the tests run. `__init__.py` is
 exempt from the first three checks: its imports are the package's re-exports.
@@ -116,6 +118,22 @@ def test_np_kron_only_inside_linalg_kron(path):
         allowed = set(_kron_calls(kernel))
     stray = sorted(set(_kron_calls(tree)) - allowed)
     assert not stray, f"{path.name} calls np.kron outside linalg._kron at lines {stray}"
+
+
+def _unnamed_small_floats(tree: ast.Module) -> list[tuple[int, float]]:
+    """(line, value) of each float literal 0 < |x| < 1e-3 outside a module-level assignment."""
+    named = {id(node) for stmt in tree.body if isinstance(stmt, (ast.Assign, ast.AnnAssign))
+             for node in ast.walk(stmt)}
+    return sorted((node.lineno, node.value) for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant) and isinstance(node.value, float)
+                  and 0 < abs(node.value) < 1e-3 and id(node) not in named)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_small_float_literals_are_named(path):
+    # a tolerance written inline cannot be found, listed or cited by its name
+    stray = _unnamed_small_floats(TREES[path.name])
+    assert not stray, f"{path.name} has unnamed float literals below 1e-3 (line, value): {stray}"
 
 
 def _traced_names() -> dict[str, tuple[str, ...]]:
