@@ -160,15 +160,32 @@ def scenario_digest(scenario: Scenario) -> str:
 
 @dataclass(frozen=True)
 class InformationPattern:
-    """The real parameters an information system assigns to one recognized outcome."""
+    """The real parameters an information system assigns to one recognized outcome.
+
+    `values` is any nonempty sequence of finite real non-bool numbers; it is
+    kept as a tuple of floats, and anything else raises ValidationError.
+    """
 
     values: tuple[float, ...]
 
     def __post_init__(self):
-        if not self.values:
+        try:
+            entries = tuple(self.values)
+        except TypeError:
+            raise ValidationError(f"information pattern values must be a sequence of numbers, "
+                                  f"not {type(self.values).__name__}") from None
+        if not entries:
             raise ValidationError("information pattern must be nonempty")
-        if not all(np.isfinite(v) for v in self.values):
+        for v in entries:
+            _require_number(v, "an information pattern entry", numbers.Real, "a real number")
+        try:
+            values = tuple(map(float, entries))
+            finite = all(map(math.isfinite, values))
+        except OverflowError:  # an int past the float range
+            finite = False
+        if not finite:
             raise ValidationError("information pattern entries must be finite")
+        object.__setattr__(self, "values", values)
 
 
 @dataclass(frozen=True, eq=False)

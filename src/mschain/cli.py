@@ -21,8 +21,6 @@ from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
-import numpy as np
-
 from . import __version__
 from .chain import (
     Gemenge,
@@ -50,16 +48,18 @@ from .discriminate import (
 )
 from .errors import CapacityError, ConfigError, ValidationError
 from .metrics import (
-    _pair_overlaps,
+    _PHASE_AXES,
+    _bloch,
+    _bloch_overlaps,
+    _phase_average,
+    _purity_report,
     _qubit_density,
     _tuned_axis,
     _two_value_axis,
     eigen_distribution,
     overlap_bc,
     overlap_tv,
-    phase_averaged_purity_information,
     purity_information,
-    purity_report,
     transverse_spin,
 )
 from .sampling import born_report
@@ -266,6 +266,11 @@ class _Run:
         self.scenario = config.scenario
 
     @functools.cached_property
+    def digest(self) -> str:
+        """The scenario's digest: the report's own and the Born stream's."""
+        return scenario_digest(self.scenario)
+
+    @functools.cached_property
     def detector(self) -> MSState:
         """The object-detector state after the S->D premeasurement."""
         return object_detector_state(self.scenario.a1, self.scenario.a2)
@@ -292,9 +297,9 @@ def _chain_rows(run: _Run) -> tuple[list[ReportRow], list[str]]:
     notes: list[str] = []
     model = run.model
     if isinstance(model, MSState):
-        for k, amp in enumerate(model.vector):
-            rows.append(ReportRow(f"chain.amplitude[{_BASIS_NAMES_8[k]}].re", float(amp.real)))
-            rows.append(ReportRow(f"chain.amplitude[{_BASIS_NAMES_8[k]}].im", float(amp.imag)))
+        for name, amp in zip(_BASIS_NAMES_8, model.vector.tolist()):
+            rows.append(ReportRow(f"chain.amplitude[{name}].re", amp.real))
+            rows.append(ReportRow(f"chain.amplitude[{name}].im", amp.imag))
     else:
         for i, (branch, p) in enumerate(model.branches):
             rows.append(ReportRow(f"chain.branch[{i}].probability", float(p)))
@@ -369,11 +374,13 @@ def _overlap_rows(run: _Run) -> tuple[list[ReportRow], list[str]]:
     transverse spin, on the detector under its three pointer observables, and on
     the chain under the interference term.
 
-    The two-dim pairs go through `metrics._pair_overlaps`, in the Bloch form.
-    The object's pure density and the detector's, read from the run's own S->D
-    stage, come from their amplitudes through `metrics._qubit_density`, and
-    the mixed object density is the diagonal of the gemenge's weights, so no
-    BLAS kernel or SIMD loop rounds these rows.
+    Each two-dim density enters once, as its `metrics._bloch` tuple of Python
+    floats: the pure ones, the object's and the detector's from the run's own
+    S->D stage, from their amplitudes through `metrics._qubit_density`, the
+    mixed ones from their two diagonal weights. `metrics._bloch_overlaps`
+    gives the spin-x, tuned and phase-grid triples in one call and the
+    pointer triples in another, and the purity rates take `purity_report`'s
+    formula, so no BLAS kernel or SIMD loop rounds these rows.
     """
     scenario = run.scenario
     match_tol = run.config.tolerance("match")
@@ -383,17 +390,19 @@ def _overlap_rows(run: _Run) -> tuple[list[ReportRow], list[str]]:
     notes: list[str] = [OVERLAP_CONVENTION_NOTE]
 
     rho_pure = _qubit_density((a1, a2))
-    rho_mixed = np.diag(np.array(_gemenge_weights(a1, a2)[0], dtype=complex))
-    pr_pure = purity_report(rho_pure)
-    pr_mixed = purity_report(rho_mixed)
+    w1, w2 = _gemenge_weights(a1, a2)[0]
+    rho_mixed = [[w1, 0.0], [0.0, w2]]
+    pr_pure = _purity_report(rho_pure[0][1])
+    pr_mixed = _purity_report(rho_mixed[0][1])
     detector = run.detector
     rho_d_pure = _qubit_density(detector.vector, detector.layout.dims,
                                 detector.layout.position("D"))
-    rho_d_mixed = np.diag([abs(a1) ** 2, abs(a2) ** 2]).astype(complex)
+    rho_d_mixed = [[abs(a1) ** 2, 0.0], [0.0, abs(a2) ** 2]]
     spin_x_axis, *pointer_axes = fixed.axes
-    spin_x, spin_tuned = _pair_overlaps((spin_x_axis, _tuned_axis(rho_pure[0][1])),
-                                        rho_pure, rho_mixed)
-    pointer = _pair_overlaps(pointer_axes, rho_d_pure, rho_d_mixed)
+    spin_x, spin_tuned, *phases = _bloch_overlaps(
+        (spin_x_axis, _tuned_axis(rho_pure[0][1]), *_PHASE_AXES),
+        _bloch(rho_pure), _bloch(rho_mixed))
+    pointer = _bloch_overlaps(pointer_axes, _bloch(rho_d_pure), _bloch(rho_d_mixed))
 
     # spin x: the pure distribution is (1 -+ 2 Re(a1 a2*)) / 2, the mixed one (1/2, 1/2)
     rows += _overlap_pair_rows("spin_x", spin_x, 1.0 - abs((a1 * a2.conjugate()).real),
@@ -404,7 +413,7 @@ def _overlap_rows(run: _Run) -> tuple[list[ReportRow], list[str]]:
     rows.append(ReportRow("overlap.purity_rate.mixed", pr_mixed.r_p, 0.0,
                           bool(abs(pr_mixed.r_p) < match_tol)))
     rows.append(ReportRow("overlap.purity_information.phase_averaged_bits",
-                          phase_averaged_purity_information(rho_pure, rho_mixed)))
+                          _phase_average(phases)))
     notes.append("the phase-averaged purity information row is a package-defined "
                  "estimate over a uniform 36-point phase grid")
     for name, overlaps in zip(("pointer_D", "pointer_D_x", "pointer_D_y"), pointer):
@@ -430,7 +439,7 @@ def _born_rows(run: _Run) -> tuple[list[ReportRow], list[str]]:
     rows: list[ReportRow] = []
     report = born_report(run.model, scenario)
     rows.append(ReportRow("born.trials", report.trials))
-    rows.append(ReportRow("born.stream_digest", scenario_digest(scenario)))
+    rows.append(ReportRow("born.stream_digest", run.digest))
     for stat in report.stats:
         tag = f"born.outcome[{stat.value:g}]"
         rows.append(ReportRow(f"{tag}.count", stat.count))
@@ -497,7 +506,7 @@ def execute(config: RunConfig) -> Report:
         rows, notes = _COMMAND_BUILDERS[config.command](run)
     return Report(
         command=config.command,
-        digest=scenario_digest(config.scenario),
+        digest=run.digest,
         scenario=_scenario_fields(config.scenario),
         version=__version__,
         rows=tuple(rows),

@@ -12,9 +12,14 @@ its first use, in ascending value order, at any dimension. A qubit's
 two-value observable a0 + b n.sigma (b > 0, unit axis n) needs none: on a
 density of trace t and Bloch vector r its lower value has probability
 (t - n.r) / 2 and its upper one (t + n.r) / 2 (Nielsen and Chuang, 4.2).
-`_two_value_overlaps` computes both overlaps and the purity bits that way,
-in Python floats with the checks of `EigenDistribution` and
-`purity_information`, so no BLAS, LAPACK or SIMD rounding reaches them.
+A two-dim state enters once, as the Bloch tuple (t, x, y, z) of Python floats
+that `_bloch` reads off its entries, and one kernel, `_bloch_overlaps`, maps
+a sequence of axes and two tuples to both overlaps and the purity bits per
+axis, with the checks of `EigenDistribution` and `purity_information`, so no
+BLAS, LAPACK or SIMD rounding reaches them. `_pair_overlaps`,
+`phase_averaged_purity_information` and `purity_report` check and convert
+their input once, then apply the kernel or formula the overlap report
+applies to the tuples it builds itself.
 
 A public function checks a state it is handed once, on entry: finite
 entries, then shape.
@@ -163,7 +168,11 @@ def purity_report(rho) -> PurityReport:
         arr = np.outer(arr, arr.conj())
     if arr.shape != (2, 2):
         raise UsageError("purity rate is defined for two-dim states")
-    off = complex(arr[0, 1])
+    return _purity_report(complex(arr[0, 1]))
+
+
+def _purity_report(off: complex) -> PurityReport:
+    """`purity_report` of a two-dim state whose coherence rho01 is `off`."""
     magnitude = abs(off)
     gamma_star = float(-np.angle(off)) if magnitude > 0.0 else 0.0
     return PurityReport(2.0 * magnitude, gamma_star, magnitude)
@@ -182,12 +191,12 @@ def _qubit_density(vector, dims=(2,), keep: int = 0) -> list[list[complex]]:
     return rho
 
 
-def _bloch(arr: np.ndarray) -> tuple[float, float, float, float]:
-    """(t, x, y, z) of a checked two-dim vector v or matrix rho, from its entries as
-    floats (rho = |v><v| for a vector): t = Re(rho00 + rho11), x = Re(rho01 + rho10),
+def _bloch(rho) -> tuple[float, float, float, float]:
+    """(t, x, y, z) of a 2x2 density given as nested lists of its entries, Python
+    complex numbers or floats: t = Re(rho00 + rho11), x = Re(rho01 + rho10),
     y = Im(rho10 - rho01), z = Re(rho00 - rho11), so that Re tr(P rho) =
     (t + n.(x, y, z)) / 2 for the projector P = (1 + n.sigma) / 2 on any unit axis n."""
-    (r00, r01), (r10, r11) = _qubit_density(arr) if arr.ndim == 1 else arr.tolist()
+    (r00, r01), (r10, r11) = rho
     return (r00.real + r11.real, r01.real + r10.real, r10.imag - r01.imag,
             r00.real - r11.real)
 
@@ -198,7 +207,7 @@ def _two_value_axis(obs) -> tuple[float, float, float]:
     observable = _as_observable(obs)
     if observable.dim != 2 or len(observable.blocks) != 2:
         raise UsageError("two-value overlaps need two-dim observables with two values")
-    _, x, y, z = _bloch(observable.matrix)
+    _, x, y, z = _bloch(observable.matrix.tolist())
     norm = math.sqrt(x * x + y * y + z * z)
     return (x / norm, y / norm, z / norm)
 
@@ -224,20 +233,32 @@ def _two_value_probabilities(axis, bloch) -> tuple[float, float]:
     return p
 
 
-def _two_value_overlaps(axis, pure, mixed) -> tuple[float, float, float]:
-    """(overlap_min, overlap_sqrt, purity information bits) under the observable
-    of unit `axis`, from two `_bloch` tuples: the overlaps add the two states'
-    `_two_value_probabilities` as `overlap_tv` and `overlap_bc` do."""
-    (p0, p1), (q0, q1) = (_two_value_probabilities(axis, r) for r in (pure, mixed))
-    k_tv = min(p0, q0) + min(p1, q1)
-    return k_tv, math.sqrt(p0 * q0) + math.sqrt(p1 * q1), purity_information(k_tv)
+def _bloch_overlaps(axes, pure, mixed) -> list[tuple[float, float, float]]:
+    """(overlap_min, overlap_sqrt, purity information bits) of two `_bloch` tuples
+    under the observable of each unit axis: the overlaps add the two states'
+    `_two_value_probabilities`, the pure state's first, as `overlap_tv` and
+    `overlap_bc` do, and the bits are `purity_information`'s."""
+    out = []
+    for axis in axes:
+        p0, p1 = _two_value_probabilities(axis, pure)
+        q0, q1 = _two_value_probabilities(axis, mixed)
+        k_tv = min(p0, q0) + min(p1, q1)
+        out.append((k_tv, math.sqrt(p0 * q0) + math.sqrt(p1 * q1), purity_information(k_tv)))
+    return out
 
 
 def _pair_overlaps(axes, pure, mixed) -> list[tuple[float, float, float]]:
-    """`_two_value_overlaps` of two two-dim states under each axis; each state is
-    checked once, as `eigen_distribution` checks it."""
-    r_pure, r_mixed = _bloch(_state_array(pure, 2)), _bloch(_state_array(mixed, 2))
-    return [_two_value_overlaps(axis, r_pure, r_mixed) for axis in axes]
+    """`_bloch_overlaps` of two two-dim states, vectors v (of |v><v|) or densities,
+    under each axis; each state is checked once, as `eigen_distribution` checks it."""
+    arrays = _state_array(pure, 2), _state_array(mixed, 2)
+    return _bloch_overlaps(axes, *(_bloch(_qubit_density(a) if a.ndim == 1 else a.tolist())
+                                   for a in arrays))
+
+
+def _phase_average(overlaps) -> float:
+    """The mean purity bits of the N_PHASES `_bloch_overlaps` triples on the
+    phase grid `_PHASE_AXES`, their terms added by `math.fsum`."""
+    return math.fsum(bits for _, _, bits in overlaps) / N_PHASES
 
 
 def phase_averaged_purity_information(pure_rho, mixed_rho) -> float:
@@ -248,5 +269,4 @@ def phase_averaged_purity_information(pure_rho, mixed_rho) -> float:
     terms added by `math.fsum`. It raises what the per-phase loop of
     `eigen_distribution` raises.
     """
-    overlaps = _pair_overlaps(_PHASE_AXES, pure_rho, mixed_rho)
-    return math.fsum(bits for _, _, bits in overlaps) / N_PHASES
+    return _phase_average(_pair_overlaps(_PHASE_AXES, pure_rho, mixed_rho))

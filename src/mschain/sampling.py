@@ -273,7 +273,7 @@ def _frequency_report(table: BornTable, counts: np.ndarray, trials: int) -> Freq
         freq = count / trials
         chi_square += (count - trials * p) ** 2 / (trials * p)
         spread = p * (1.0 - p) / trials
-        z = (freq - p) / np.sqrt(spread) if spread > 0.0 else 0.0
+        z = (freq - p) / math.sqrt(spread) if spread > 0.0 else 0.0
         stats.append(OutcomeStat(float(v), count, freq, p, float(z)))
     dof = len(stats) - 1
     if dof < 1:

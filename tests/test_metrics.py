@@ -11,6 +11,7 @@ from mschain.chain import (
     BASIS_1,
     BASIS_2,
     Scenario,
+    _gemenge_weights,
     full_chain,
     object_detector_state,
     prepare_gemenge,
@@ -24,6 +25,7 @@ from mschain.discriminate import (
     combine_observable,
 )
 from mschain import metrics
+from mschain.cli import config_from_dict, execute
 from mschain.errors import DecompositionError, UsageError, ValidationError
 from mschain.linalg import PAULI_X, PAULI_Y, pure_density
 from mschain.metrics import (
@@ -410,6 +412,11 @@ PAIR_WEIGHTS = [0.0, 1e-15, 1e-12 * (1 - 2**-40), 1e-12 * (1 + 2**-40), 1e-6, 0.
                 1.0 - 1e-6, 1.0]
 
 
+# |a1|^2 at the edges and in the bulk, with four seeded random weights
+REPORT_WEIGHTS = [0.0, 1e-15, 1e-12, 1e-6, 0.5, 1.0 - 1e-6, 1.0,
+                  *np.random.default_rng(2028).random(4).tolist()]
+
+
 def _zero_probability_pairs(weight, phase):
     """Indices into `_report_pairs` of the pairs with a probability of at most
     1e-12 in exact arithmetic: spin x at |a1|^2 = 0.5 with a real relative phase,
@@ -485,6 +492,41 @@ class TestPairOverlaps:
         with pytest.raises((UsageError, ValidationError)) as got:
             _pair_kernel(pairs)
         _assert_same_error(got.value, expected.value)
+
+    @pytest.mark.parametrize("phase", [0.0, np.pi, 0.7, 2.5])
+    @pytest.mark.parametrize("weight", REPORT_WEIGHTS)
+    def test_report_rows_equal_the_checked_entries(self, weight, phase):
+        # the overlap report reads Bloch tuples straight off its Python-float
+        # densities; the checked entries, handed the same densities with the
+        # mixed ones as np.diag arrays, must give the same floats, bit for bit
+        a1, a2 = math.sqrt(weight), math.sqrt(1.0 - weight) * complex(math.cos(phase),
+                                                                       math.sin(phase))
+        for kind in ("pure", "gemenge"):
+            config = config_from_dict({"a1": a1, "a2": [a2.real, a2.imag],
+                                       "input_kind": kind, "trials": 1}, "overlap")
+            got = {row.label: row.value for row in execute(config).rows}
+            b1, b2 = config.scenario.a1, config.scenario.a2
+            rho_pure = metrics._qubit_density((b1, b2))
+            rho_mixed = np.diag(np.array(_gemenge_weights(b1, b2)[0], dtype=complex))
+            detector = object_detector_state(b1, b2)
+            rho_d_pure = metrics._qubit_density(detector.vector, detector.layout.dims,
+                                                detector.layout.position("D"))
+            rho_d_mixed = np.diag([abs(b1) ** 2, abs(b2) ** 2]).astype(complex)
+            alg = build_pointer_algebra()
+            spin_x, *pointer = (metrics._two_value_axis(obs) for obs in
+                                (transverse_spin(0.0), alg.q, alg.qx, alg.qy))
+            tuned = metrics._tuned_axis(rho_pure[0][1])
+            pairs = zip(("spin_x", "spin_tuned", "pointer_D", "pointer_D_x", "pointer_D_y"),
+                        [*metrics._pair_overlaps((spin_x, tuned), rho_pure, rho_mixed),
+                         *metrics._pair_overlaps(pointer, rho_d_pure, rho_d_mixed)])
+            want = {f"overlap.{name}.{field}": value for name, triple in pairs
+                    for field, value in zip(("overlap_min", "overlap_sqrt",
+                                             "purity_information_bits"), triple)}
+            want["overlap.purity_rate.pure"] = purity_report(rho_pure).r_p
+            want["overlap.purity_rate.mixed"] = purity_report(rho_mixed).r_p
+            want["overlap.purity_information.phase_averaged_bits"] = \
+                phase_averaged_purity_information(rho_pure, rho_mixed)
+            assert {label: got[label] for label in want} == want, kind
 
     @pytest.mark.parametrize("obs", [build_it_observable().observable, np.eye(2),
                                      np.diag([1.0, 1.0 + 1e-13])],

@@ -531,3 +531,29 @@ class TestInformationPattern:
         with pytest.raises(ValidationError):
             InformationPattern((float("nan"),))
 
+
+    @pytest.mark.parametrize("bad", ["a", None, 1 + 2j, True, [1.0]],
+                             ids=["str", "none", "complex", "bool", "list"])
+    def test_entry_that_is_not_a_real_number_rejected(self, bad):
+        with pytest.raises(ValidationError, match="must be a real number"):
+            InformationPattern((0.5, bad))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -np.inf, 10**400],
+                             ids=["nan", "inf", "np-minus-inf", "int-past-float-range"])
+    def test_nonfinite_entry_keeps_its_message(self, bad):
+        with pytest.raises(ValidationError, match="entries must be finite"):
+            InformationPattern((bad,))
+
+    @pytest.mark.parametrize("values", [(1, np.float64(-0.5), np.int64(2)),
+                                        np.array([1.0, -0.5, 2.0]), [1, -0.5, 2]],
+                             ids=["tuple", "array", "list"])
+    def test_entries_stored_as_a_tuple_of_floats(self, values):
+        pattern = InformationPattern(values)
+        assert pattern.values == (1.0, -0.5, 2.0)
+        assert all(type(v) is float for v in pattern.values)
+
+    def test_values_that_are_not_a_sequence_rejected(self):
+        with pytest.raises(ValidationError, match="must be a sequence of numbers, not float"):
+            InformationPattern(0.5)
+        with pytest.raises(ValidationError, match="must be nonempty"):
+            InformationPattern(np.array([]))
