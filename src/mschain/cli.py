@@ -32,14 +32,13 @@ from .chain import (
     decohere,
     full_chain,
     object_detector_state,
+    pointer_branch_amplitudes,
     premeasure_hamiltonian_fidelity,
     scenario_digest,
     statistical_restriction,
 )
 from .discriminate import (
     FeasibilityResult,
-    ITObservable,
-    build_it_observable,
     build_pointer_algebra,
     _superposition_problem,
     check_eigen_discrimination,
@@ -56,10 +55,6 @@ from .metrics import (
     _qubit_density,
     _tuned_axis,
     _two_value_axis,
-    eigen_distribution,
-    overlap_bc,
-    overlap_tv,
-    purity_information,
     transverse_spin,
 )
 from .sampling import born_report
@@ -243,8 +238,8 @@ _BASIS_NAMES_8 = tuple(
 
 
 class _Fixed(NamedTuple):
+    """The scenario-free report parts. The spin-x axis serves the interference term too."""
     axes: tuple[tuple[float, float, float], ...]  # spin x, then the detector's q, qx, qy
-    interference: ITObservable
     recognition: FeasibilityResult
     hamiltonian_fidelity: float
 
@@ -254,7 +249,7 @@ def _fixed() -> _Fixed:
     """The report parts that no scenario changes, built once per process."""
     alg = build_pointer_algebra()
     return _Fixed(tuple(map(_two_value_axis, (transverse_spin(0.0), alg.q, alg.qx, alg.qy))),
-                  build_it_observable(), check_eigen_discrimination(recognition_problem()),
+                  check_eigen_discrimination(recognition_problem()),
                   premeasure_hamiltonian_fidelity())
 
 
@@ -281,13 +276,16 @@ class _Run:
         return _observe(self.detector)
 
     @functools.cached_property
-    def gemenge(self) -> Gemenge:
-        return full_chain(Scenario(self.scenario.a1, self.scenario.a2, "gemenge"))
-
-    @property
     def model(self) -> MSState | Gemenge:
-        """The chain of the configured input kind."""
-        return self.pure if self.scenario.input_kind == "pure" else self.gemenge
+        """The chain of the configured input kind: the pure one, or the gemenge."""
+        return self.pure if self.scenario.input_kind == "pure" else full_chain(self.scenario)
+
+
+def _gated(label: str, value, expected, tol: float) -> ReportRow:
+    """A row that passes within `tol` of `expected`; ungated when `expected` is None."""
+    if expected is None:
+        return ReportRow(label, value)
+    return ReportRow(label, value, expected, bool(abs(value - expected) < tol))
 
 
 def _chain_rows(run: _Run) -> tuple[list[ReportRow], list[str]]:
@@ -309,17 +307,10 @@ def _chain_rows(run: _Run) -> tuple[list[ReportRow], list[str]]:
     expect = {("1", "1"): p1, ("2", "2"): p2, ("1", "2"): None, ("2", "1"): None}
     for (i, j), exp in expect.items():
         val = complex(restriction[int(i) - 1, int(j) - 1])
-        if exp is not None:
-            rows.append(ReportRow(
-                f"chain.restriction[O{i}][O{j}].re", float(val.real), exp,
-                bool(abs(val.real - exp) < match_tol),
-            ))
-        else:
-            rows.append(ReportRow(f"chain.restriction[O{i}][O{j}].re", float(val.real)))
+        rows.append(_gated(f"chain.restriction[O{i}][O{j}].re", float(val.real), exp, match_tol))
         rows.append(ReportRow(f"chain.restriction[O{i}][O{j}].im", float(val.imag)))
-    fidelity = _fixed().hamiltonian_fidelity
-    rows.append(ReportRow("chain.premeasure.hamiltonian_fidelity", fidelity, 1.0,
-                          bool(abs(fidelity - 1.0) < match_tol)))
+    rows.append(_gated("chain.premeasure.hamiltonian_fidelity", _fixed().hamiltonian_fidelity,
+                       1.0, match_tol))
     return rows, notes
 
 
@@ -362,8 +353,7 @@ def _overlap_pair_rows(label: str, overlaps: tuple[float, float, float], expecte
                        match_tol: float) -> list[ReportRow]:
     k_tv, k_bc, bits = overlaps
     return [
-        ReportRow(f"overlap.{label}.overlap_min", k_tv, expected_tv,
-                  None if expected_tv is None else bool(abs(k_tv - expected_tv) < match_tol)),
+        _gated(f"overlap.{label}.overlap_min", k_tv, expected_tv, match_tol),
         ReportRow(f"overlap.{label}.overlap_sqrt", k_bc),
         ReportRow(f"overlap.{label}.purity_information_bits", bits),
     ]
@@ -381,10 +371,14 @@ def _overlap_rows(run: _Run) -> tuple[list[ReportRow], list[str]]:
     gives the spin-x, tuned and phase-grid triples in one call and the
     pointer triples in another, and the purity rates take `purity_report`'s
     formula, so no BLAS kernel or SIMD loop rounds these rows.
+
+    The interference term is sigma x on the span of the branch products
+    |S1D1O1>, |S2D2O2> and 0 off it, where neither chain model has weight (for
+    the pure chain `pointer_branch_amplitudes` checks it): the spin-x pair of
+    the chain's branch-span qubit and the object's mixed density.
     """
     scenario = run.scenario
     match_tol = run.config.tolerance("match")
-    fixed = _fixed()
     a1, a2 = scenario.a1, scenario.a2
     rows: list[ReportRow] = []
     notes: list[str] = [OVERLAP_CONVENTION_NOTE]
@@ -392,26 +386,24 @@ def _overlap_rows(run: _Run) -> tuple[list[ReportRow], list[str]]:
     rho_pure = _qubit_density((a1, a2))
     w1, w2 = _gemenge_weights(a1, a2)[0]
     rho_mixed = [[w1, 0.0], [0.0, w2]]
-    pr_pure = _purity_report(rho_pure[0][1])
-    pr_mixed = _purity_report(rho_mixed[0][1])
     detector = run.detector
     rho_d_pure = _qubit_density(detector.vector, detector.layout.dims,
                                 detector.layout.position("D"))
     rho_d_mixed = [[abs(a1) ** 2, 0.0], [0.0, abs(a2) ** 2]]
-    spin_x_axis, *pointer_axes = fixed.axes
+    mixed = _bloch(rho_mixed)
+    spin_x_axis, *pointer_axes = _fixed().axes
     spin_x, spin_tuned, *phases = _bloch_overlaps(
-        (spin_x_axis, _tuned_axis(rho_pure[0][1]), *_PHASE_AXES),
-        _bloch(rho_pure), _bloch(rho_mixed))
+        (spin_x_axis, _tuned_axis(rho_pure[0][1]), *_PHASE_AXES), _bloch(rho_pure), mixed)
     pointer = _bloch_overlaps(pointer_axes, _bloch(rho_d_pure), _bloch(rho_d_mixed))
 
     # spin x: the pure distribution is (1 -+ 2 Re(a1 a2*)) / 2, the mixed one (1/2, 1/2)
-    rows += _overlap_pair_rows("spin_x", spin_x, 1.0 - abs((a1 * a2.conjugate()).real),
-                               match_tol)
+    expected_x = 1.0 - abs((a1 * a2.conjugate()).real)
+    rows += _overlap_pair_rows("spin_x", spin_x, expected_x, match_tol)
     rows += _overlap_pair_rows("spin_tuned", spin_tuned, 1.0 - abs(a1) * abs(a2), match_tol)
-    rows.append(ReportRow("overlap.purity_rate.pure", pr_pure.r_p, 2.0 * abs(a1) * abs(a2),
-                          bool(abs(pr_pure.r_p - 2.0 * abs(a1) * abs(a2)) < match_tol)))
-    rows.append(ReportRow("overlap.purity_rate.mixed", pr_mixed.r_p, 0.0,
-                          bool(abs(pr_mixed.r_p) < match_tol)))
+    rows.append(_gated("overlap.purity_rate.pure", _purity_report(rho_pure[0][1]).r_p,
+                       2.0 * abs(a1) * abs(a2), match_tol))
+    rows.append(_gated("overlap.purity_rate.mixed", _purity_report(rho_mixed[0][1]).r_p, 0.0,
+                       match_tol))
     rows.append(ReportRow("overlap.purity_information.phase_averaged_bits",
                           _phase_average(phases)))
     notes.append("the phase-averaged purity information row is a package-defined "
@@ -419,14 +411,10 @@ def _overlap_rows(run: _Run) -> tuple[list[ReportRow], list[str]]:
     for name, overlaps in zip(("pointer_D", "pointer_D_x", "pointer_D_y"), pointer):
         rows += _overlap_pair_rows(name, overlaps, 1.0, match_tol)
 
-    w_ms = run.gemenge
-    if len(w_ms.branches) > 1:
-        expected_b = 1.0 - abs((a1 * a2.conjugate()).real)
-        it = fixed.interference.observable
-        w_pure, w_mixed = eigen_distribution(run.pure, it), eigen_distribution(w_ms.density(), it)
-        k_tv = overlap_tv(w_pure, w_mixed)
-        interference = (k_tv, overlap_bc(w_pure, w_mixed), purity_information(k_tv))
-        rows += _overlap_pair_rows("interference_full", interference, expected_b, match_tol)
+    if w1 > 0.0 and w2 > 0.0:  # the gemenge keeps both branches
+        branch_span = _bloch(_qubit_density(pointer_branch_amplitudes(run.pure)))
+        (interference,) = _bloch_overlaps((spin_x_axis,), branch_span, mixed)
+        rows += _overlap_pair_rows("interference_full", interference, expected_x, match_tol)
     else:
         notes.append("interference overlap skipped: one amplitude vanishes, so the "
                      "mixture coincides with the pure chain state")
@@ -468,9 +456,11 @@ def _decohere_rows(run: _Run) -> tuple[list[ReportRow], list[str]]:
     coherent = abs(cross) > COHERENCE_FLOOR
     for n, result in enumerate(decohere(ms, scenario.n_env, eps)):
         law = float(eps) ** n if n > 0 else 1.0
-        rows.append(ReportRow(f"decohere.coherence_factor[{n}]", result.coherence_factor,
-                              law, bool(abs(result.coherence_factor - law) < match_tol)))
+        rows.append(_gated(f"decohere.coherence_factor[{n}]", result.coherence_factor, law,
+                           match_tol))
         if coherent:
+            # gated on the complex ratio, not on the real part it prints: `_gated` on
+            # the printed value would pass an imaginary part of any size
             measured = complex(result.reduced_ms[0, 7]) / cross
             rows.append(ReportRow(f"decohere.offdiag_scale[{n}]", float(measured.real),
                                   law, bool(abs(measured - law) < match_tol)))

@@ -239,13 +239,16 @@ def _dependence_forced_pairs(states):
 def check_eigen_discrimination(problem: DiscriminationProblem) -> FeasibilityResult:
     """Decide whether any Hermitian operator realizes the eigenvalue pattern.
 
-    Feasible verdicts come with an explicit witness operator built from
-    projectors onto the merged-class spans, with consecutive integer
-    eigenvalues; infeasible verdicts come with the forced-equality chains that
-    collapse two required-distinct groups. Memory is O(dim * states) when
-    infeasible; a feasible verdict peaks at three dense dim x dim complex arrays
-    (48 B * dim**2: the witness, and the conjugate copy and difference of
-    `HermitianObservable`'s check), 806 MB at dim 4096.
+    Feasible verdicts come with an explicit witness for eigenvalues g_k, the
+    index of state k's class: the Hermitian G of least sum_k ||G phi_k - g_k phi_k||^2
+    (`_span_solution`), the sum of g times each class's projector when the
+    class spans are orthogonal. A residual over WITNESS_TOL raises RuntimeError,
+    which needs every Hermitian operator with these eigenvalues to miss a state
+    by more than WITNESS_TOL / sqrt(states). Infeasible verdicts come with the
+    forced-equality chains that collapse two required-distinct groups. Memory
+    is O(dim * states) when infeasible; a feasible verdict peaks at three dense
+    dim x dim complex arrays (48 B * dim**2: the witness, and the conjugate copy
+    and difference of `HermitianObservable`'s check), 806 MB at dim 4096.
     """
     states = problem.states
     m = len(states)
@@ -270,14 +273,12 @@ def check_eigen_discrimination(problem: DiscriminationProblem) -> FeasibilityRes
         record(MergeEvidence("dependence", j, k, dep_detail))
 
     # merge classes, numbered in the order of their lowest member
-    classes: list[list[int]] = []
     class_of = [-1] * m
     for i in range(m):
         if class_of[i] < 0:
-            members = sorted(_search(adjacency, i))
-            for j in members:
-                class_of[j] = len(classes)
-            classes.append(members)
+            label = max(class_of) + 1
+            for j in _search(adjacency, i):
+                class_of[j] = label
 
     conflicts = []
     groups = problem.distinct_groups
@@ -289,12 +290,8 @@ def check_eigen_discrimination(problem: DiscriminationProblem) -> FeasibilityRes
         return FeasibilityResult("INFEASIBLE", certificate=tuple(conflicts))
 
     assignment = np.array(class_of, dtype=float)  # each class's index is its value
-    witness = np.zeros((problem.space_dim, problem.space_dim), dtype=complex)
-    for value, members in enumerate(classes):
-        span = np.column_stack([states[i] for i in members])
-        u, s, _ = np.linalg.svd(span, full_matrices=False)
-        basis = u[:, s > OVERLAP_TOL * s[0]]
-        witness += float(value) * (basis @ basis.conj().T)
+    u, _, vh, weight = _span_solution(states)
+    witness = (u @ (weight * ((vh * assignment) @ vh.conj().T))) @ u.conj().T
 
     for i, phi in enumerate(states):
         residual = np.linalg.norm(witness @ phi - assignment[i] * phi)
@@ -304,6 +301,17 @@ def check_eigen_discrimination(problem: DiscriminationProblem) -> FeasibilityRes
             )
     obs = HermitianObservable(witness)
     return FeasibilityResult("FEASIBLE", witness=(obs, tuple(float(v) for v in assignment)))
+
+
+def _span_solution(states):
+    """The thin SVD [phi_1 ... phi_m] = u diag(s) vh and the weights 2 s_a s_b /
+    (s_a^2 + s_b^2), 0 where both are 0. The Hermitian G of least squared residuals
+    for eigenvalues g is u (weight * (vh diag(g) vh^dagger)) u^dagger, as
+    `numeric_feasibility_oracle` derives."""
+    u, s, vh = np.linalg.svd(np.column_stack(states), full_matrices=False)
+    s_sq = np.square(s)
+    den = s_sq[:, None] + s_sq
+    return u, s, vh, np.divide(2 * np.outer(s, s), den, out=np.zeros_like(den), where=den > 0)
 
 
 def _search(adjacency, start: int) -> dict[int, tuple[int, MergeEvidence] | None]:
@@ -449,11 +457,8 @@ def numeric_feasibility_oracle(problem: DiscriminationProblem, eigenvalue_grid):
             f"oracle of {count} assignments of {m} states in a span of dim {span_dim} needs "
             f"{entries} entries in one array, over the maximum of {MAX_ORACLE_ENTRIES}")
 
-    _, s, vh = np.linalg.svd(np.column_stack(problem.states), full_matrices=False)
+    _, s, vh, weight = _span_solution(problem.states)
     w = s[:, None] * vh  # column k: the coordinates c_k of state k
-    s_sq = np.square(s)
-    den = s_sq[:, None] + s_sq
-    weight = np.divide(2 * np.outer(s, s), den, out=np.zeros_like(den), where=den > 0)
     # p[j, a, k] = (B_j c_k - [j = k] c_k)[a], with B_j c_k = vh[:, j] * (weight @ (vh[:, j]^* * c_k))
     p = weight @ (vh.conj().T[:, :, None] * w)
     p *= vh.T[:, :, None]

@@ -19,7 +19,8 @@ axis, with the checks of `EigenDistribution` and `purity_information`, so no
 BLAS, LAPACK or SIMD rounding reaches them. `_pair_overlaps`,
 `phase_averaged_purity_information` and `purity_report` check and convert
 their input once, then apply the kernel or formula the overlap report
-applies to the tuples it builds itself.
+applies to the tuples it builds itself. The report's 8-dim interference term,
+sigma x on the span of the chain's two branch products, is one more such pair.
 
 A public function checks a state it is handed once, on entry: finite
 entries, then shape.

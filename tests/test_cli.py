@@ -4,6 +4,7 @@ import io
 import json
 import math
 import random
+import sys
 import tracemalloc
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from mschain import chain, cli, discriminate, sampling
+from mschain import chain, cli, discriminate, metrics, sampling
 from mschain.cli import (
     Report,
     ReportRow,
@@ -266,6 +267,24 @@ def count_chain_stages(monkeypatch) -> list[str]:
 PURE_STAGES = ["S->D", "D->O"]
 
 
+def count_code_calls(functions, action) -> list[int]:
+    """How often `action()` enters each of `functions`, by code object, so a call
+    through any name or module counts."""
+    codes = [f.__code__ for f in functions]
+    counts = [0] * len(codes)
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            counts[codes.index(frame.f_code)] += 1
+
+    sys.setprofile(profile)
+    try:
+        action()
+    finally:
+        sys.setprofile(None)
+    return counts
+
+
 def _valid_all_fields(rng: random.Random) -> dict:
     """A random valid `all` config: |a1|^2 uniform or log-uniform down to 1e-15 from
     either end, random phases on both amplitudes, either input kind, n_env 0-4."""
@@ -324,12 +343,26 @@ class TestRunContext:
         first = run(command, **fields)
         calls = count_chain_stages(monkeypatch)
         assert run(command, **fields) == first
-        # overlap compares the pure chain with the gemenge, so it needs both; every
-        # other command builds one chain at most: the pure one's two stages or the gemenge
-        if command == "overlap":
-            assert sorted(calls) == sorted(PURE_STAGES + ["gemenge"])
-        else:
-            assert sorted(calls) in ([], sorted(PURE_STAGES), ["gemenge"])
+        # one chain: the gemenge for a gemenge input's chain and born rows, else the
+        # pure one's two stages; overlap reads the pure chain's branch-span qubit
+        reads_model = command in ("chain", "born")
+        assert calls == (["gemenge"] if reads_model and kind == "gemenge" else PURE_STAGES)
+
+    @pytest.mark.parametrize("kind", ["pure", "gemenge"])
+    @pytest.mark.parametrize("command", ["overlap", "all"])
+    def test_overlap_takes_no_eigen_path(self, command, kind):
+        # every overlap row comes from the two-value kernel: no report calls
+        # eigen_distribution or forms a gemenge's dense density
+        watched = (metrics.eigen_distribution, chain.Gemenge.density)
+        fields = dict(a1=0.6, a2=0.8, input_kind=kind, n_env=1, env_overlap=0.5)
+        reports = []
+        assert count_code_calls(watched, lambda: reports.append(run(command, **fields))) == [0, 0]
+        assert "overlap.interference_full.overlap_min" in rows_by_label(reports[0])
+        # the counter sees both on the row's reference path
+        gemenge = chain.full_chain(chain.Scenario(0.6, 0.8, "gemenge"))
+        it = discriminate.build_it_observable().observable
+        assert count_code_calls(watched, lambda: metrics.eigen_distribution(
+            gemenge.density(), it)) == [1, 1]
 
     def test_gemenge_input_reports_the_gemenge_chain(self):
         rows = rows_by_label(run("chain", a1=0.6, a2=0.8, input_kind="gemenge"))

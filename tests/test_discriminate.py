@@ -334,6 +334,81 @@ class TestFeasibleWitnessMemory:
         assert peak < 3 * 16 * dim * dim + 2**20
 
 
+def _near_repeat_problem(leak: float, step: float) -> DiscriminationProblem:
+    """e0 in one group and e1 in another, with b = e1 + leak e0 + step e2
+    (normalized) free. b's overlap with e0 stays under OVERLAP_TOL, so b joins
+    e1's class, whose span has the relative singular value of about step / 2 in
+    the direction of b - e1."""
+    e = np.eye(3, dtype=complex)
+    b = e[1] + leak * e[0] + step * e[2]
+    return DiscriminationProblem(3, (e[0], e[1], b / np.linalg.norm(b)), ((0,), (1,)))
+
+
+def _repeat_pair_problem(step: float) -> DiscriminationProblem:
+    """Three groups of e0, e1 and {e2, e2 + step e3} (normalized): the near-repeat
+    pair is the class of value 2."""
+    e = np.eye(4, dtype=complex)
+    c = e[2] + step * e[3]
+    return DiscriminationProblem(4, (e[0], e[1], e[2], c / np.linalg.norm(c)),
+                                 ((0,), (1,), (2, 3)))
+
+
+class TestFeasibleWitness:
+    """FEASIBLE problems on which a projector-sum witness with a rank cut on each
+    class span fails. Cut at OVERLAP_TOL * s[0], it keeps the direction of b - e1,
+    10% along e0 at step 5e-10. Cut at WITNESS_TOL * s[0], it keeps that direction
+    past step 2e-9, and drops the repeat pair's direction at step 1.5e-9, missing
+    the class of value 2 by step. The least-squares witness has no cut.
+    """
+
+    @staticmethod
+    def _assert_witnessed(problem):
+        result = check_eigen_discrimination(problem)
+        assert result.verdict == "FEASIBLE"
+        obs, assignment = result.witness
+        for phi, g in zip(problem.states, assignment):
+            assert np.linalg.norm(obs.matrix @ phi - g * phi) <= discriminate.WITNESS_TOL
+        residual, _ = numeric_feasibility_oracle(problem, (0.0, 1.0, 2.0, 3.0))
+        assert residual < 1e-6
+
+    @pytest.mark.parametrize("leak,step,cut_side", [
+        (5e-11, 5e-10, "between"),  # the reduced problem: 2.5e-10, between the two cuts
+        (5e-11, 1.9e-9, "between"),
+        (5e-11, 2.1e-9, "over"),
+        (5e-11, 1e-6, "over"),
+        (1e-18, 2.1e-9, "over"),
+    ])
+    def test_near_repeat_beside_another_class(self, leak, step, cut_side):
+        problem = _near_repeat_problem(leak, step)
+        s = np.linalg.svd(np.column_stack(problem.states[1:]), compute_uv=False)
+        rel = s[1] / s[0]
+        assert rel > discriminate.OVERLAP_TOL
+        assert (rel > discriminate.WITNESS_TOL) == (cut_side == "over")
+        self._assert_witnessed(problem)
+
+    @pytest.mark.parametrize("step", [1e-10, 1.5e-9, 1.9e-9, 2.1e-9])
+    def test_near_repeat_pair_of_value_two(self, step):
+        self._assert_witnessed(_repeat_pair_problem(step))
+
+    def test_planted_problem_7_2791(self):
+        rng = np.random.default_rng(7)
+        for _ in range(2792):
+            problem = planted_problem(rng)
+        self._assert_witnessed(problem)
+
+    @pytest.mark.parametrize("seed", [43, 44, 45])
+    def test_projector_sum_on_orthogonal_classes(self, seed):
+        # classes {0, 1} and {2} of orthonormal columns, with state 1 a mix of two
+        # columns: the witness is 0 on the first class's span and 1 on the second
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
+        mixed = (q[:, 0] + 2j * q[:, 3]) / math.sqrt(5)
+        problem = DiscriminationProblem(5, (q[:, 0], mixed, q[:, 2]), ((0, 1), (2,)))
+        obs, assignment = check_eigen_discrimination(problem).witness
+        assert assignment == (0.0, 0.0, 1.0)
+        assert_allclose(obs.matrix, np.outer(q[:, 2], q[:, 2].conj()), atol=1e-15)
+
+
 class TestVerifyCertificateRejects:
     """Each tampered certificate fails the one check it breaks; the untampered one passes."""
 

@@ -14,6 +14,7 @@ from mschain.chain import (
     _gemenge_weights,
     full_chain,
     object_detector_state,
+    pointer_branch_amplitudes,
     prepare_gemenge,
     prepare_object_state,
     statistical_restriction,
@@ -498,7 +499,13 @@ class TestPairOverlaps:
     def test_report_rows_equal_the_checked_entries(self, weight, phase):
         # the overlap report reads Bloch tuples straight off its Python-float
         # densities; the checked entries, handed the same densities with the
-        # mixed ones as np.diag arrays, must give the same floats, bit for bit
+        # mixed ones as np.diag arrays, must give the same floats, bit for bit.
+        # The interference term is the spin-x pair of the chain's branch-span
+        # qubit; it must also agree, within 2e-15, with the 8-dim reference path:
+        # `eigen_distribution` of the interference-term observable on the pure
+        # chain and on the gemenge's density
+        it = build_it_observable().observable
+        fields = ("overlap_min", "overlap_sqrt", "purity_information_bits")
         a1, a2 = math.sqrt(weight), math.sqrt(1.0 - weight) * complex(math.cos(phase),
                                                                        math.sin(phase))
         for kind in ("pure", "gemenge"):
@@ -516,12 +523,24 @@ class TestPairOverlaps:
             spin_x, *pointer = (metrics._two_value_axis(obs) for obs in
                                 (transverse_spin(0.0), alg.q, alg.qx, alg.qy))
             tuned = metrics._tuned_axis(rho_pure[0][1])
-            pairs = zip(("spin_x", "spin_tuned", "pointer_D", "pointer_D_x", "pointer_D_y"),
-                        [*metrics._pair_overlaps((spin_x, tuned), rho_pure, rho_mixed),
-                         *metrics._pair_overlaps(pointer, rho_d_pure, rho_d_mixed)])
-            want = {f"overlap.{name}.{field}": value for name, triple in pairs
-                    for field, value in zip(("overlap_min", "overlap_sqrt",
-                                             "purity_information_bits"), triple)}
+            names = ["spin_x", "spin_tuned", "pointer_D", "pointer_D_x", "pointer_D_y"]
+            triples = [*metrics._pair_overlaps((spin_x, tuned), rho_pure, rho_mixed),
+                       *metrics._pair_overlaps(pointer, rho_d_pure, rho_d_mixed)]
+            pure, gemenge = (full_chain(Scenario(b1, b2, k)) for k in ("pure", "gemenge"))
+            both = len(gemenge.branches) == 2
+            if both:
+                names.append("interference_full")
+                branch_span = np.array(pointer_branch_amplitudes(pure))
+                triples += metrics._pair_overlaps((spin_x,), branch_span, rho_mixed)
+                w_pure = eigen_distribution(pure, it)
+                w_mixed = eigen_distribution(gemenge.density(), it)
+                k_tv = overlap_tv(w_pure, w_mixed)
+                reference = (k_tv, overlap_bc(w_pure, w_mixed), purity_information(k_tv))
+                row = [got[f"overlap.interference_full.{field}"] for field in fields]
+                assert np.max(np.abs(np.array(row) - reference)) <= 2e-15, kind
+            assert both == ("overlap.interference_full.overlap_min" in got), kind
+            want = {f"overlap.{name}.{field}": value for name, triple in zip(names, triples)
+                    for field, value in zip(fields, triple)}
             want["overlap.purity_rate.pure"] = purity_report(rho_pure).r_p
             want["overlap.purity_rate.mixed"] = purity_report(rho_mixed).r_p
             want["overlap.purity_information.phase_averaged_bits"] = \
