@@ -36,7 +36,6 @@ from .linalg import (
     _kept_positions,
     _kron,
     _kron_rows,
-    _require_unit_norm,
     hermitian_part,
     pure_density,
     unitary_exp,
@@ -223,7 +222,12 @@ def _born_table(weights: list[float], outcome) -> BornTable:
 
 @dataclass(frozen=True)
 class MSState:
-    """A pure state of the composite chain together with its factor layout."""
+    """A pure state of the composite chain together with its factor layout.
+
+    The one way to make a state, for a foreign vector and for every state the
+    package builds: the vector must have finite entries, a nonempty 1-d shape,
+    unit norm within NORM_TOL and the layout's total dimension.
+    """
 
     vector: np.ndarray
     layout: TensorLayout
@@ -235,19 +239,6 @@ class MSState:
             raise ValidationError(
                 f"vector dim {vec.shape[0]} does not match layout dim {self.layout.total_dim}"
             )
-
-    @classmethod
-    def _built(cls, vector: np.ndarray, layout: TensorLayout) -> "MSState":
-        """A state the package built from checked vectors by norm-preserving steps.
-
-        The layout matches by construction, and the vector skips the
-        conversion and finiteness pass of the public constructor. Its unit
-        norm is still checked, which a NaN or Inf entry fails.
-        """
-        state = object.__new__(cls)
-        object.__setattr__(state, "vector", _require_unit_norm(vector))
-        object.__setattr__(state, "layout", layout)
-        return state
 
     @property
     def dim(self) -> int:
@@ -373,8 +364,12 @@ def prepare_object_state(a1: complex, a2: complex) -> np.ndarray:
 
 
 def prepare_gemenge(a1: complex, a2: complex) -> Gemenge:
-    """Mixture of the object eigenstates with the squared-modulus probabilities."""
-    return _gemenge(a1, a2, tuple(MSState._built(basis.copy(), _OBJECT_LAYOUT)
+    """Mixture of the object eigenstates with the squared-modulus probabilities.
+
+    The amplitudes are checked on entry, as `prepare_object_state` checks them.
+    """
+    prepare_object_state(a1, a2)
+    return _gemenge(a1, a2, tuple(MSState(basis.copy(), _OBJECT_LAYOUT)
                                   for basis in (BASIS_1, BASIS_2)))
 
 
@@ -384,8 +379,8 @@ def _gemenge_weights(a1: complex, a2: complex) -> tuple[tuple[float, float], tup
     A weight |a_k|^2 below BRANCH_PROB_FLOOR, the one floor a gemenge's
     branches pass, becomes 0 with a note, and the kept weights are divided by
     their sum. The mixture's object density is the diagonal of the two weights.
+    The amplitudes come checked: a `Scenario`'s, or those `prepare_gemenge` checked.
     """
-    validate_state_vector(np.array([a1, a2], dtype=complex))
     notes = []
     weights = []
     for p, which in ((abs(a1) ** 2, "first"), (abs(a2) ** 2, "second")):
@@ -409,7 +404,7 @@ def _gemenge(a1: complex, a2: complex, states: tuple[MSState, MSState]) -> Gemen
 def _attach(state: MSState, label: str, factor: np.ndarray) -> MSState:
     """Tensor a fresh factor, in a pure state the package has checked, onto the right."""
     vec = _kron(state.vector, factor)
-    return MSState._built(vec, state.layout.extended(label, factor.shape[0]))
+    return MSState(vec, state.layout.extended(label, factor.shape[0]))
 
 
 def premeasure(state: MSState, control: str, apparatus: str) -> MSState:
@@ -448,7 +443,7 @@ def premeasure(state: MSState, control: str, apparatus: str) -> MSState:
     np.subtract(flat[0::2], flat[1::2], out=block[1:3])
     block *= _H
     tensor = block.reshape(moved.shape).transpose(sorted(range(len(perm)), key=perm.__getitem__))
-    return MSState._built(tensor.reshape(-1), layout)
+    return MSState(tensor.reshape(-1), layout)
 
 
 def full_chain(scenario: Scenario):
@@ -465,7 +460,7 @@ def full_chain(scenario: Scenario):
 
 
 def _object_ms(a1: complex, a2: complex) -> MSState:
-    return MSState._built(prepare_object_state(a1, a2), _OBJECT_LAYOUT)
+    return MSState(np.array([a1, a2], dtype=complex), _OBJECT_LAYOUT)
 
 
 def _detect(state: MSState) -> MSState:
@@ -488,7 +483,7 @@ def _basis_chains() -> tuple[MSState, MSState]:
     """The chains of BASIS_1 and BASIS_2, the two branch products, built once per
     process with read-only vectors: every chained gemenge and every no-go
     problem shares them, and each one's `pointer_value` is found once."""
-    chains = tuple(_observe(_detect(MSState._built(basis.copy(), _OBJECT_LAYOUT)))
+    chains = tuple(_observe(_detect(MSState(basis.copy(), _OBJECT_LAYOUT)))
                    for basis in (BASIS_1, BASIS_2))
     for state in chains:
         state.vector.flags.writeable = False
@@ -555,9 +550,9 @@ class DecoherenceResult:
     @functools.cached_property
     def state(self) -> MSState:
         """The enlarged state over the chain's factors and E1..En, built on first
-        read with `MSState._built`'s unit-norm check and kept."""
+        read through the `MSState` constructor's checks and kept."""
         extra = tuple((f"E{k}", 2) for k in range(1, self.m.shape[1].bit_length()))
-        return MSState._built(self.m.reshape(-1), TensorLayout(self.chain_layout.factors + extra))
+        return MSState(self.m.reshape(-1), TensorLayout(self.chain_layout.factors + extra))
 
 
 def decohere(state: MSState, n_env: int, eps: float) -> tuple[DecoherenceResult, ...]:

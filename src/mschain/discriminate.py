@@ -44,7 +44,7 @@ import numpy as np
 from .chain import (BASIS_1, BASIS_2, MSState, Scenario, _basis_chains, _require_count,
                     _require_number, full_chain)
 from .errors import CapacityError, ValidationError
-from .linalg import HermitianObservable, validate_state_vector
+from .linalg import HermitianObservable, as_complex_array, validate_state_vector
 
 OVERLAP_TOL = 1e-10
 WITNESS_TOL = 1e-9
@@ -354,22 +354,28 @@ def verify_certificate(problem: DiscriminationProblem, result: FeasibilityResult
     must walk from a member of `group_a` to a member of `group_b`: each piece
     of evidence joins, in either order, the state reached so far to the next
     one, and holds on the problem's states. A state or group index that is
-    not an integer in range fails the check.
+    not an integer in range fails the check, and so do a certificate or chain
+    that is not a tuple, an entry that is not a ForcedEquality or MergeEvidence,
+    and dependence coefficients that are not rows of finite numbers, one per
+    state: a malformed certificate reads False, not an exception.
     """
-    if not result.certificate:  # none, or an empty one, proves nothing
-        return False
+    if not isinstance(result.certificate, tuple) or not result.certificate:
+        return False  # none, or an empty one, proves nothing
     states = problem.states
     groups = problem.distinct_groups
     dep_pairs = None  # the dependence analysis, on the first dependence evidence
     for forced in result.certificate:
+        if not (isinstance(forced, ForcedEquality) and isinstance(forced.chain, tuple)
+                and forced.chain):
+            return False
         ga, gb = forced.group_a, forced.group_b
-        if (not forced.chain or ga == gb
-                or not (_is_index(ga, len(groups)) and _is_index(gb, len(groups)))):
+        if not (_is_index(ga, len(groups)) and _is_index(gb, len(groups))) or ga == gb:
             return False
         # every state a walk along the chain so far can have reached
         reached = set(groups[ga])
         for ev in forced.chain:
-            if not (_is_index(ev.i, len(states)) and _is_index(ev.j, len(states))):
+            if not (isinstance(ev, MergeEvidence)
+                    and _is_index(ev.i, len(states)) and _is_index(ev.j, len(states))):
                 return False
             reached = {ev.j if k == ev.i else ev.i for k in reached if k in (ev.i, ev.j)}
             if not reached:
@@ -378,11 +384,15 @@ def verify_certificate(problem: DiscriminationProblem, result: FeasibilityResult
                 if abs(np.vdot(states[ev.i], states[ev.j])) <= OVERLAP_TOL:
                     return False
             elif ev.kind == "dependence":
-                for coeffs in ev.detail:
-                    if len(coeffs) != len(states):
-                        return False
+                try:
+                    rows = as_complex_array(ev.detail)
+                except ValidationError:
+                    return False
+                if rows.ndim != 2 or rows.shape[1] != len(states):
+                    return False
+                for coeffs in rows:
                     combo = sum(c * states[k] for k, c in enumerate(coeffs))
-                    if np.linalg.norm(combo) > DEPENDENCE_TOL:
+                    if not np.linalg.norm(combo) <= DEPENDENCE_TOL:  # a NaN fails it
                         return False
                 if dep_pairs is None:
                     dep_pairs, _ = _dependence_forced_pairs(states)

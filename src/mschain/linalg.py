@@ -54,16 +54,7 @@ def _vector_array(v) -> np.ndarray:
 
 def validate_state_vector(v) -> np.ndarray:
     """Check unit norm within NORM_TOL and return the vector as a complex array."""
-    return _require_unit_norm(_vector_array(v))
-
-
-def _require_unit_norm(vec: np.ndarray) -> np.ndarray:
-    """Check the norm of a nonempty 1-d complex array; a NaN or Inf entry fails too.
-
-    The squared norm sums |entry|**2 >= 0, so it is finite exactly when every
-    entry is: a vector the package built needs this one test, not the
-    conversion and finiteness pass of `as_complex_array`.
-    """
+    vec = _vector_array(v)
     norm_sq = float(np.vdot(vec, vec).real)
     if not abs(norm_sq - 1.0) <= NORM_TOL:
         raise ValidationError(
@@ -228,12 +219,7 @@ def _group_sorted_desc(values: np.ndarray) -> tuple[tuple[float, tuple[int, ...]
 
 def eig_hermitian(h) -> SpectralDecomposition:
     """Spectral decomposition with eigenvalues sorted descending and grouped."""
-    return _eig_checked(require_hermitian(h))
-
-
-def _eig_checked(mat: np.ndarray) -> SpectralDecomposition:
-    """`eig_hermitian` of a matrix that `require_hermitian` has already returned."""
-    vals, vecs = np.linalg.eigh(hermitian_part(mat))
+    vals, vecs = np.linalg.eigh(hermitian_part(require_hermitian(h)))
     order = np.argsort(vals)[::-1]
     vals = vals[order]
     vecs = vecs[:, order]
@@ -282,7 +268,7 @@ class HermitianObservable:
 
     @functools.cached_property
     def spectral(self) -> SpectralDecomposition:
-        return _eig_checked(self.matrix)  # checked by the constructor
+        return eig_hermitian(self.matrix)
 
     @functools.cached_property
     def blocks(self) -> tuple[tuple[float, np.ndarray, np.ndarray], ...]:

@@ -58,13 +58,13 @@ OVERLAP_RANGE_TOL = 1e-12
 def _check_probabilities(probs) -> None:
     """Raise ValidationError unless the probabilities lie in [0, 1] and sum to 1.
 
-    Both hold within PROBABILITY_TOL.
+    Both hold within PROBABILITY_TOL; each check is written so that a NaN fails it.
     """
     for p in probs:  # a loop, not any(...): no generator on this per-distribution path
-        if p < -PROBABILITY_TOL or p > 1 + PROBABILITY_TOL:
+        if not -PROBABILITY_TOL <= p <= 1 + PROBABILITY_TOL:
             raise ValidationError("probabilities must lie in [0, 1]")
     total = sum(probs, 0.0)
-    if abs(total - 1.0) > PROBABILITY_TOL:
+    if not abs(total - 1.0) <= PROBABILITY_TOL:
         raise ValidationError(f"probabilities sum to {total!r}, not 1")
 
 
@@ -76,7 +76,7 @@ class EigenDistribution:
 
     def __post_init__(self):
         values = [v for v, _ in self.entries]
-        if any(b <= a for a, b in zip(values, values[1:])):
+        if not all(a < b for a, b in zip(values, values[1:])):  # a NaN fails it
             raise ValidationError("eigenvalues must be strictly increasing")
         _check_probabilities([float(p) for _, p in self.entries])
 

@@ -140,15 +140,16 @@ class TestExecute:
             assert scale.passed
 
     def test_decohere_report_builds_no_enlarged_state(self, monkeypatch):
-        # the rows read each entry's coherence factor and reduced chain state only
+        # the rows read each entry's coherence factor and reduced chain state only;
+        # every MSState, built by the package or handed in, passes its __post_init__
         built = []
-        original = chain.MSState._built.__func__
+        original = chain.MSState.__post_init__
 
-        def counted(cls, vector, layout):
-            built.append(vector.shape[0])
-            return original(cls, vector, layout)
+        def counted(self):
+            original(self)
+            built.append(self.dim)
 
-        monkeypatch.setattr(chain.MSState, "_built", classmethod(counted))
+        monkeypatch.setattr(chain.MSState, "__post_init__", counted)
         report = run("decohere", a1=0.6, a2=0.8, env_overlap=0.5, n_env=9)
         assert rows_by_label(report)["decohere.offdiag_scale[9]"].passed
         assert built and max(built) == 8

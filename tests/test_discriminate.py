@@ -516,6 +516,41 @@ class TestVerifyCertificateRejects:
         problem = superposition_discrimination_problem(SYM, SYM)
         assert not self._tampered(problem, ForcedEquality(0, 1, (MergeEvidence("guess", 0, 1),)))
 
+    # malformed evidence reads False, never an exception; (1.0, 2.0, 3.0) is
+    # well formed but does not vanish, so it reads False at every step too
+
+    @pytest.mark.parametrize("detail", [
+        ((math.nan, math.nan, math.nan),),
+        ((1.0, math.inf, 0.0),),
+        ((1.0, 2.0, 3.0),),
+        (5,),
+        5,
+        (("a", "b", "c"),),
+        ((1.0, 2.0, 3.0), (1.0, 2.0)),
+        (),
+        None,
+    ], ids=["nan", "inf", "nonzero", "int-row", "scalar", "strings", "ragged", "empty", "none"])
+    def test_malformed_dependence_detail(self, detail):
+        problem = superposition_discrimination_problem(0.6, 0.8)
+        assert not self._tampered(problem, ForcedEquality(1, 2, (
+            MergeEvidence("dependence", 1, 2, detail),)))
+
+    @pytest.mark.parametrize("certificate", [
+        (None,),
+        (ForcedEquality(1, 2, (None,)),),
+        (ForcedEquality(1, 2, (MergeEvidence("overlap", 0, 1), None)),),
+        (ForcedEquality(1, 2, None),),
+        (ForcedEquality(1, 2, 5),),
+        (ForcedEquality(1, 2, [MergeEvidence("overlap", 0, 1), MergeEvidence("overlap", 0, 2)]),),
+        5,
+        [ForcedEquality(1, 2, (MergeEvidence("overlap", 0, 1), MergeEvidence("overlap", 0, 2)))],
+    ], ids=["none-entry", "none-evidence", "none-after-evidence", "none-chain", "int-chain",
+            "list-chain", "int-certificate", "list-certificate"])
+    def test_malformed_entries(self, certificate):
+        problem = superposition_discrimination_problem(0.6, 0.8)
+        assert not verify_certificate(problem, FeasibilityResult("INFEASIBLE",
+                                                                 certificate=certificate))
+
 
 class TestOracle:
     def test_feasible_orthogonal(self):

@@ -4,6 +4,7 @@ public function or class has a user: package code outside its own
 definition, an acceptance criterion or the benchmark. Every function the
 benchmark's tracer wraps is still a function of its layer. `np.kron` is
 called only inside `linalg._kron`, the package's one tensor-product kernel.
+No module makes an instance through `object.__new__`, past its constructor's checks.
 And every float literal below 1e-3 in magnitude, a tolerance in all but
 name, sits in a module-level assignment that names it.
 
@@ -120,6 +121,15 @@ def test_np_kron_only_inside_linalg_kron(path):
         allowed = set(_kron_calls(kernel))
     stray = sorted(set(_kron_calls(tree)) - allowed)
     assert not stray, f"{path.name} calls np.kron outside linalg._kron at lines {stray}"
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_constructor_is_bypassed(path):
+    # a value is checked by its type's constructor; `object.__new__` makes one unchecked
+    bypass = sorted(node.lineno for node in ast.walk(TREES[path.name])
+                    if isinstance(node, ast.Attribute) and node.attr == "__new__"
+                    and isinstance(node.value, ast.Name) and node.value.id == "object")
+    assert not bypass, f"{path.name} calls object.__new__ at lines {bypass}"
 
 
 def _unnamed_small_floats(tree: ast.Module) -> list[tuple[int, float]]:

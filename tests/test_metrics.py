@@ -85,6 +85,24 @@ class TestEigenDistribution:
         with pytest.raises(ValidationError):
             EigenDistribution(((0.0, 0.7), (1.0, 0.7)))
 
+    @pytest.mark.parametrize("entries", [
+        ((0.0, math.nan), (1.0, 1.0)),
+        ((0.0, 1.0), (1.0, math.nan)),
+        ((0.0, math.nan),),
+        ((math.nan, 0.5), (1.0, 0.5)),
+        ((0.0, 0.5), (math.nan, 0.5)),
+    ])
+    def test_nan_fails_every_check(self, entries):
+        with pytest.raises(ValidationError):
+            EigenDistribution(entries)
+
+    def test_nan_probability_fails_in_the_two_value_kernel(self):
+        # finite entries whose Bloch components overflow: n.r is inf * 0 = NaN, and
+        # the distribution check refuses it before `purity_information` sees an overlap
+        huge = [[1e308, 1e308], [1e308, -1e308]]
+        with pytest.raises(ValidationError, match="probabilities must lie in"):
+            metrics._pair_overlaps([(1.0, 0.0, 0.0)], huge, [[0.5, 0], [0, 0.5]])
+
 
 class TestOverlaps:
     def test_identical_distributions(self):
