@@ -29,7 +29,6 @@ from .chain import (
 from .discriminate import (
     DiscriminationProblem,
     FeasibilityResult,
-    ITObservable,
     ObservableSpec,
     PointerAlgebra,
     build_it_observable,

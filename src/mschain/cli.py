@@ -39,7 +39,6 @@ from .chain import (
 )
 from .discriminate import (
     FeasibilityResult,
-    build_pointer_algebra,
     _superposition_problem,
     check_eigen_discrimination,
     numeric_feasibility_oracle,
@@ -47,15 +46,14 @@ from .discriminate import (
 )
 from .errors import CapacityError, ConfigError, ValidationError
 from .metrics import (
-    _PHASE_AXES,
+    POINTER_AXES,
+    SPIN_X_AXIS,
     _bloch,
     _bloch_overlaps,
-    _phase_average,
     _purity_report,
     _qubit_density,
     _tuned_axis,
-    _two_value_axis,
-    transverse_spin,
+    phase_averaged_purity_information,
 )
 from .sampling import born_report
 
@@ -238,8 +236,7 @@ _BASIS_NAMES_8 = tuple(
 
 
 class _Fixed(NamedTuple):
-    """The scenario-free report parts. The spin-x axis serves the interference term too."""
-    axes: tuple[tuple[float, float, float], ...]  # spin x, then the detector's q, qx, qy
+    """The scenario-free report parts."""
     recognition: FeasibilityResult
     hamiltonian_fidelity: float
 
@@ -247,9 +244,7 @@ class _Fixed(NamedTuple):
 @functools.cache
 def _fixed() -> _Fixed:
     """The report parts that no scenario changes, built once per process."""
-    alg = build_pointer_algebra()
-    return _Fixed(tuple(map(_two_value_axis, (transverse_spin(0.0), alg.q, alg.qx, alg.qy))),
-                  check_eigen_discrimination(recognition_problem()),
+    return _Fixed(check_eigen_discrimination(recognition_problem()),
                   premeasure_hamiltonian_fidelity())
 
 
@@ -368,9 +363,10 @@ def _overlap_rows(run: _Run) -> tuple[list[ReportRow], list[str]]:
     floats: the pure ones, the object's and the detector's from the run's own
     S->D stage, from their amplitudes through `metrics._qubit_density`, the
     mixed ones from their two diagonal weights. `metrics._bloch_overlaps`
-    gives the spin-x, tuned and phase-grid triples in one call and the
-    pointer triples in another, and the purity rates take `purity_report`'s
-    formula, so no BLAS kernel or SIMD loop rounds these rows.
+    gives the spin-x and tuned triples in one call and the pointer triples
+    in another, the purity rates take `purity_report`'s formula, and the phase
+    average is `phase_averaged_purity_information`, which converts its
+    nested-list densities exactly, so no BLAS kernel or SIMD loop rounds these rows.
 
     The interference term is sigma x on the span of the branch products
     |S1D1O1>, |S2D2O2> and 0 off it, where neither chain model has weight (for
@@ -391,10 +387,9 @@ def _overlap_rows(run: _Run) -> tuple[list[ReportRow], list[str]]:
                                 detector.layout.position("D"))
     rho_d_mixed = [[abs(a1) ** 2, 0.0], [0.0, abs(a2) ** 2]]
     mixed = _bloch(rho_mixed)
-    spin_x_axis, *pointer_axes = _fixed().axes
-    spin_x, spin_tuned, *phases = _bloch_overlaps(
-        (spin_x_axis, _tuned_axis(rho_pure[0][1]), *_PHASE_AXES), _bloch(rho_pure), mixed)
-    pointer = _bloch_overlaps(pointer_axes, _bloch(rho_d_pure), _bloch(rho_d_mixed))
+    spin_x, spin_tuned = _bloch_overlaps((SPIN_X_AXIS, _tuned_axis(rho_pure[0][1])),
+                                         _bloch(rho_pure), mixed)
+    pointer = _bloch_overlaps(POINTER_AXES, _bloch(rho_d_pure), _bloch(rho_d_mixed))
 
     # spin x: the pure distribution is (1 -+ 2 Re(a1 a2*)) / 2, the mixed one (1/2, 1/2)
     expected_x = 1.0 - abs((a1 * a2.conjugate()).real)
@@ -405,7 +400,7 @@ def _overlap_rows(run: _Run) -> tuple[list[ReportRow], list[str]]:
     rows.append(_gated("overlap.purity_rate.mixed", _purity_report(rho_mixed[0][1]).r_p, 0.0,
                        match_tol))
     rows.append(ReportRow("overlap.purity_information.phase_averaged_bits",
-                          _phase_average(phases)))
+                          phase_averaged_purity_information(rho_pure, rho_mixed)))
     notes.append("the phase-averaged purity information row is a package-defined "
                  "estimate over a uniform 36-point phase grid")
     for name, overlaps in zip(("pointer_D", "pointer_D_x", "pointer_D_y"), pointer):
@@ -413,7 +408,7 @@ def _overlap_rows(run: _Run) -> tuple[list[ReportRow], list[str]]:
 
     if w1 > 0.0 and w2 > 0.0:  # the gemenge keeps both branches
         branch_span = _bloch(_qubit_density(pointer_branch_amplitudes(run.pure)))
-        (interference,) = _bloch_overlaps((spin_x_axis,), branch_span, mixed)
+        (interference,) = _bloch_overlaps((SPIN_X_AXIS,), branch_span, mixed)
         rows += _overlap_pair_rows("interference_full", interference, expected_x, match_tol)
     else:
         notes.append("interference overlap skipped: one amplitude vanishes, so the "

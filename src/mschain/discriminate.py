@@ -44,7 +44,8 @@ import numpy as np
 from .chain import (BASIS_1, BASIS_2, MSState, Scenario, _basis_chains, _require_count,
                     _require_number, full_chain)
 from .errors import CapacityError, ValidationError
-from .linalg import HermitianObservable, as_complex_array, validate_state_vector
+from .linalg import (PAULI_X, PAULI_Y, PAULI_Z, HermitianObservable, as_complex_array,
+                     validate_state_vector)
 
 OVERLAP_TOL = 1e-10
 WITNESS_TOL = 1e-9
@@ -177,16 +178,8 @@ class FeasibilityResult:
 
 
 def build_pointer_algebra() -> PointerAlgebra:
-    """Half-Pauli pointer triple in the pointer basis of a two-dim factor."""
-    b1, b2 = BASIS_1, BASIS_2
-    p11 = np.outer(b1, b1.conj())
-    p22 = np.outer(b2, b2.conj())
-    p12 = np.outer(b1, b2.conj())
-    p21 = np.outer(b2, b1.conj())
-    q = (p11 - p22) / 2.0
-    qx = (p12 + p21) / 2.0
-    qy = (-1j * p12 + 1j * p21) / 2.0
-    return PointerAlgebra(HermitianObservable(q), HermitianObservable(qx), HermitianObservable(qy))
+    """Half-Pauli pointer triple in the pointer basis BASIS_1, BASIS_2 of a two-dim factor."""
+    return PointerAlgebra(*(HermitianObservable(p / 2.0) for p in (PAULI_Z, PAULI_X, PAULI_Y)))
 
 
 def combine_observable(alg: PointerAlgebra, spec: ObservableSpec) -> HermitianObservable:
@@ -357,7 +350,8 @@ def verify_certificate(problem: DiscriminationProblem, result: FeasibilityResult
     not an integer in range fails the check, and so do a certificate or chain
     that is not a tuple, an entry that is not a ForcedEquality or MergeEvidence,
     and dependence coefficients that are not rows of finite numbers, one per
-    state: a malformed certificate reads False, not an exception.
+    state: a malformed certificate reads False, not an exception. Finite
+    coefficients whose combination overflows read False too, with no warning.
     """
     if not isinstance(result.certificate, tuple) or not result.certificate:
         return False  # none, or an empty one, proves nothing
@@ -390,10 +384,12 @@ def verify_certificate(problem: DiscriminationProblem, result: FeasibilityResult
                     return False
                 if rows.ndim != 2 or rows.shape[1] != len(states):
                     return False
-                for coeffs in rows:
-                    combo = sum(c * states[k] for k, c in enumerate(coeffs))
-                    if not np.linalg.norm(combo) <= DEPENDENCE_TOL:  # a NaN fails it
-                        return False
+                # an inf or NaN norm, from finite coefficients that overflow, fails it
+                with np.errstate(over="ignore", invalid="ignore"):
+                    for coeffs in rows:
+                        combo = sum(c * states[k] for k, c in enumerate(coeffs))
+                        if not np.linalg.norm(combo) <= DEPENDENCE_TOL:
+                            return False
                 if dep_pairs is None:
                     dep_pairs, _ = _dependence_forced_pairs(states)
                 if (ev.i, ev.j) not in dep_pairs and (ev.j, ev.i) not in dep_pairs:
@@ -488,14 +484,7 @@ def numeric_feasibility_oracle(problem: DiscriminationProblem, eigenvalue_grid):
     return float(residuals[best]), tuple(float(v) for v in g[best])
 
 
-@dataclass(frozen=True)
-class ITObservable:
-    """Joint interference-term observable coupling the pointer branches."""
-
-    observable: HermitianObservable
-
-
-def build_it_observable() -> ITObservable:
+def build_it_observable() -> HermitianObservable:
     """Symmetric interference-term observable on the full S, D, O chain.
 
     The operator swaps the two pointer branch products; its spectrum is
@@ -504,7 +493,7 @@ def build_it_observable() -> ITObservable:
     matrix = np.zeros((8, 8), dtype=complex)
     matrix[0, 7] = 1.0
     matrix[7, 0] = 1.0
-    return ITObservable(HermitianObservable(matrix))
+    return HermitianObservable(matrix)
 
 
 def superposition_discrimination_problem(a1: complex, a2: complex) -> DiscriminationProblem:

@@ -16,11 +16,16 @@ A two-dim state enters once, as the Bloch tuple (t, x, y, z) of Python floats
 that `_bloch` reads off its entries, and one kernel, `_bloch_overlaps`, maps
 a sequence of axes and two tuples to both overlaps and the purity bits per
 axis, with the checks of `EigenDistribution` and `purity_information`, so no
-BLAS, LAPACK or SIMD rounding reaches them. `_pair_overlaps`,
-`phase_averaged_purity_information` and `purity_report` check and convert
-their input once, then apply the kernel or formula the overlap report
-applies to the tuples it builds itself. The report's 8-dim interference term,
-sigma x on the span of the chain's two branch products, is one more such pair.
+BLAS, LAPACK or SIMD rounding reaches them. The report's fixed axes are the
+literals `SPIN_X_AXIS` and `POINTER_AXES`; the tuned spin's is read off rho01.
+`_pair_overlaps`, `phase_averaged_purity_information` and `purity_report`
+check and convert their input once, then apply the kernel or formula the
+overlap report applies to the tuples it builds itself. The report's phase
+average calls `phase_averaged_purity_information` on nested lists of Python
+numbers: its two `as_complex_array` conversions, to complex128 and back
+through `tolist`, are exact, so no numpy kernel reaches that row either. The
+report's 8-dim interference term, sigma x on the span of the chain's two
+branch products, is one more such pair.
 
 A public function checks a state it is handed once, on entry: finite
 entries, then shape.
@@ -41,6 +46,11 @@ from .linalg import (
     PAULI_Y,
     as_complex_array,
 )
+
+# The unit axes of the report's fixed observables: the spin x, transverse_spin(0.0), and
+# the detector's q, qx, qy (`discriminate.build_pointer_algebra`), sigma z, x, y over 2.
+SPIN_X_AXIS = (1.0, 0.0, 0.0)
+POINTER_AXES = ((0.0, 0.0, 1.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
 
 # Points of the uniform transverse-phase grid that the phase average runs over,
 # and the axes (cos gamma, sin gamma, 0) of the transverse spins on it.
@@ -202,23 +212,12 @@ def _bloch(rho) -> tuple[float, float, float, float]:
             r00.real - r11.real)
 
 
-def _two_value_axis(obs) -> tuple[float, float, float]:
-    """The unit axis n of a two-dim observable a0 + b n.sigma with b > 0, from its
-    entries; UsageError unless `HermitianObservable.blocks` finds two values."""
-    observable = _as_observable(obs)
-    if observable.dim != 2 or len(observable.blocks) != 2:
-        raise UsageError("two-value overlaps need two-dim observables with two values")
-    _, x, y, z = _bloch(observable.matrix.tolist())
-    norm = math.sqrt(x * x + y * y + z * z)
-    return (x / norm, y / norm, z / norm)
-
-
 def _tuned_axis(off: complex) -> tuple[float, float, float]:
     """The axis of the transverse spin tuned to a coherence rho01 = off, at
     `purity_report`'s gamma_star = -arg(off); the x axis when off is 0."""
     magnitude = abs(off)
     if magnitude == 0.0:
-        return (1.0, 0.0, 0.0)
+        return SPIN_X_AXIS
     return (off.real / magnitude, -off.imag / magnitude, 0.0)
 
 
@@ -256,12 +255,6 @@ def _pair_overlaps(axes, pure, mixed) -> list[tuple[float, float, float]]:
                                    for a in arrays))
 
 
-def _phase_average(overlaps) -> float:
-    """The mean purity bits of the N_PHASES `_bloch_overlaps` triples on the
-    phase grid `_PHASE_AXES`, their terms added by `math.fsum`."""
-    return math.fsum(bits for _, _, bits in overlaps) / N_PHASES
-
-
 def phase_averaged_purity_information(pure_rho, mixed_rho) -> float:
     """Average purity information over the N_PHASES-point grid of transverse phases.
 
@@ -270,4 +263,5 @@ def phase_averaged_purity_information(pure_rho, mixed_rho) -> float:
     terms added by `math.fsum`. It raises what the per-phase loop of
     `eigen_distribution` raises.
     """
-    return _phase_average(_pair_overlaps(_PHASE_AXES, pure_rho, mixed_rho))
+    overlaps = _pair_overlaps(_PHASE_AXES, pure_rho, mixed_rho)
+    return math.fsum(bits for _, _, bits in overlaps) / N_PHASES

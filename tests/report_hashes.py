@@ -24,6 +24,13 @@ the 64 (branch, pointer value) pairs that the single-event draws
 (`stochastic_restriction` for pure input, `sample_gemenge` for a gemenge)
 give for `trial_uniform(seed, k)`, k < 64, on the config's `full_chain`.
 
+`tests/report_hashes.txt` holds the expected lines, and
+`test_golden.test_report_hashes_match_the_committed_file` runs `hash_lines`
+in process and compares. Rewrite the file only when a report is meant to
+change, and say why in CHANGES.md:
+
+    PYTHONPATH=src python3 tests/report_hashes.py > tests/report_hashes.txt
+
 It needs the standard library and `mschain` only. Its name does not match
 `test_*.py`, so pytest does not collect it.
 """
@@ -133,23 +140,29 @@ def scalar_draws(config: dict, command: str) -> str:
         return f"{type(exc).__name__}: {exc}"
 
 
-def _report_lines(label: str, command: str, config: dict) -> None:
+def _report_lines(label: str, command: str, config: dict):
     try:
         report = execute(config_from_dict(config, override_command=command))
         texts = {fmt: render_report(report, fmt) for fmt in FORMATS}
     except (ConfigError, ValidationError, CapacityError) as exc:
         texts = {fmt: f"{type(exc).__name__}: {exc}" for fmt in FORMATS}
     for fmt in FORMATS:
-        print(f"{label}/{fmt} {_sha256(texts[fmt])}")
+        yield f"{label}/{fmt} {_sha256(texts[fmt])}"
+
+
+def hash_lines():
+    """Every `label sha256` line, in the order `main` prints them."""
+    for label, command, config in configs(random.Random(SEED)):
+        yield from _report_lines(label, command, config)
+        if command == "born":
+            yield f"draws/{label} {_sha256(scalar_draws(config, command))}"
+    for label, command, config in cap_configs(random.Random(CAP_SEED)):
+        yield from _report_lines(label, command, config)
 
 
 def main() -> None:
-    for label, command, config in configs(random.Random(SEED)):
-        _report_lines(label, command, config)
-        if command == "born":
-            print(f"draws/{label} {_sha256(scalar_draws(config, command))}")
-    for label, command, config in cap_configs(random.Random(CAP_SEED)):
-        _report_lines(label, command, config)
+    for line in hash_lines():
+        print(line)
 
 
 if __name__ == "__main__":

@@ -167,20 +167,20 @@ def test_criterion_5_interference_term():
     failures = []
     it = build_it_observable()
     psi = full_chain(Scenario(SYM, SYM, "pure"))
-    residual = float(np.linalg.norm(it.observable.matrix @ psi.vector - psi.vector))
+    residual = float(np.linalg.norm(it.matrix @ psi.vector - psi.vector))
     if residual >= 1e-12:
         failures.append(("eigenvector residual", residual))
 
     mixture = full_chain(Scenario(SYM, SYM, "gemenge")).density()
-    w_mix = eigen_distribution(mixture, it.observable)
+    w_mix = eigen_distribution(mixture, it)
     probs = w_mix.probabilities
     if abs(probs[1.0] - 0.5) >= 1e-12 or abs(probs[-1.0] - 0.5) >= 1e-12:
         failures.append(("mixture distribution", probs))
-    mean_b = float(np.real(np.trace(mixture @ it.observable.matrix)))
+    mean_b = float(np.real(np.trace(mixture @ it.matrix)))
     if abs(mean_b) >= 1e-12:
         failures.append(("mixture mean", mean_b))
 
-    w_pure = eigen_distribution(psi, it.observable)
+    w_pure = eigen_distribution(psi, it)
     k_b = overlap_tv(w_pure, w_mix)
     if abs(k_b - 0.5) >= 1e-12:
         failures.append(("overlap", k_b))

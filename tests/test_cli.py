@@ -361,7 +361,7 @@ class TestRunContext:
         assert "overlap.interference_full.overlap_min" in rows_by_label(reports[0])
         # the counter sees both on the row's reference path
         gemenge = chain.full_chain(chain.Scenario(0.6, 0.8, "gemenge"))
-        it = discriminate.build_it_observable().observable
+        it = discriminate.build_it_observable()
         assert count_code_calls(watched, lambda: metrics.eigen_distribution(
             gemenge.density(), it)) == [1, 1]
 

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from itertools import combinations, permutations, product
 
 import numpy as np
@@ -512,6 +513,20 @@ class TestVerifyCertificateRejects:
         assert not self._tampered(problem, ForcedEquality(
             forced.group_a, forced.group_b, (MergeEvidence("dependence", ev.i, ev.j, longer),)))
 
+    def test_dependence_coefficients_that_overflow(self):
+        # finite coefficients whose combination's norm overflows: False, and no
+        # RuntimeWarning, which pytest's filter would raise
+        problem = superposition_discrimination_problem(SYM, SYM)
+        (forced,) = [f for f in check_eigen_discrimination(problem).certificate
+                     if f.chain[0].kind == "dependence"]
+        ev = forced.chain[0]
+        huge = tuple(tuple(c * 1e308 for c in coeffs) for coeffs in ev.detail)
+        assert all(math.isfinite(abs(c)) for coeffs in huge for c in coeffs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not self._tampered(problem, ForcedEquality(
+                forced.group_a, forced.group_b, (MergeEvidence("dependence", ev.i, ev.j, huge),)))
+
     def test_unknown_kind(self):
         problem = superposition_discrimination_problem(SYM, SYM)
         assert not self._tampered(problem, ForcedEquality(0, 1, (MergeEvidence("guess", 0, 1),)))
@@ -881,19 +896,19 @@ class TestITObservable:
     def test_symmetric_chain_state_is_unit_eigenvector(self):
         it = build_it_observable()
         psi = full_chain(Scenario(SYM, SYM, "pure")).vector
-        assert np.linalg.norm(it.observable.matrix @ psi - psi) < 1e-12
+        assert np.linalg.norm(it.matrix @ psi - psi) < 1e-12
 
     def test_spectrum(self):
         it = build_it_observable()
-        spec = it.observable.spectral
+        spec = it.spectral
         assert [value for value, _ in spec.groups] == pytest.approx([1.0, 0.0, -1.0])
         assert [len(idx) for _, idx in spec.groups] == [1, 6, 1]
         # symmetric about zero, traceless, Hermitian
         assert_allclose(sorted(spec.eigenvalues), sorted(-spec.eigenvalues), atol=1e-12)
-        assert abs(np.trace(it.observable.matrix)) < 1e-12
+        assert abs(np.trace(it.matrix)) < 1e-12
 
     def test_swaps_branch_products(self):
         it = build_it_observable()
         psi_1 = full_chain(Scenario(1.0, 0.0, "pure")).vector
         psi_2 = full_chain(Scenario(0.0, 1.0, "pure")).vector
-        assert_allclose(it.observable.matrix @ psi_1, psi_2, atol=1e-12)
+        assert_allclose(it.matrix @ psi_1, psi_2, atol=1e-12)

@@ -21,11 +21,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import report_hashes
 
 import mschain
 from mschain.cli import COMMANDS, FORMATS, config_from_dict, execute, render_report
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+# the lines `report_hashes.py` prints, one `label sha256` per report
+HASHES_PATH = Path(__file__).parent / "report_hashes.txt"
 
 _PHASE = 2.0
 CASES = {
@@ -83,6 +86,24 @@ def test_csv_rows_are_as_wide_as_their_header(case, command):
     assert all(len(row) == len(header) for row in rows)
 
 
+def test_report_hashes_match_the_committed_file():
+    # every report of the hash script's seeded configs, byte for byte as committed
+    want = HASHES_PATH.read_text(encoding="ascii").splitlines()
+    got = list(report_hashes.hash_lines())
+    if got == want:
+        return
+    want_by_label, got_by_label = (dict(line.split(" ", 1) for line in lines)
+                                   for lines in (want, got))
+    changed = [label for label, digest in got_by_label.items()
+               if want_by_label.get(label, digest) != digest]
+    gone = [label for label in want_by_label if label not in got_by_label]
+    new = [label for label in got_by_label if label not in want_by_label]
+    pytest.fail(f"{len(changed)} of {len(want)} report hashes differ from {HASHES_PATH.name}, "
+                f"first {changed[:5]}; {len(gone)} labels gone, first {gone[:5]}; "
+                f"{len(new)} new, first {new[:5]}; the same labels in another order "
+                f"when all three are empty")
+
+
 # Run in a child process: the dispatch target numpy's complex multiply runs on,
 # and the names of the golden files whose bytes the child renders differently.
 _CHILD = """
@@ -97,13 +118,11 @@ print(json.dumps({"current": info["multiply"]["DDD"]["current"], "differs": diff
 
 def _kernel_switch_unavailable() -> str:
     """Why the kernel switches cannot be exercised here, or "" when they can:
-    they need an x86-64 CPU, numpy 2.0 or later (`np.lib.introspect`) and a
-    numpy built against an OpenBLAS that selects its kernels at run time."""
+    they need an x86-64 CPU and a numpy built against an OpenBLAS that
+    selects its kernels at run time."""
     if platform.machine().lower() not in ("x86_64", "amd64"):
         return ("OpenBLAS's Sandybridge kernels and numpy's x86-64 SIMD targets "
                 "exist on x86-64 only")
-    if not hasattr(np.lib, "introspect"):
-        return "numpy before 2.0 cannot report its SIMD dispatch targets"
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     if "openblas" not in str(blas.get("name", "")).lower():
         return f"numpy is built against {blas.get('name', 'an unknown BLAS')}, not OpenBLAS"

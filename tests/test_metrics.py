@@ -56,17 +56,15 @@ def spin_distributions(a1, a2):
 
 class TestEigenDistribution:
     def test_symmetric_chain_state_under_interference_term(self):
-        it = build_it_observable()
         psi = full_chain(Scenario(SYM, SYM, "pure"))
-        dist = eigen_distribution(psi, it.observable)
+        dist = eigen_distribution(psi, build_it_observable())
         assert dist.probabilities[1.0] == pytest.approx(1.0, abs=1e-12)
         assert dist.probabilities[0.0] == pytest.approx(0.0, abs=1e-12)
         assert dist.probabilities[-1.0] == pytest.approx(0.0, abs=1e-12)
 
     def test_even_mixture_under_interference_term(self):
-        it = build_it_observable()
         w = full_chain(Scenario(SYM, SYM, "gemenge"))
-        dist = eigen_distribution(w.density(), it.observable)
+        dist = eigen_distribution(w.density(), build_it_observable())
         assert dist.probabilities[1.0] == pytest.approx(0.5, abs=1e-12)
         assert dist.probabilities[-1.0] == pytest.approx(0.5, abs=1e-12)
         assert dist.probabilities[0.0] == pytest.approx(0.0, abs=1e-12)
@@ -189,9 +187,8 @@ class TestOverlaps:
 
     def test_interference_term_overlap(self):
         it = build_it_observable()
-        w_pure = eigen_distribution(full_chain(Scenario(SYM, SYM, "pure")), it.observable)
-        w_mix = eigen_distribution(full_chain(Scenario(SYM, SYM, "gemenge")).density(),
-                               it.observable)
+        w_pure = eigen_distribution(full_chain(Scenario(SYM, SYM, "pure")), it)
+        w_mix = eigen_distribution(full_chain(Scenario(SYM, SYM, "gemenge")).density(), it)
         assert overlap_tv(w_pure, w_mix) == pytest.approx(0.5, abs=1e-12)
 
     @given(st.lists(st.floats(0.001, 1.0), min_size=2, max_size=6),
@@ -407,10 +404,26 @@ def _pair_loop(pairs):
     return out
 
 
+def _report_axes(rho_pure):
+    """The unit axes of `_report_pairs`' observables: the literal spin-x and pointer
+    axes, and the tuned spin's, which `_tuned_axis` reads off rho01."""
+    return [metrics.SPIN_X_AXIS, metrics._tuned_axis(complex(rho_pure[0, 1])),
+            *metrics.POINTER_AXES]
+
+
 def _pair_kernel(pairs):
-    """The same triples through the Bloch form: each observable's axis, then `_pair_overlaps`."""
-    return [metrics._pair_overlaps([metrics._two_value_axis(obs)], pure, mixed)[0]
-            for obs, pure, mixed in pairs]
+    """The same triples through the Bloch form: `_pair_overlaps` on each observable's
+    axis, the tuned one read off the tuned pair's pure density."""
+    return [metrics._pair_overlaps([axis], pure, mixed)[0]
+            for axis, (_, pure, mixed) in zip(_report_axes(pairs[1][1]), pairs)]
+
+
+def _entry_axis(obs):
+    """The unit axis n of a two-dim observable a0 + b n.sigma with b > 0, read off
+    its matrix entries as `metrics._bloch` reads a density's."""
+    _, x, y, z = metrics._bloch(obs.matrix.tolist())
+    norm = math.sqrt(x * x + y * y + z * z)
+    return (x / norm, y / norm, z / norm)
 
 
 def _report_pairs(a1, a2):
@@ -461,7 +474,7 @@ class TestPairOverlaps:
         # 2.5, the loop's tuned spin is 2.4e-9 off 1/sqrt(2))
         a1, a2 = np.sqrt(weight), np.sqrt(1.0 - weight) * np.exp(1j * phase)
         pairs = _report_pairs(a1, a2)
-        axes = [metrics._two_value_axis(obs) for obs, _, _ in pairs]
+        axes = _report_axes(pairs[1][1])
         near_zero = set()
         for k, ((obs, pure, mixed), axis) in enumerate(zip(pairs, axes)):
             for rho in (pure, mixed):
@@ -472,16 +485,20 @@ class TestPairOverlaps:
                     near_zero.add(k)
         assert near_zero == _zero_probability_pairs(weight, phase)
 
-        expected = np.array(_pair_loop(pairs))
-        rho_pure = pairs[0][1]
-        tuned_axis = metrics._tuned_axis(complex(rho_pure[0, 1]))  # read off rho01
-        tuned = metrics._pair_overlaps([tuned_axis], rho_pure, pairs[0][2])
-        for got, want, rows in ((_pair_kernel(pairs), expected, range(len(pairs))),
-                                (tuned, expected[1:2], [1])):
-            diff = np.abs(np.array(got) - want)
-            assert np.max(diff[:, [0, 2]]) <= 1e-15
-            for row, k in zip(diff, rows):
-                assert row[1] <= (2 * math.sqrt(2e-15) if k in near_zero else 1e-15), k
+        diff = np.abs(np.array(_pair_kernel(pairs)) - _pair_loop(pairs))
+        assert np.max(diff[:, [0, 2]]) <= 1e-15
+        for k, row in enumerate(diff):
+            assert row[1] <= (2 * math.sqrt(2e-15) if k in near_zero else 1e-15), k
+
+    def test_literal_axes_are_the_observables_axes(self):
+        # the report's fixed axes are literals; each must be, bit for bit, the
+        # axis its observable's entries give, and each observable must have two values
+        alg = build_pointer_algebra()
+        observables = (transverse_spin(0.0), alg.q, alg.qx, alg.qy)
+        assert [len(obs.blocks) for obs in observables] == [2, 2, 2, 2]
+        spin_x, *pointer = map(_entry_axis, observables)
+        assert spin_x == metrics.SPIN_X_AXIS
+        assert tuple(pointer) == metrics.POINTER_AXES
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "range", "trace", "overlap", "shape"])
     @pytest.mark.parametrize("slot", [(0, 1), (2, 2), (4, 1)])
@@ -522,7 +539,7 @@ class TestPairOverlaps:
         # qubit; it must also agree, within 2e-15, with the 8-dim reference path:
         # `eigen_distribution` of the interference-term observable on the pure
         # chain and on the gemenge's density
-        it = build_it_observable().observable
+        it = build_it_observable()
         fields = ("overlap_min", "overlap_sqrt", "purity_information_bits")
         a1, a2 = math.sqrt(weight), math.sqrt(1.0 - weight) * complex(math.cos(phase),
                                                                        math.sin(phase))
@@ -537,13 +554,11 @@ class TestPairOverlaps:
             rho_d_pure = metrics._qubit_density(detector.vector, detector.layout.dims,
                                                 detector.layout.position("D"))
             rho_d_mixed = np.diag([abs(b1) ** 2, abs(b2) ** 2]).astype(complex)
-            alg = build_pointer_algebra()
-            spin_x, *pointer = (metrics._two_value_axis(obs) for obs in
-                                (transverse_spin(0.0), alg.q, alg.qx, alg.qy))
+            spin_x = metrics.SPIN_X_AXIS
             tuned = metrics._tuned_axis(rho_pure[0][1])
             names = ["spin_x", "spin_tuned", "pointer_D", "pointer_D_x", "pointer_D_y"]
             triples = [*metrics._pair_overlaps((spin_x, tuned), rho_pure, rho_mixed),
-                       *metrics._pair_overlaps(pointer, rho_d_pure, rho_d_mixed)]
+                       *metrics._pair_overlaps(metrics.POINTER_AXES, rho_d_pure, rho_d_mixed)]
             pure, gemenge = (full_chain(Scenario(b1, b2, k)) for k in ("pure", "gemenge"))
             both = len(gemenge.branches) == 2
             if both:
@@ -564,13 +579,6 @@ class TestPairOverlaps:
             want["overlap.purity_information.phase_averaged_bits"] = \
                 phase_averaged_purity_information(rho_pure, rho_mixed)
             assert {label: got[label] for label in want} == want, kind
-
-    @pytest.mark.parametrize("obs", [build_it_observable().observable, np.eye(2),
-                                     np.diag([1.0, 1.0 + 1e-13])],
-                             ids=["eight-dim", "one-value", "one-grouped-value"])
-    def test_observable_without_two_values_refused(self, obs):
-        with pytest.raises(UsageError, match="two-dim observables with two values"):
-            metrics._two_value_axis(obs)
 
 
 class TestBornProbabilities:
